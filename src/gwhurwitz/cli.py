@@ -94,10 +94,15 @@ def store_table(degree: int, table: CharacterTable) -> str:
 
 
 def character_table(degree: int) -> CharacterTable:
+    """Cached table of the given degree; a cache that cannot be written
+    (say, a regular file named as its directory) leaves the table uncached."""
     table = load_cached_table(degree)
     if table is None:
         table = CharacterTable.build(degree)
-        store_table(degree, table)
+        try:
+            store_table(degree, table)
+        except OSError:
+            pass
     return table
 
 

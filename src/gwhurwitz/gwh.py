@@ -13,18 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .fock import Alpha, AStarOp, ExpAlpha, ExpUF2, correlator
 from .hurwitz import BranchData, double_hurwitz_exp_series, hurwitz_connected, hurwitz_disconnected
 from .partitions import (ClassSum, check_partition, enumerate_partitions,
                          format_partition, subpartitions_by_removing_ones, z_factor)
 from .qseries import MultiSeries, PrecisionError, s_series
-
-# The fully stripped empty term participates in the completed-cycle sum;
-# dropping it breaks route equivalence already at degree 1 (see the
-# crosscheck tests), which is how this policy was pinned.
-INCLUDE_EMPTY_STRIPPED_TERM = True
 
 _SLACK = 3
 
@@ -68,8 +62,6 @@ def completed_cycle(k: int, d: int) -> CompletedCycle:
     for mu in enumerate_partitions(d):
         total = Fraction(0)
         for sub, binom in subpartitions_by_removing_ones(mu):
-            if not sub and not INCLUDE_EMPTY_STRIPPED_TERM:
-                continue
             total += binom * rho(k, sub)
         if total:
             terms[mu] = total
@@ -88,8 +80,7 @@ class IFunctionCoefficient:
     z_degree: int
 
 
-@lru_cache(maxsize=None)
-def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
+def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
     """Raw boundary pairing against the adjoint-operator word.
 
     Evaluated with the energy cap |eta|: the adjoint operator raises energy
@@ -104,13 +95,46 @@ def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
     return correlator(word, eta, vars, order, energy_cap=sum(eta))
 
 
+# eta -> ((u_order, w_order), series evaluated at those orders)
+_i_store: dict = {}
+
+
+def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
+    """The raw pairing of eta, truncated to (u_order, w_order).
+
+    One evaluation per boundary profile: the store keeps the series at the
+    largest orders requested so far, and a request inside them is answered
+    by truncation: its coefficients agree with a fresh evaluation at the
+    requested orders, and it claims no order beyond them.  A request outside
+    them is evaluated at the componentwise maximum, which replaces the entry.
+    `_i_correlator.cache_clear()` empties the store.
+    """
+    got = _i_store.get(eta)
+    if got is not None:
+        (u_have, w_have), series = got
+        if u_order <= u_have and w_order <= w_have:
+            return series.truncated((u_order, w_order))
+        u_have, w_have = max(u_order, u_have), max(w_order, w_have)
+    else:
+        u_have, w_have = u_order, w_order
+    series = _evaluate_i_correlator(eta, u_have, w_have)
+    _i_store[eta] = ((u_have, w_have), series)
+    return series.truncated((u_order, w_order))
+
+
+_i_correlator.cache_clear = _i_store.clear
+
+
 def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     """Numerical one-marking I-coefficient through the correlator route.
 
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
-    normalization.  Truncation orders are derived from the degree count and
-    enlarged once on a precision failure.
+    normalization.  Truncation orders are derived here, and only here, from
+    the degree count, and enlarged once on a precision failure.  The pairing
+    comes from the per-profile store of `_i_correlator`, so callers that
+    loop over g or k should ask for the largest orders (top g, top k) first:
+    the first request of a profile is then the only evaluation.
     """
     eta = check_partition(eta)
     if k < 0:
@@ -246,31 +270,34 @@ def i_function_unstable_connected(n: int, eta) -> IFunctionCoefficient:
 def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     """Assemble the degree-d descendent class sum from the crossing route.
 
-    For each profile eta the genus runs from -len(eta) (the marking may sit
-    on its own component) up to the bound where the simple-branching count
-    b = k+2-2g-d-len(eta) stays nonnegative; the double Hurwitz series
-    coefficient at u^b multiplies the one-marking I-coefficient.
+    For each profile eta the genus runs down from the bound where the
+    simple-branching count b = k+2-2g-d-len(eta) stays nonnegative to
+    -len(eta) (the marking may sit on its own component); the double Hurwitz
+    series coefficient at u^b multiplies the one-marking I-coefficient.  The
+    profile loop is outermost and the genus runs downward, so the first
+    I-coefficient asked of a profile is the one with the largest truncation
+    order.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    terms = {}
-    etas = enumerate_partitions(d)
-    for mu in enumerate_partitions(d):
-        total = Fraction(0)
-        for eta in etas:
-            ell = len(eta)
-            b_max = k + 2 - d - ell + 2 * ell
-            dh = double_hurwitz_exp_series(mu, eta, max(b_max, 0) + 1)
-            g_hi = (k + 2 - d - ell) // 2
-            for g in range(-ell, g_hi + 1):
-                b = k + 2 - 2 * g - d - ell
-                if b < 0:
-                    continue
+    mus = enumerate_partitions(d)
+    totals = dict.fromkeys(mus, Fraction(0))
+    for eta in enumerate_partitions(d):
+        ell = len(eta)
+        b_max = k + 2 - d - ell + 2 * ell
+        dhs = [(mu, double_hurwitz_exp_series(mu, eta, max(b_max, 0) + 1)) for mu in mus]
+        g_hi = (k + 2 - d - ell) // 2
+        for g in range(g_hi, -ell - 1, -1):
+            b = k + 2 - 2 * g - d - ell
+            if b < 0:
+                continue
+            for mu, dh in dhs:
                 coeff = dh.coefficient((b,))
-                if not coeff:
-                    continue
-                total += coeff * i_function_numeric(g, eta, k).value
-        total *= z_factor(mu)
+                if coeff:
+                    totals[mu] += coeff * i_function_numeric(g, eta, k).value
+    terms = {}
+    for mu in mus:
+        total = totals[mu] * z_factor(mu)
         if total:
             terms[mu] = total
     return ClassSum(d, terms)
@@ -320,13 +347,18 @@ class CrosscheckReport:
 
 
 def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
-    """Termwise comparison of the two completed-cycle routes."""
+    """Termwise comparison of the two completed-cycle routes.
+
+    k runs down from k_max, whose I-coefficients need the largest orders;
+    the report lists the rows in ascending (d, k) order.
+    """
     rows = []
     for d in range(1, d_max + 1):
-        for k in range(0, k_max + 1):
+        for k in range(k_max, -1, -1):
             lhs = completed_cycle(k, d).value
             rhs = tau_via_wallcrossing(k, d)
             rows.append(CrosscheckRow(d, k, lhs == rhs, lhs, rhs))
+    rows.sort(key=lambda row: (row.d, row.k))
     return CrosscheckReport(d_max, k_max, tuple(rows))
 
 
@@ -362,7 +394,10 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
         if not contribution:
             continue
         euler = d * (2 * h - 2) + sum(d - len(mu) for mu in profiles)
-        assert euler % 2 == 0, "nonzero cover count with odd total branching"
+        if euler % 2:
+            raise ArithmeticError(
+                f"nonzero cover count {value} for profiles {profiles} "
+                f"with odd total branching {euler}")
         genus = euler // 2 + 1
         total += contribution
         by_genus[genus] = by_genus.get(genus, Fraction(0)) + contribution

@@ -116,8 +116,8 @@ class MultiSeries:
     # ------------------------------------------------------------ arithmetic
 
     def __neg__(self):
-        return MultiSeries(self.vars, self.floor, self.order,
-                           {e: -c for e, c in self.coeffs.items()})
+        return _raw(self.vars, self.floor, self.order,
+                    {e: -c for e, c in self.coeffs.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -127,10 +127,18 @@ class MultiSeries:
         self._check_same_vars(other)
         floor = tuple(min(a, b) for a, b in zip(self.floor, other.floor))
         order = tuple(min(a, b) for a, b in zip(self.order, other.order))
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        return MultiSeries(self.vars, floor, order, coeffs)
+        coeffs = _window(self.coeffs, order)
+        for e, c in _window(other.coeffs, order).items():
+            s = coeffs.get(e)
+            if s is None:
+                coeffs[e] = c
+            else:
+                s += c
+                if s:
+                    coeffs[e] = s
+                else:
+                    del coeffs[e]
+        return _raw(self.vars, floor, order, coeffs)
 
     __radd__ = __add__
 
@@ -144,9 +152,9 @@ class MultiSeries:
         if isinstance(other, (int, Fraction)):
             other = _as_rational(other)
             if not other:
-                return MultiSeries(self.vars, self.floor, self.order, {})
-            return MultiSeries(self.vars, self.floor, self.order,
-                               {e: c * other for e, c in self.coeffs.items()})
+                return _raw(self.vars, self.floor, self.order, {})
+            return _raw(self.vars, self.floor, self.order,
+                        {e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, MultiSeries):
             return NotImplemented
         self._check_same_vars(other)
@@ -158,14 +166,17 @@ class MultiSeries:
         order = tuple(min(oa + fb, ob + fa)
                       for oa, fa, ob, fb
                       in zip(self.order, self.floor, other.order, other.floor))
-        coeffs = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(x >= o for x, o in zip(e, order)):
-                    continue
-                coeffs[e] = coeffs.get(e, Fraction(0)) + ca * cb
-        return MultiSeries(self.vars, floor, order, coeffs)
+        if len(self.vars) == 2:
+            coeffs = _mul2(self.coeffs, other.coeffs, order[0], order[1])
+        else:
+            coeffs = {}
+            for ea, ca in self.coeffs.items():
+                for eb, cb in other.coeffs.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    if all(x < o for x, o in zip(e, order)):
+                        coeffs[e] = coeffs.get(e, 0) + ca * cb
+            coeffs = {e: c for e, c in coeffs.items() if c}
+        return _raw(self.vars, floor, order, coeffs)
 
     __rmul__ = __mul__
 
@@ -222,8 +233,12 @@ class MultiSeries:
         return self.coeffs.get(exps, Fraction(0))
 
     def truncated(self, order):
+        if len(order) != len(self.vars):
+            raise SeriesError("vars/floor/order length mismatch")
         order = tuple(min(a, b) for a, b in zip(self.order, order))
-        return MultiSeries(self.vars, self.floor, order, self.coeffs)
+        order = tuple(o if o == INF else int(o) for o in order)
+        return _raw(self.vars, self.floor, order,
+                    _window(self.coeffs, order))
 
     # -------------------------------------------------------- transformations
 
@@ -234,26 +249,7 @@ class MultiSeries:
             raise SeriesError("scale_var requires a nonzero scalar")
         i = self.vars.index(var)
         coeffs = {e: val * c ** e[i] for e, val in self.coeffs.items()}
-        return MultiSeries(self.vars, self.floor, self.order, coeffs)
-
-    def lift(self, vars, order=None):
-        """Embed into a larger variable tuple (new variables get exponent 0)."""
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        if order is None:
-            order = (INF,) * len(vars)
-        norder = list(order)
-        nfloor = [0] * len(vars)
-        for old_i, new_i in enumerate(pos):
-            norder[new_i] = min(norder[new_i], self.order[old_i])
-            nfloor[new_i] = self.floor[old_i]
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * len(vars)
-            for old_i, new_i in enumerate(pos):
-                ne[new_i] = e[old_i]
-            coeffs[tuple(ne)] = c
-        return MultiSeries(vars, nfloor, norder, coeffs)
+        return _raw(self.vars, self.floor, self.order, coeffs)
 
     def _effective_order(self, order):
         if order is None:
@@ -360,6 +356,53 @@ class MultiSeries:
                 bits.append(f"{c}" + (f"*{mon}" if mon else ""))
             body = " + ".join(bits)
         return f"<{body} ; O{self.order}>"
+
+
+# ------------------------------------------------------- internal kernels
+#
+# Arithmetic results are built by `_raw`, which skips the validation of the
+# public constructor: every result already has integer exponent tuples inside
+# [floor, order) and nonzero Fraction values, and the helpers below keep it so.
+
+
+def _raw(vars, floor, order, coeffs) -> MultiSeries:
+    series = MultiSeries.__new__(MultiSeries)
+    series.vars = vars
+    series.floor = floor
+    series.order = order
+    series.coeffs = coeffs
+    return series
+
+
+def _window(coeffs, order) -> dict:
+    """Copy of coeffs without the exponents at or above order."""
+    return {e: c for e, c in coeffs.items() if all(x < o for x, o in zip(e, order))}
+
+
+def _mul2(left, right, o0, o1) -> dict:
+    """Bivariate product of coefficient dicts, kept below the order (o0, o1)."""
+    rhs = sorted((e[0], e[1], c) for e, c in right.items())
+    coeffs = {}
+    get = coeffs.get
+    for (a0, a1), ca in left.items():
+        lim0 = o0 - a0
+        lim1 = o1 - a1
+        for b0, b1, cb in rhs:
+            if b0 >= lim0:
+                break
+            if b1 >= lim1:
+                continue
+            e = (a0 + b0, a1 + b1)
+            s = get(e)
+            if s is None:
+                coeffs[e] = ca * cb
+            else:
+                s += ca * cb
+                if s:
+                    coeffs[e] = s
+                else:
+                    del coeffs[e]
+    return coeffs
 
 
 # ------------------------------------------------------------- constructors

@@ -76,6 +76,11 @@ class TestDocuments:
         assert code == 0 and doc["passed"] is True
         assert doc["oracle"]["passed"] is True
 
+    def test_verify_rows_ascend(self, capsys):
+        _, out = run_cli(capsys, "verify", "--d-max", "3", "--k-max", "3")
+        rows = [(row["d"], row["k"]) for row in json.loads(out)["rows"]]
+        assert rows == [(d, k) for d in range(1, 4) for k in range(0, 4)]
+
     def test_char_document(self, capsys):
         code, out = run_cli(capsys, "char", "--d", "4")
         doc = json.loads(out)
@@ -149,3 +154,16 @@ class TestCache:
         with open(path, "w") as handle:
             json.dump(doc, handle)
         assert load_cached_table(3) is None
+
+    def test_regular_file_as_cache_dir(self, tmp_path, monkeypatch, capsys):
+        # the cache is an optimization only: a regular file in place of the
+        # directory means "not cached", never an error
+        code, normal = run_cli(capsys, "char", "--d", "6")
+        assert code == 0
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("x")
+        monkeypatch.setenv(CACHE_ENV, str(blocker))
+        code, out = run_cli(capsys, "char", "--d", "6")
+        assert code == 0
+        assert out == normal
+        assert blocker.read_text() == "x"

@@ -14,7 +14,7 @@ from gwhurwitz.gwh import (CompletedCycle, UnsupportedUnstableCase, completed_cy
 from gwhurwitz.hurwitz import hurwitz_classsum
 from gwhurwitz.partitions import ClassSum, enumerate_partitions, \
     subpartitions_by_removing_ones
-from gwhurwitz.qseries import MultiSeries
+from gwhurwitz.qseries import MultiSeries, PrecisionError
 
 
 class TestRho:
@@ -93,6 +93,60 @@ class TestIFunctionNumeric:
             tight = correlator(word, eta, vars, order, energy_cap=sum(eta))
             loose = correlator(word, eta, vars, order)
             assert tight.agrees_with(loose)
+
+
+class TestCorrelatorStore:
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        import gwhurwitz.gwh as gwh_module
+        gwh_module._i_correlator.cache_clear()
+        yield gwh_module
+        gwh_module._i_correlator.cache_clear()
+
+    def _count_evaluations(self, gwh_module, monkeypatch):
+        calls = []
+        evaluate = gwh_module._evaluate_i_correlator
+
+        def counted(eta, u_order, w_order):
+            calls.append((eta, u_order, w_order))
+            return evaluate(eta, u_order, w_order)
+
+        monkeypatch.setattr(gwh_module, "_evaluate_i_correlator", counted)
+        return calls
+
+    def test_one_evaluation_per_profile(self, empty_store, monkeypatch):
+        calls = self._count_evaluations(empty_store, monkeypatch)
+        assert gwh_crosscheck(4, 6).passed
+        assert len(calls) == 11
+        assert sorted(eta for eta, _, _ in calls) == \
+            sorted(eta for d in range(1, 5) for eta in enumerate_partitions(d))
+
+    def test_larger_request_replaces_entry(self, empty_store, monkeypatch):
+        calls = self._count_evaluations(empty_store, monkeypatch)
+        store = empty_store._i_correlator
+        store((2, 1), 4, 6)
+        store((2, 1), 6, 3)
+        store((2, 1), 5, 5)
+        assert calls == [((2, 1), 4, 6), ((2, 1), 6, 6)]
+
+    @pytest.mark.parametrize("orders", [(3, 2), (5, 4), (7, 7), (8, 3)])
+    def test_truncation_agrees_with_fresh_evaluation(self, empty_store, orders):
+        u_order, w_order = orders
+        for d in (1, 2, 3):
+            for eta in enumerate_partitions(d):
+                empty_store._i_correlator(eta, 9, 8)
+                got = empty_store._i_correlator(eta, u_order, w_order)
+                fresh = empty_store._evaluate_i_correlator(eta, u_order, w_order)
+                assert got.agrees_with(fresh), (eta, orders)
+                assert all(o <= r for o, r in zip(got.order, orders))
+
+    def test_precision_beyond_request_still_raises(self, empty_store):
+        empty_store._i_correlator((2,), 9, 8)
+        got = empty_store._i_correlator((2,), 4, 3)
+        with pytest.raises(PrecisionError):
+            got.coefficient((4, 0))
+        with pytest.raises(PrecisionError):
+            got.coefficient((0, 3))
 
 
 class TestSpecialization:
@@ -306,6 +360,15 @@ class TestStationary:
         monkeypatch.setattr(gwh_module, "i_function_numeric", bomb)
         got = gwh_module.stationary_gw(1, 2, [1, 1])
         assert got.total == 2
+
+    def test_odd_branching_with_nonzero_count_raises(self, monkeypatch):
+        # Riemann-Hurwitz forces even total branching, so a nonzero count
+        # for a single transposition over the sphere is an internal fault;
+        # it must raise even under python -O
+        import gwhurwitz.gwh as gwh_module
+        monkeypatch.setattr(gwh_module, "hurwitz_disconnected", lambda branch: F(1))
+        with pytest.raises(ArithmeticError, match="odd total branching"):
+            gwh_module.stationary_gw(0, 2, [1])
 
 
 class TestElsv:

@@ -192,3 +192,86 @@ def test_mul_never_claims_beyond_inputs(a_exact, b_exact, oa, ob):
     exact = a_exact * b_exact
     for e in range(product.floor[0], int(product.order[0])):
         assert product.coefficient(e) == exact.coefficient(e)
+
+
+# ----------------------------------------------- fast paths against a reference
+#
+# The arithmetic builds its results without the validation of the public
+# constructor, with a loop specialised to two variables.  The reference below
+# is the generic loop, built through the validating constructor.
+
+
+def _reference_add(a, b):
+    floor = tuple(min(x, y) for x, y in zip(a.floor, b.floor))
+    order = tuple(min(x, y) for x, y in zip(a.order, b.order))
+    coeffs = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        coeffs[e] = coeffs.get(e, F(0)) + c
+    return MultiSeries(a.vars, floor, order, coeffs)
+
+
+def _reference_mul(a, b):
+    floor = tuple(x + y for x, y in zip(a.floor, b.floor))
+    order = tuple(min(oa + fb, ob + fa)
+                  for oa, fa, ob, fb in zip(a.order, a.floor, b.order, b.floor))
+    coeffs = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(x >= o for x, o in zip(e, order)):
+                continue
+            coeffs[e] = coeffs.get(e, F(0)) + ca * cb
+    return MultiSeries(a.vars, floor, order, coeffs)
+
+
+@st.composite
+def _series_over(draw, vars):
+    floor = tuple(draw(st.integers(min_value=-3, max_value=1)) for _ in vars)
+    order = tuple(draw(st.one_of(st.just(INF), st.integers(min_value=f, max_value=f + 6)))
+                  for f in floor)
+    exps = st.tuples(*(st.integers(min_value=f, max_value=f + 6) for f in floor))
+    # few distinct small scalars, so that sums and products often cancel
+    scalars = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3)])
+    return MultiSeries(vars, floor, order,
+                       draw(st.dictionaries(exps, scalars, max_size=6)))
+
+
+@st.composite
+def _series_pairs(draw):
+    vars = ("x", "y")[:draw(st.integers(min_value=0, max_value=2))]
+    a = draw(_series_over(vars))
+    b = draw(st.one_of(_series_over(vars), st.just(-a)))
+    return a, b
+
+
+def _assert_same(fast, ref):
+    assert (fast.vars, fast.floor, fast.order, fast.coeffs) == \
+        (ref.vars, ref.floor, ref.order, ref.coeffs)
+    for e, c in fast.coeffs.items():
+        assert isinstance(c, F) and c != 0
+        assert all(f <= x < o for x, f, o in zip(e, fast.floor, fast.order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pairs())
+def test_fast_arithmetic_matches_reference(pair):
+    a, b = pair
+    _assert_same(a + b, _reference_add(a, b))
+    _assert_same(a * b, _reference_mul(a, b))
+    _assert_same(-a, MultiSeries(a.vars, a.floor, a.order,
+                                 {e: -c for e, c in a.coeffs.items()}))
+    _assert_same(a.truncated(b.order), MultiSeries(
+        a.vars, a.floor, tuple(min(x, y) for x, y in zip(a.order, b.order)), a.coeffs))
+
+
+def test_products_that_cancel_store_nothing():
+    xy = MultiSeries(("x", "y"), (0, 0), (4, 4), {(1, 0): 1, (0, 1): 1})
+    xmy = MultiSeries(("x", "y"), (0, 0), (4, 4), {(1, 0): 1, (0, 1): -1})
+    assert (xy * xmy).coeffs == {(2, 0): F(1), (0, 2): F(-1)}
+    assert (xy + (-xy)).coeffs == {}
+
+
+def test_truncated_rejects_an_order_of_the_wrong_length():
+    s = MultiSeries(("u", "w"), (0, 0), (4, 4), {})
+    with pytest.raises(SeriesError):
+        s.truncated((3,))
