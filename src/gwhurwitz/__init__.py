@@ -5,9 +5,9 @@ of target curves."""
 __version__ = "0.1.0"
 
 from .characters import CharacterTable, chi, dim_hook, f2_shifted, f_eta, transposition_class
-from .fock import (Alpha, AOp, AStarOp, CalE, ExpAlpha, ExpUF2, FockState, apply_A,
-                   apply_Astar, apply_E_elem, apply_alpha, apply_calE, apply_expUF2,
-                   apply_exp_alpha, boson_state, correlator, inner_product)
+from .fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState, apply_A, apply_Astar,
+                   apply_alpha, apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
+                   correlator, inner_product)
 from .gwh import (CompletedCycle, CrosscheckReport, ElsvReport, IFunctionCoefficient,
                   StationaryGW, completed_cycle, elsv_check, gwh_crosscheck,
                   hodge_H_connected, hodge_H_series, i_function_empty,
@@ -15,11 +15,10 @@ from .gwh import (CompletedCycle, CrosscheckReport, ElsvReport, IFunctionCoeffic
                   stationary_gw, tau_via_wallcrossing)
 from .hurwitz import (BranchData, double_hurwitz_exp_series, hurwitz_classsum,
                       hurwitz_connected, hurwitz_disconnected, monodromy_oracle)
-from .partitions import (ClassSum, as_partition, classsum_combine, classsum_scale,
-                         enumerate_partitions, format_partition, parse_partition,
-                         subpartitions_by_removing_ones, z_factor)
+from .partitions import (ClassSum, as_partition, enumerate_partitions, format_partition,
+                         parse_partition, subpartitions_by_removing_ones, z_factor)
 from .qseries import (INF, MultiSeries, PrecisionError, Rational, SeriesError,
-                      VariableMismatchError, format_rational, parse_rational,
-                      pochhammer_series, s_of, s_series, sigma_of, sigma_series)
+                      VariableMismatchError, format_rational, pochhammer_series, s_of,
+                      s_series, sigma_of, sigma_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

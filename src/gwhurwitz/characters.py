@@ -139,5 +139,5 @@ class CharacterTable:
 @lru_cache(maxsize=None)
 def _build_table(degree: int) -> CharacterTable:
     parts = enumerate_partitions(degree)
-    matrix = [[chi(lam, mu) for mu in parts] for lam in parts]
+    matrix = [[_chi(lam, mu) for mu in parts] for lam in parts]
     return CharacterTable(degree, parts, matrix)

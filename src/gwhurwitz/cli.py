@@ -219,7 +219,9 @@ def _cmd_elsv(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = gwh_crosscheck(args.d_max, args.k_max)
-    doc = report.to_document()
+    doc = {"command": "verify", "version": __version__,
+           "request": {"d_max": args.d_max, "k_max": args.k_max},
+           **report.to_document()}
     oracle_rows = []
     oracle_pass = True
     for d in range(1, min(args.d_max, 3) + 1):
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads "--flag=--" as an empty list; every flag here takes one value
+        if any(isinstance(v, list) for v in vars(args).values()):
+            parser.error("'--' is not a flag value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -409,12 +409,6 @@ class AStarOp:
     b: MultiSeries
 
 
-@dataclass(frozen=True)
-class AOp:
-    a: MultiSeries
-    b: MultiSeries
-
-
 def boson_state(eta, vars) -> FockState:
     """Product of energy-raising alphas over the parts of eta on the vacuum.
 
@@ -470,9 +464,6 @@ def correlator(word, mu_left, vars, order, energy_cap=None) -> MultiSeries:
         elif isinstance(atom, AStarOp):
             state = apply_Astar(atom.a.truncated(order), atom.b.truncated(order),
                                 state, energy_cap)
-        elif isinstance(atom, AOp):
-            state = apply_A(atom.a.truncated(order), atom.b.truncated(order),
-                            state, energy_cap)
         else:
             raise TypeError(f"unknown operator atom {atom!r}")
     if mu_left:

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .fock import Alpha, AStarOp, ExpAlpha, ExpUF2, correlator
 from .hurwitz import BranchData, double_hurwitz_exp_series, hurwitz_connected, hurwitz_disconnected
-from .partitions import (ClassSum, check_partition, enumerate_partitions,
-                         format_partition, subpartitions_by_removing_ones, z_factor)
+from .partitions import (ClassSum, check_partition, enumerate_partitions, expand_product,
+                         format_partition, set_partitions, subpartitions_by_removing_ones,
+                         z_factor)
 from .qseries import MultiSeries, PrecisionError, s_series
 
 _SLACK = 3
@@ -181,28 +182,6 @@ def hodge_H_series(eta, u_order: int) -> MultiSeries:
     return (series * mono).truncated((u_order,))
 
 
-def _set_partitions_of(items):
-    items = list(items)
-    if not items:
-        return [()]
-    out = []
-
-    def grow(i, blocks):
-        if i == len(items):
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(items[i])
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([items[i]])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    return out
-
-
 def hodge_H_connected(eta, u_order: int) -> MultiSeries:
     """Connected linear-Hodge series by inclusion-exclusion over the parts.
 
@@ -213,7 +192,7 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
     eta = check_partition(eta)
     pole = len(eta) + sum(eta)
     total = MultiSeries.zero(("u",), (u_order,), (-pole,))
-    for blocks in _set_partitions_of(range(len(eta))):
+    for blocks in set_partitions(len(eta)):
         sign = Fraction((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
         piece = MultiSeries.constant(sign, ("u",))
         for block in blocks:
@@ -285,16 +264,18 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     for eta in enumerate_partitions(d):
         ell = len(eta)
         b_max = k + 2 - d - ell + 2 * ell
-        dhs = [(mu, double_hurwitz_exp_series(mu, eta, max(b_max, 0) + 1)) for mu in mus]
+        dhs = [double_hurwitz_exp_series(mu, eta, max(b_max, 0) + 1) for mu in mus]
         g_hi = (k + 2 - d - ell) // 2
         for g in range(g_hi, -ell - 1, -1):
             b = k + 2 - 2 * g - d - ell
             if b < 0:
                 continue
-            for mu, dh in dhs:
-                coeff = dh.coefficient((b,))
-                if coeff:
-                    totals[mu] += coeff * i_function_numeric(g, eta, k).value
+            coeffs = [dh.coefficient((b,)) for dh in dhs]
+            if not any(coeffs):
+                continue
+            value = i_function_numeric(g, eta, k).value
+            for mu, coeff in zip(mus, coeffs):
+                totals[mu] += coeff * value
     terms = {}
     for mu in mus:
         total = totals[mu] * z_factor(mu)
@@ -382,14 +363,8 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     cycles = [completed_cycle(k, d).value for k in ks]
     total = Fraction(0)
     by_genus: dict[int, Fraction] = {}
-    import itertools as _it
-    for combo in _it.product(*(c.items_canonical() for c in cycles)):
-        coeff = Fraction(1)
-        profiles = []
-        for mu, c in combo:
-            coeff *= c
-            profiles.append(mu)
-        value = hurwitz_disconnected(BranchData(h, d, tuple(profiles)))
+    for coeff, profiles in expand_product(cycles):
+        value = hurwitz_disconnected(BranchData(h, d, profiles))
         contribution = coeff * value
         if not contribution:
             continue

@@ -18,10 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import CharacterTable, f2_shifted
-from .partitions import ClassSum, check_partition, z_factor
+from .partitions import ClassSum, check_partition, expand_product, set_partitions, z_factor
 from .qseries import MultiSeries
 
 DEFAULT_ORACLE_BOUND = 5
+# the group context's d! x d! table has 1.6e9 entries at d = 8: never build it
+ORACLE_CEILING = 8
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,15 @@ def hurwitz_disconnected(branch: BranchData) -> Fraction:
     table = CharacterTable.build(d)
     dfact = math.factorial(d)
     exponent = 2 - 2 * branch.target_genus
+    # BranchData holds canonical profiles of degree d, so each is a column
+    columns = [(table.partitions.index(eta), Fraction(dfact, z_factor(eta)))
+               for eta in branch.profiles]
     total = Fraction(0)
-    for lam in table.partitions:
-        dim = table.dim(lam)
+    for lam, row in zip(table.partitions, table.matrix):
+        dim = table.dims[lam]
         term = Fraction(dim, dfact) ** exponent
-        for eta in branch.profiles:
-            term *= Fraction(dfact, z_factor(eta)) * Fraction(table.chi(lam, eta), dim)
+        for col, scale in columns:
+            term *= scale * Fraction(row[col], dim)
         total += term
     return total
 
@@ -68,14 +73,8 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
         if not isinstance(a, ClassSum) or a.degree != d:
             raise ValueError("arguments must be class sums of the stated degree")
     total = Fraction(0)
-    for combo in itertools.product(*(a.items_canonical() for a in args)):
-        coeff = Fraction(1)
-        profiles = []
-        for mu, c in combo:
-            coeff *= c
-            profiles.append(mu)
-        if coeff:
-            total += coeff * hurwitz_disconnected(BranchData(h, d, tuple(profiles)))
+    for coeff, profiles in expand_product(args):
+        total += coeff * hurwitz_disconnected(BranchData(h, d, profiles))
     return total
 
 
@@ -111,28 +110,6 @@ def double_hurwitz_exp_series(mu, eta, u_order: int) -> MultiSeries:
 # ------------------------------------------------------------- brute force
 
 
-def _set_partitions(n: int):
-    """All set partitions of range(n) as canonical tuples of sorted tuples."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def grow(i, blocks):
-        if i == n:
-            out.append(tuple(sorted(tuple(b) for b in blocks)))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
-    return out
-
-
 class _GroupContext:
     """Cached multiplication and orbit data for one symmetric group."""
 
@@ -156,7 +133,7 @@ class _GroupContext:
         for i, ct in enumerate(self.cycle_type):
             self.class_elements.setdefault(ct, []).append(i)
 
-        self.partitions = _set_partitions(d)
+        self.partitions = set_partitions(d)
         self.part_index = {p: i for i, p in enumerate(self.partitions)}
         self.discrete = self.part_index[tuple((i,) for i in range(d))]
         self.top = self.part_index[(tuple(range(d)),)]
@@ -252,6 +229,11 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     generated by all entries must act transitively.
     """
     d = branch.degree
+    if d >= ORACLE_CEILING:
+        raise ValueError(
+            f"degree {d} is at or above the oracle's ceiling {ORACLE_CEILING}: its "
+            f"{d}!x{d}! multiplication table would hold about "
+            f"{math.factorial(d) ** 2:.1e} entries")
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
     ctx = _group_context(d)

@@ -7,6 +7,7 @@ formal rational linear combination of partitions of one fixed degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,10 +33,6 @@ def size(mu) -> int:
     return sum(mu)
 
 
-def length(mu) -> int:
-    return len(mu)
-
-
 def multiplicity_of_one(mu) -> int:
     return sum(1 for p in mu if p == 1)
 
@@ -59,8 +56,27 @@ def enumerate_partitions(d: int) -> list:
     return out
 
 
-def partition_count(d: int) -> int:
-    return len(enumerate_partitions(d))
+def set_partitions(n: int) -> list:
+    """All set partitions of range(n) as canonical tuples of sorted tuples."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def grow(i, blocks):
+        if i == n:
+            # each block opens at its least element and grows upward: sorted already
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            grow(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        grow(i + 1, blocks)
+        blocks.pop()
+
+    grow(0, [])
+    return out
 
 
 def euler_partition_counts(dmax: int) -> list:
@@ -205,13 +221,11 @@ class ClassSum:
         return f"ClassSum({self.degree}, {body})"
 
 
-def classsum_combine(a: ClassSum, b: ClassSum, op: str = "add") -> ClassSum:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def classsum_scale(c, a: ClassSum) -> ClassSum:
-    return a.scale(c)
+def expand_product(class_sums):
+    """Monomials of a product of class sums, one (coefficient, profiles) pair
+    per choice of one term from each factor, in canonical term order."""
+    for combo in itertools.product(*(a.items_canonical() for a in class_sums)):
+        coeff = Fraction(1)
+        for _mu, c in combo:
+            coeff *= c
+        yield coeff, tuple(mu for mu, _c in combo)

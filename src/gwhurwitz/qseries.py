@@ -290,54 +290,21 @@ class MultiSeries:
         if any(o == INF for o in rel_order):
             raise SeriesError("inverse of an exact non-monomial needs an explicit order")
         g = MultiSeries(self.vars, (0,) * len(self.vars), rel_order, shifted)
-        acc = MultiSeries.constant(1, self.vars).truncated(rel_order)
-        term = MultiSeries.constant(1, self.vars).truncated(rel_order)
-        while True:
-            term = term * (-g)
-            if term.is_zero_window():
-                break
-            acc = acc + term
+        acc = taylor_eval(lambda n: Fraction((-1) ** n), g)
         shift = MultiSeries.monomial(self.vars, tuple(-e for e in corner),
                                      Fraction(1) / lead)
         return acc * shift
 
     def exp(self, order=None) -> "MultiSeries":
         """exp of a series with zero constant term and nonnegative exponents."""
-        eff = self._effective_order(order)
-        a = self.truncated(eff)
-        if any(any(x < 0 for x in e) for e in a.coeffs) or (0,) * len(self.vars) in a.coeffs:
-            raise SeriesError("exp requires zero constant term and no polar part")
-        acc = MultiSeries.constant(1, self.vars).truncated(eff)
-        term = MultiSeries.constant(1, self.vars).truncated(eff)
-        n = 0
-        while True:
-            n += 1
-            term = term * a * Fraction(1, n)
-            if term.is_zero_window():
-                break
-            acc = acc + term
-        return acc
+        return taylor_eval(lambda n: Fraction(1, math.factorial(n)), self, order)
 
     def log(self, order=None) -> "MultiSeries":
         """log of a series with constant term 1."""
-        eff = self._effective_order(order)
-        a = self.truncated(eff)
-        const = a.coeffs.get((0,) * len(self.vars))
-        if const != 1:
+        a = self.truncated(self._effective_order(order))
+        if a.coeffs.get((0,) * len(self.vars)) != 1:
             raise SeriesError("log requires constant term 1")
-        g = a - 1
-        if any(any(x < 0 for x in e) for e in g.coeffs):
-            raise SeriesError("log requires no polar part")
-        acc = MultiSeries.zero(self.vars, eff)
-        term = MultiSeries.constant(1, self.vars).truncated(eff)
-        n = 0
-        while True:
-            n += 1
-            term = term * g
-            if term.is_zero_window():
-                break
-            acc = acc + term * Fraction((-1) ** (n + 1), n)
-        return acc
+        return taylor_eval(lambda n: Fraction((-1) ** (n + 1), n) if n else 0, a - 1)
 
     # ---------------------------------------------------------- presentation
 
@@ -415,10 +382,6 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
     """Sum coeff_of(n) * arg^n for a series arg of positive valuation.
 
@@ -430,19 +393,14 @@ def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
     if any(any(x < 0 for x in e) for e in a.coeffs) or (0,) * len(a.vars) in a.coeffs:
         raise SeriesError("series substitution requires positive valuation")
     acc = MultiSeries.zero(a.vars, eff)
-    c0 = coeff_of(0)
-    if c0:
-        acc = acc + MultiSeries.constant(c0, a.vars).truncated(eff)
     power = MultiSeries.constant(1, a.vars).truncated(eff)
     n = 0
-    while True:
-        n += 1
-        power = power * a
-        if power.is_zero_window():
-            break
+    while not power.is_zero_window():
         c = coeff_of(n)
         if c:
             acc = acc + power * c
+        n += 1
+        power = power * a
     return acc
 
 

@@ -1,14 +1,19 @@
 """Command-line documents, determinism, and the character-table cache."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gwhurwitz import __version__
 from gwhurwitz.characters import CharacterTable
-from gwhurwitz.cli import (CACHE_ENV, character_table, load_cached_table, main,
-                           store_table)
+from gwhurwitz.cli import (CACHE_ENV, _parse_ks, _parse_profiles, character_table,
+                           load_cached_table, main, store_table)
+from gwhurwitz.partitions import parse_partition
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +80,9 @@ class TestDocuments:
         doc = json.loads(out)
         assert code == 0 and doc["passed"] is True
         assert doc["oracle"]["passed"] is True
+        assert doc["command"] == "verify"
+        assert doc["version"] == __version__
+        assert doc["request"] == {"d_max": 2, "k_max": 4}
 
     def test_verify_rows_ascend(self, capsys):
         _, out = run_cli(capsys, "verify", "--d-max", "3", "--k-max", "3")
@@ -103,6 +111,63 @@ class TestDocuments:
 
     def test_missing_flag_exits_nonzero(self, capsys):
         assert main(["cycle", "--d", "2"]) != 0
+
+    def test_oracle_ceiling_exits_2(self, capsys, monkeypatch):
+        import gwhurwitz.hurwitz as hurwitz_module
+
+        def no_context(d):
+            raise AssertionError(f"group context built for degree {d}")
+
+        monkeypatch.setattr(hurwitz_module, "_group_context", no_context)
+        code = main(["hur", "--d", "8", "--oracle", "--oracle-bound", "8",
+                     "--target-genus", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "8!x8!" in err and "1.6e+09 entries" in err
+
+
+# Each flag whose text the CLI parses itself, with its parser and a command
+# that parses it before computing anything.
+_GRAMMAR_FLAGS = {
+    "--profiles": (_parse_profiles, ["hur", "--target-genus", "0", "--d", "2"]),
+    "--ks": (_parse_ks, ["gw", "--target-genus", "0", "--d", "2"]),
+    "--eta": (parse_partition, ["ifun", "--g", "0", "--k", "0"]),
+    "--mu": (parse_partition, ["elsv", "--g", "0"]),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_GRAMMAR_FLAGS)),
+       st.one_of(st.text(), st.text(alphabet="()0123456789,;-+ _x")))
+def test_malformed_grammar_exits_2(flag, text):
+    parse, argv = _GRAMMAR_FLAGS[flag]
+    try:
+        parse(text)
+    except ValueError:
+        pass
+    else:
+        # only inputs that fail to parse: a valid one could start a large computation
+        assume(False)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + [f"{flag}={text}"])
+    assert code == 2
+    assert "gwhurwitz: error: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hur", "--target-genus", "0", "--d", "2", "--profiles=--"],
+    ["hur", "--target-genus", "0", "--d=--"],
+    ["gw", "--target-genus", "0", "--d", "2", "--ks=--"],
+    ["ifun", "--g", "0", "--k", "0", "--eta=--"],
+    ["--out=--", "cycle", "--d", "2", "--k", "1"],
+])
+def test_double_dash_as_a_flag_value_exits_2(argv, capsys):
+    # argparse hands "--flag=--" over as an empty list, not as text
+    assert main(argv) == 2
+    assert "'--' is not a flag value" in capsys.readouterr().err
 
 
 class TestDeterminism:

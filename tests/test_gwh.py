@@ -121,6 +121,20 @@ class TestCorrelatorStore:
         assert sorted(eta for eta, _, _ in calls) == \
             sorted(eta for d in range(1, 5) for eta in enumerate_partitions(d))
 
+    def test_one_i_coefficient_per_genus_and_profile(self, empty_store, monkeypatch):
+        calls = []
+        fetch = empty_store.i_function_numeric
+
+        def counted(g, eta, k):
+            calls.append((g, eta, k))
+            return fetch(g, eta, k)
+
+        monkeypatch.setattr(empty_store, "i_function_numeric", counted)
+        evaluations = self._count_evaluations(empty_store, monkeypatch)
+        assert gwh_crosscheck(4, 6).passed
+        assert len(calls) == len(set(calls)) == 190
+        assert len(evaluations) == 11
+
     def test_larger_request_replaces_entry(self, empty_store, monkeypatch):
         calls = self._count_evaluations(empty_store, monkeypatch)
         store = empty_store._i_correlator

@@ -51,6 +51,17 @@ class TestSpotValues:
         with pytest.raises(ValueError):
             monodromy_oracle(BranchData(0, 6, ()))
 
+    def test_oracle_ceiling_ignores_the_bound(self, monkeypatch):
+        # a d! x d! table at d = 8 would exhaust memory: refuse before building
+        import gwhurwitz.hurwitz as hurwitz_module
+
+        def no_context(d):
+            raise AssertionError(f"group context built for degree {d}")
+
+        monkeypatch.setattr(hurwitz_module, "_group_context", no_context)
+        with pytest.raises(ValueError, match=r"8!x8! .* 1\.6e\+09 entries"):
+            monodromy_oracle(BranchData(0, 8, ((2,) + (1,) * 6,)), degree_bound=8)
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("d", [1, 2, 3])

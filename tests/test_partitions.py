@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwhurwitz.partitions import (ClassSum, as_partition, classsum_combine,
-                                  classsum_scale, enumerate_partitions,
-                                  euler_partition_counts, format_partition,
-                                  multiplicity_of_one, parse_partition,
+from gwhurwitz.partitions import (ClassSum, as_partition, enumerate_partitions,
+                                  euler_partition_counts, expand_product,
+                                  format_partition, multiplicity_of_one,
+                                  parse_partition, set_partitions,
                                   subpartitions_by_removing_ones, z_factor)
 
 
@@ -74,18 +74,38 @@ class TestSubpartitions:
                 assert weights == 2 ** multiplicity_of_one(mu)
 
 
+class TestSetPartitions:
+    def test_bell_numbers(self):
+        assert [len(set_partitions(n)) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+
+    def test_canonical_and_distinct(self):
+        got = set_partitions(4)
+        assert len(set(got)) == len(got)
+        for blocks in got:
+            assert blocks == tuple(sorted(blocks))
+            assert sorted(x for b in blocks for x in b) == list(range(4))
+            assert all(b == tuple(sorted(b)) for b in blocks)
+
+
 class TestClassSum:
     def test_add(self):
         two = ClassSum.single((2,))
         assert (two + two).coefficient((2,)) == 2
 
     def test_scale_zero(self):
-        assert classsum_scale(0, ClassSum.single((2,))).terms == {}
+        assert ClassSum.single((2,)).scale(0).terms == {}
 
     def test_cancellation(self):
         a = ClassSum.single((2,)) + ClassSum.single((1, 1))
-        b = classsum_combine(a, ClassSum.single((1, 1)), "sub")
+        b = a - ClassSum.single((1, 1))
         assert b == ClassSum.single((2,))
+
+    def test_expand_product(self):
+        a = ClassSum(2, {(2,): 3, (1, 1): F(1, 2)})
+        b = ClassSum(2, {(2,): -1})
+        assert list(expand_product([a, b])) == [(-3, ((2,), (2,))),
+                                                (F(-1, 2), ((1, 1), (2,)))]
+        assert list(expand_product([])) == [(1, ())]
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

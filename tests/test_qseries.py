@@ -275,3 +275,129 @@ def test_truncated_rejects_an_order_of_the_wrong_length():
     s = MultiSeries(("u", "w"), (0, 0), (4, 4), {})
     with pytest.raises(SeriesError):
         s.truncated((3,))
+
+
+# --------------------------------- exp, log and inverse against their old loops
+#
+# exp, log and inverse go through `taylor_eval`.  The references below are the
+# loops they ran before, kept to pin the floors, orders and errors they gave.
+
+
+def _reference_exp(s, order=None):
+    eff = s._effective_order(order)
+    a = s.truncated(eff)
+    if any(any(x < 0 for x in e) for e in a.coeffs) or (0,) * len(s.vars) in a.coeffs:
+        raise SeriesError("exp requires zero constant term and no polar part")
+    acc = MultiSeries.constant(1, s.vars).truncated(eff)
+    term = MultiSeries.constant(1, s.vars).truncated(eff)
+    n = 0
+    while True:
+        n += 1
+        term = term * a * F(1, n)
+        if term.is_zero_window():
+            break
+        acc = acc + term
+    return acc
+
+
+def _reference_log(s, order=None):
+    eff = s._effective_order(order)
+    a = s.truncated(eff)
+    if a.coeffs.get((0,) * len(s.vars)) != 1:
+        raise SeriesError("log requires constant term 1")
+    g = a - 1
+    if any(any(x < 0 for x in e) for e in g.coeffs):
+        raise SeriesError("log requires no polar part")
+    acc = MultiSeries.zero(s.vars, eff)
+    term = MultiSeries.constant(1, s.vars).truncated(eff)
+    n = 0
+    while True:
+        n += 1
+        term = term * g
+        if term.is_zero_window():
+            break
+        acc = acc + term * F((-1) ** (n + 1), n)
+    return acc
+
+
+def _reference_inverse(s, order=None):
+    if not s.coeffs:
+        raise SeriesError("cannot invert a series with empty known window")
+    corner = s.valuation_floor()
+    lead = s.coeffs.get(corner)
+    if lead is None:
+        raise SeriesError("inverse requires a unique minimal corner term")
+    shifted = {tuple(x - y for x, y in zip(e, corner)): c / lead
+               for e, c in s.coeffs.items()}
+    del shifted[(0,) * len(s.vars)]
+    if any(any(x < 0 for x in e) for e in shifted):
+        raise SeriesError("inverse requires a dominant corner term")
+    if not shifted:
+        out_order = tuple(o if o == INF else o - 2 * e for o, e in zip(s.order, corner))
+        return MultiSeries.monomial(s.vars, tuple(-e for e in corner), F(1) / lead, out_order)
+    rel_order = tuple(o if o == INF else o - c for o, c in zip(s.order, corner))
+    if order is not None:
+        extra = (order,) * len(s.vars) if isinstance(order, (int, float)) else order
+        rel_order = tuple(min(a, b) for a, b in zip(rel_order, extra))
+    if any(o == INF for o in rel_order):
+        raise SeriesError("inverse of an exact non-monomial needs an explicit order")
+    g = MultiSeries(s.vars, (0,) * len(s.vars), rel_order, shifted)
+    acc = MultiSeries.constant(1, s.vars).truncated(rel_order)
+    term = MultiSeries.constant(1, s.vars).truncated(rel_order)
+    while True:
+        term = term * (-g)
+        if term.is_zero_window():
+            break
+        acc = acc + term
+    return acc * MultiSeries.monomial(s.vars, tuple(-e for e in corner), F(1) / lead)
+
+
+@st.composite
+def _unary_cases(draw):
+    vars = ("x", "y")[:draw(st.integers(min_value=1, max_value=2))]
+    s = draw(_series_over(vars))
+    # A positive declared floor keeps x^n inside the window of a^n for every n,
+    # so exp would never stop, before and after; floors are at most 0 here.
+    s = MultiSeries(vars, tuple(min(f, 0) for f in s.floor), s.order, s.coeffs)
+    # Most raw series are rejected by all three; the other shapes have
+    # exponents of positive valuation only, so that exp and log (after adding
+    # 1) and inverse also run their loops.
+    shape = draw(st.sampled_from(["raw", "positive", "positive", "one_plus", "one_plus",
+                                  "shifted"]))
+    if shape != "raw":
+        exps = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in vars)).filter(any)
+        scalars = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)])
+        order = tuple(draw(st.one_of(st.just(INF), st.integers(min_value=1, max_value=6)))
+                      for _ in vars)
+        s = MultiSeries(vars, s.floor, order,
+                        draw(st.dictionaries(exps, scalars, min_size=1, max_size=4)))
+        if shape == "one_plus":
+            s = s + 1
+        elif shape == "shifted":
+            s = (s + F(-2, 3)) * MultiSeries.monomial(vars, (-1,) * len(vars))
+    order = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8),
+                           st.tuples(*(st.integers(min_value=-1, max_value=6)
+                                       for _ in vars))))
+    return s, order
+
+
+def _outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except SeriesError as exc:
+        return type(exc)
+    for e, c in got.coeffs.items():
+        assert isinstance(c, F) and c != 0
+    return got.vars, got.floor, got.order, got.coeffs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_unary_cases())
+def test_exp_log_inverse_match_their_old_loops(case):
+    s, order = case
+    assert _outcome(s.exp, order) == _outcome(_reference_exp, s, order)
+    assert _outcome(s.log, order) == _outcome(_reference_log, s, order)
+    assert _outcome(s.inverse, order) == _outcome(_reference_inverse, s, order)
+    assert _outcome(s.exp) == _outcome(_reference_exp, s)
+    assert _outcome(s.log) == _outcome(_reference_log, s)
+    assert _outcome(s.inverse) == _outcome(_reference_inverse, s)
