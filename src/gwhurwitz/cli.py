@@ -21,7 +21,8 @@ from . import __version__
 from .characters import CharacterTable
 from .gwh import (completed_cycle, elsv_check, gwh_crosscheck, i_function_empty,
                   i_function_numeric, stationary_gw)
-from .hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, monodromy_oracle
+from .hurwitz import (DEFAULT_ORACLE_BOUND, ORACLE_CEILING, BranchData, hurwitz_connected,
+                      hurwitz_disconnected, monodromy_oracle)
 from .partitions import enumerate_partitions, format_partition, parse_partition
 from .qseries import format_rational
 
@@ -266,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--oracle", action="store_true",
                    help="brute-force monodromy count instead of characters")
-    p.add_argument("--oracle-bound", type=int, default=5)
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
+                   help=f"largest oracle degree; always below ORACLE_CEILING = {ORACLE_CEILING}")
     p.set_defaults(func=_cmd_hur)
 
     p = sub.add_parser("char", help="dump a character table")

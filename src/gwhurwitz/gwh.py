@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import Alpha, AStarOp, ExpAlpha, ExpUF2, correlator
-from .hurwitz import BranchData, double_hurwitz_exp_series, hurwitz_connected, hurwitz_disconnected
-from .partitions import (ClassSum, check_partition, enumerate_partitions, expand_product,
+from .hurwitz import BranchData, branching_sums, double_hurwitz_exp_series, hurwitz_connected
+from .partitions import (ClassSum, check_partition, enumerate_partitions,
                          format_partition, set_partitions, subpartitions_by_removing_ones,
                          z_factor)
 from .qseries import MultiSeries, PrecisionError, s_series
@@ -355,29 +355,20 @@ class StationaryGW:
 def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     """Stationary invariants of a genus-h target through completed cycles.
 
-    Each monomial of the expanded product is weighted by its character-sum
-    cover count and booked under the source genus that the branching data
-    forces; the grand total sums the per-genus entries.
+    Grade b of the cycles' character sum (total branching b) is booked under
+    the source genus (d(2h-2) + b)/2 + 1.  An odd grade holds only monomials
+    that vanish by the sign symmetry lam <-> lam', so a nonzero one raises.
     """
-    ks = list(ks)
-    cycles = [completed_cycle(k, d).value for k in ks]
-    total = Fraction(0)
+    cycles = [completed_cycle(k, d).value.terms.items() for k in ks]
     by_genus: dict[int, Fraction] = {}
-    for coeff, profiles in expand_product(cycles):
-        value = hurwitz_disconnected(BranchData(h, d, profiles))
-        contribution = coeff * value
-        if not contribution:
+    for b, value in sorted(branching_sums(h, d, cycles).items()):
+        if not value:
             continue
-        euler = d * (2 * h - 2) + sum(d - len(mu) for mu in profiles)
+        euler = d * (2 * h - 2) + b
         if euler % 2:
-            raise ArithmeticError(
-                f"nonzero cover count {value} for profiles {profiles} "
-                f"with odd total branching {euler}")
-        genus = euler // 2 + 1
-        total += contribution
-        by_genus[genus] = by_genus.get(genus, Fraction(0)) + contribution
-    by_genus = {g: v for g, v in sorted(by_genus.items()) if v}
-    return StationaryGW(total, by_genus)
+            raise ArithmeticError(f"nonzero cover count {value} with odd total branching {b}")
+        by_genus[euler // 2 + 1] = value
+    return StationaryGW(sum(by_genus.values(), Fraction(0)), by_genus)
 
 
 # ------------------------------------------------------------------- ELSV

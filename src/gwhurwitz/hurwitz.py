@@ -1,6 +1,6 @@
 """Hurwitz numbers of target curves: character sums and brute-force counts.
 
-`hurwitz_disconnected` evaluates the character-sum formula; the monodromy
+`branching_sums` evaluates the graded character-sum formula; the monodromy
 oracle counts permutation tuples directly (product of h commutators times
 one permutation per branch profile equals the identity), so every
 normalization in the package can be pinned against honest enumeration.
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import CharacterTable, f2_shifted
-from .partitions import ClassSum, check_partition, expand_product, set_partitions, z_factor
+from .partitions import ClassSum, check_partition, set_partitions, z_factor
 from .qseries import MultiSeries
 
 DEFAULT_ORACLE_BOUND = 5
@@ -47,23 +47,38 @@ class BranchData:
 # ----------------------------------------------------------- character side
 
 
-def hurwitz_disconnected(branch: BranchData) -> Fraction:
-    """Weighted count of possibly-disconnected covers via character sums."""
-    d = branch.degree
+def branching_sums(h: int, d: int, factors) -> dict:
+    """Character sum of a product of class sums over a genus-h target.
+
+    Each factor is an iterable of (partition, coefficient) pairs of degree d;
+    grade b keeps the monomials of total branching b = sum_j (d - len(mu_j)).
+    """
     table = CharacterTable.build(d)
     dfact = math.factorial(d)
-    exponent = 2 - 2 * branch.target_genus
-    # BranchData holds canonical profiles of degree d, so each is a column
-    columns = [(table.partitions.index(eta), Fraction(dfact, z_factor(eta)))
-               for eta in branch.profiles]
-    total = Fraction(0)
+    # the table's partitions are canonical by construction, so each is a column
+    factors = [[(d - len(mu), table.partitions.index(mu), c * Fraction(dfact, z_factor(mu)))
+                for mu, c in factor] for factor in factors]
+    sums = {}
     for lam, row in zip(table.partitions, table.matrix):
         dim = table.dims[lam]
-        term = Fraction(dim, dfact) ** exponent
-        for col, scale in columns:
-            term *= scale * Fraction(row[col], dim)
-        total += term
-    return total
+        # every central character f_A(lam) divides by dim: do it once, up front
+        grades = {0: Fraction(dim, dfact) ** (2 - 2 * h) / dim ** len(factors)}
+        for factor in factors:
+            new = {}
+            for b, value in grades.items():
+                for branching, col, scale in factor:
+                    key, term = b + branching, value * scale * row[col]
+                    new[key] = new[key] + term if key in new else term
+            grades = new
+        for b, value in grades.items():
+            sums[b] = sums.get(b, 0) + value
+    return sums
+
+
+def hurwitz_disconnected(branch: BranchData) -> Fraction:
+    """Weighted count of possibly-disconnected covers via character sums."""
+    factors = [[(eta, 1)] for eta in branch.profiles]
+    return sum(branching_sums(branch.target_genus, branch.degree, factors).values())
 
 
 def hurwitz_classsum(h: int, d: int, args) -> Fraction:
@@ -72,10 +87,7 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
     for a in args:
         if not isinstance(a, ClassSum) or a.degree != d:
             raise ValueError("arguments must be class sums of the stated degree")
-    total = Fraction(0)
-    for coeff, profiles in expand_product(args):
-        total += coeff * hurwitz_disconnected(BranchData(h, d, profiles))
-    return total
+    return sum(branching_sums(h, d, [a.terms.items() for a in args]).values(), Fraction(0))
 
 
 def double_hurwitz_exp_series(mu, eta, u_order: int) -> MultiSeries:
@@ -266,47 +278,17 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
 # ------------------------------------------------- connected from splittings
 
 
-def _submultisets_of_size(mu, size: int):
-    """Distinct sub-multisets of the parts of mu with the given total."""
-    values = sorted(set(mu), reverse=True)
-    counts = [mu.count(v) for v in values]
+def _carvings(eta, d1: int) -> list:
+    """Each distinct sub-multiset of eta's parts with total d1, paired with the
+    rest; the largest carved part is taken at its value's first occurrence."""
+    if d1 == 0:
+        return [((), eta)]
     out = []
-
-    def grow(i, remaining, chosen):
-        if remaining == 0:
-            rest = list(chosen) + [0] * (len(values) - len(chosen))
-            out.append(tuple(rest))
-            return
-        if i == len(values):
-            return
-        v = values[i]
-        for take in range(min(counts[i], remaining // v), -1, -1):
-            chosen.append(take)
-            grow(i + 1, remaining - take * v, chosen)
-            chosen.pop()
-
-    grow(0, size, [])
-    result = []
-    for takes in out:
-        sub = []
-        for v, t in zip(values, takes):
-            sub.extend([v] * t)
-        result.append(tuple(sub))
-    return result
-
-
-def _profile_splits(profiles, d1: int):
-    """All ways to carve a degree-d1 sub-profile out of every branch profile."""
-    per_profile = []
-    for eta in profiles:
-        subs = []
-        for sub in _submultisets_of_size(eta, d1):
-            rest = list(eta)
-            for p in sub:
-                rest.remove(p)
-            subs.append((sub, tuple(rest)))
-        per_profile.append(subs)
-    return itertools.product(*per_profile)
+    for i, p in enumerate(eta):
+        if p <= d1 and (i == 0 or eta[i - 1] != p):
+            for carved, rest in _carvings(eta[i + 1:], d1 - p):
+                out.append(((p,) + carved, eta[:i] + rest))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -326,10 +308,18 @@ def _connected_cached(h: int, d: int, profiles: tuple) -> Fraction:
     total = _disconnected_cached(h, d, profiles)
     for d1 in range(1, d):
         weight = Fraction(d1, d)
-        for split in _profile_splits(profiles, d1):
-            left = tuple(sorted(s for s, _r in split))
-            right = tuple(sorted(r for _s, r in split))
-            total -= (weight * _connected_cached(h, d1, left)
+        # fold the profiles in one at a time: distributions with the same
+        # sorted outcome contribute the same term, so only their number is kept
+        folds = {((), ()): 1}
+        for eta in profiles:
+            new = {}
+            for (left, right), count in folds.items():
+                for carved, rest in _carvings(eta, d1):
+                    key = (tuple(sorted(left + (carved,))), tuple(sorted(right + (rest,))))
+                    new[key] = new.get(key, 0) + count
+            folds = new
+        for (left, right), count in folds.items():
+            total -= (count * weight * _connected_cached(h, d1, left)
                       * _disconnected_cached(h, d - d1, right))
     return total
 

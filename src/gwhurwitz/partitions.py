@@ -7,7 +7,6 @@ formal rational linear combination of partitions of one fixed degree.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -220,12 +219,3 @@ class ClassSum:
                           for mu, c in self.items_canonical())
         return f"ClassSum({self.degree}, {body})"
 
-
-def expand_product(class_sums):
-    """Monomials of a product of class sums, one (coefficient, profiles) pair
-    per choice of one term from each factor, in canonical term order."""
-    for combo in itertools.product(*(a.items_canonical() for a in class_sums)):
-        coeff = Fraction(1)
-        for _mu, c in combo:
-            coeff *= c
-        yield coeff, tuple(mu for mu, _c in combo)

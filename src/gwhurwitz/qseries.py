@@ -197,6 +197,8 @@ class MultiSeries:
         return result
 
     def __eq__(self, other):
+        """Structural: the same vars, floor, order and coeffs.  `agrees_with`
+        compares coefficientwise over the common window."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
         return (self.vars == other.vars and self.floor == other.floor
@@ -385,8 +387,8 @@ def format_rational(value) -> str:
 def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
     """Sum coeff_of(n) * arg^n for a series arg of positive valuation.
 
-    Terminates once arg^n leaves the truncation window, which requires the
-    effective order to be finite in every variable.
+    Each power is cut to the effective order, which must be finite in every
+    variable, so the loop ends once arg^n leaves that window.
     """
     eff = arg._effective_order(order)
     a = arg.truncated(eff)
@@ -400,7 +402,7 @@ def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
         if c:
             acc = acc + power * c
         n += 1
-        power = power * a
+        power = (power * a).truncated(eff)
     return acc
 
 

@@ -125,6 +125,12 @@ class TestDocuments:
         assert code == 2
         assert "8!x8!" in err and "1.6e+09 entries" in err
 
+    def test_oracle_bound_default_is_the_library_constant(self):
+        from gwhurwitz.cli import build_parser
+        from gwhurwitz.hurwitz import DEFAULT_ORACLE_BOUND
+        args = build_parser().parse_args(["hur", "--target-genus", "0", "--d", "3"])
+        assert args.oracle_bound == DEFAULT_ORACLE_BOUND
+
 
 # Each flag whose text the CLI parses itself, with its parser and a command
 # that parses it before computing anything.

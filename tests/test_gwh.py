@@ -380,9 +380,19 @@ class TestStationary:
         # for a single transposition over the sphere is an internal fault;
         # it must raise even under python -O
         import gwhurwitz.gwh as gwh_module
-        monkeypatch.setattr(gwh_module, "hurwitz_disconnected", lambda branch: F(1))
+        monkeypatch.setattr(gwh_module, "branching_sums", lambda h, d, factors: {1: F(1)})
         with pytest.raises(ArithmeticError, match="odd total branching"):
             gwh_module.stationary_gw(0, 2, [1])
+
+    def test_odd_branching_check_sees_the_real_sum(self, monkeypatch):
+        # a degree-2 table with chi^(1,1)((2)) flipped to +1 breaks the sign
+        # symmetry lam <-> lam' that makes every odd grade vanish, so the
+        # odd grade of a single transposition over the sphere turns nonzero
+        from gwhurwitz.characters import CharacterTable
+        flipped = CharacterTable(2, [(2,), (1, 1)], [[1, 1], [1, 1]])
+        monkeypatch.setattr(CharacterTable, "build", classmethod(lambda cls, degree: flipped))
+        with pytest.raises(ArithmeticError, match="odd total branching"):
+            stationary_gw(0, 2, [1])
 
 
 class TestElsv:

@@ -5,11 +5,15 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gwhurwitz.hurwitz import (BranchData, double_hurwitz_exp_series,
-                               hurwitz_classsum, hurwitz_connected,
-                               hurwitz_disconnected, monodromy_oracle)
-from gwhurwitz.partitions import ClassSum, enumerate_partitions
+from gwhurwitz.characters import dim_hook, f_eta, transposition_class
+from gwhurwitz.hurwitz import (BranchData, _carvings, branching_sums,
+                               double_hurwitz_exp_series, hurwitz_classsum,
+                               hurwitz_connected, hurwitz_disconnected,
+                               monodromy_oracle)
+from gwhurwitz.partitions import ClassSum, aut_size, check_partition, enumerate_partitions
 
 
 def profile_multisets(d, max_n):
@@ -117,6 +121,75 @@ class TestClassSums:
         lhs = hurwitz_classsum(1, 2, [a + b, other])
         rhs = hurwitz_classsum(1, 2, [a, other]) + hurwitz_classsum(1, 2, [b, other])
         assert lhs == rhs
+
+
+def _reference_branching_sums(h, d, factors):
+    """Monomial by monomial, through f_eta and dim_hook: no character table."""
+    sums = {}
+    for combo in itertools.product(*factors):
+        coeff = math.prod((c for _mu, c in combo), start=F(1))
+        b = sum(d - len(mu) for mu, _c in combo)
+        value = F(0)
+        for lam in enumerate_partitions(d):
+            term = F(dim_hook(lam), math.factorial(d)) ** (2 - 2 * h)
+            for mu, _c in combo:
+                term *= f_eta(mu, lam)
+            value += term
+        sums[b] = sums.get(b, 0) + coeff * value
+    return sums
+
+
+@st.composite
+def _class_sum_products(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    h = draw(st.integers(min_value=0, max_value=2))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    factor = st.dictionaries(st.sampled_from(enumerate_partitions(d)), coeffs, max_size=3)
+    factors = draw(st.lists(factor, max_size=3))
+    return h, d, [list(f.items()) for f in factors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_sum_products())
+def test_branching_sums_match_the_monomial_expansion(case):
+    h, d, factors = case
+    got = branching_sums(h, d, factors)
+    want = _reference_branching_sums(h, d, factors)
+    for b in set(got) | set(want):
+        assert got.get(b, 0) == want.get(b, 0), (b, got, want)
+
+
+def test_carvings_match_brute_force_over_index_subsets():
+    for d in range(9):
+        for eta in enumerate_partitions(d):
+            for d1 in range(d + 1):
+                got = _carvings(eta, d1)
+                want = set()
+                for r in range(len(eta) + 1):
+                    for idx in itertools.combinations(range(len(eta)), r):
+                        if sum(eta[i] for i in idx) == d1:
+                            want.add((tuple(eta[i] for i in idx),
+                                      tuple(p for i, p in enumerate(eta) if i not in idx)))
+                assert len(got) == len(set(got)), (eta, d1)
+                assert set(got) == want, (eta, d1)
+                for carved, rest in got:
+                    assert check_partition(carved) == carved
+                    assert check_partition(rest) == rest
+                    assert tuple(sorted(carved + rest, reverse=True)) == eta
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_connected_genus_zero_matches_hurwitz_formula(d):
+    # Hurwitz: connected genus-0 covers with profile mu over one point and
+    # m = len(mu) + d - 2 simple branch points number
+    # m! d^(len(mu)-3) prod mu_i^mu_i / mu_i! / |Aut mu|
+    tau = transposition_class(d)
+    for mu in enumerate_partitions(d):
+        m = len(mu) + d - 2
+        want = F(math.factorial(m)) * F(d) ** (len(mu) - 3) / aut_size(mu)
+        for p in mu:
+            want *= F(p ** p, math.factorial(p))
+        assert hurwitz_connected(BranchData(0, d, (mu,) + (tau,) * m)) == want, mu
 
 
 class TestDoubleHurwitzSeries:

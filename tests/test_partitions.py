@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from gwhurwitz.partitions import (ClassSum, as_partition, enumerate_partitions,
-                                  euler_partition_counts, expand_product,
+                                  euler_partition_counts,
                                   format_partition, multiplicity_of_one,
                                   parse_partition, set_partitions,
                                   subpartitions_by_removing_ones, z_factor)
@@ -99,13 +99,6 @@ class TestClassSum:
         a = ClassSum.single((2,)) + ClassSum.single((1, 1))
         b = a - ClassSum.single((1, 1))
         assert b == ClassSum.single((2,))
-
-    def test_expand_product(self):
-        a = ClassSum(2, {(2,): 3, (1, 1): F(1, 2)})
-        b = ClassSum(2, {(2,): -1})
-        assert list(expand_product([a, b])) == [(-3, ((2,), (2,))),
-                                                (F(-1, 2), ((1, 1), (2,)))]
-        assert list(expand_product([])) == [(1, ())]
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
 """Series arithmetic: examples, ring axioms, truncation contract."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -356,8 +360,8 @@ def _reference_inverse(s, order=None):
 def _unary_cases(draw):
     vars = ("x", "y")[:draw(st.integers(min_value=1, max_value=2))]
     s = draw(_series_over(vars))
-    # A positive declared floor keeps x^n inside the window of a^n for every n,
-    # so exp would never stop, before and after; floors are at most 0 here.
+    # The old loops never stop on a positive declared floor, so floors are at
+    # most 0 here; positive floors are compared with their floor-0 twins below.
     s = MultiSeries(vars, tuple(min(f, 0) for f in s.floor), s.order, s.coeffs)
     # Most raw series are rejected by all three; the other shapes have
     # exponents of positive valuation only, so that exp and log (after adding
@@ -401,3 +405,50 @@ def test_exp_log_inverse_match_their_old_loops(case):
     assert _outcome(s.exp) == _outcome(_reference_exp, s)
     assert _outcome(s.log) == _outcome(_reference_log, s)
     assert _outcome(s.inverse) == _outcome(_reference_inverse, s)
+
+
+# ------------------------------------------- positive floors in `taylor_eval`
+#
+# A positive declared floor raises the guaranteed order of a^n with n; the
+# series must still give exactly what its floor-0 twin gives.
+
+
+def test_positive_floor_terminates_and_matches_its_twin():
+    # in a subprocess with a timeout, so that a loop that never ends fails
+    code = """
+from gwhurwitz.qseries import MultiSeries, s_of, sigma_of
+a = MultiSeries(("x",), (1,), (6,), {(1,): 1})
+twin = MultiSeries(("x",), (0,), (6,), a.coeffs)
+for f in (MultiSeries.exp, sigma_of, s_of):
+    got, want = f(a), f(twin)
+    assert (got.vars, got.floor, got.order, got.coeffs) == \\
+        (want.vars, want.floor, want.order, want.coeffs), f
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@st.composite
+def _positive_floor_cases(draw):
+    vars = ("x", "y")[:draw(st.integers(min_value=1, max_value=2))]
+    floor = tuple(draw(st.integers(min_value=1, max_value=2)) for _ in vars)
+    exps = st.tuples(*(st.integers(min_value=f, max_value=f + 3) for f in floor))
+    order = tuple(draw(st.one_of(st.just(INF), st.integers(min_value=1, max_value=7)))
+                  for _ in vars)
+    coeffs = draw(st.dictionaries(exps, st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)]),
+                                  max_size=4))
+    arg_order = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8),
+                               st.tuples(*(st.integers(min_value=-1, max_value=6)
+                                           for _ in vars))))
+    return MultiSeries(vars, floor, order, coeffs), arg_order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_positive_floor_cases())
+def test_positive_floors_match_their_floor_zero_twin(case):
+    s, order = case
+    twin = MultiSeries(s.vars, (0,) * len(s.vars), s.order, s.coeffs)
+    for f in (MultiSeries.exp, sigma_of, s_of):
+        assert _outcome(f, s, order) == _outcome(f, twin, order)
