@@ -1,10 +1,15 @@
 """Symmetric-group characters and central character values.
 
 Characters are computed by the Murnaghan-Nakayama border-strip recursion on
-beta-sets, memoized on (shape, remaining class) keys; whole tables per degree
-are cached in memory.  The transposition eigenvalue f2 is computed from
-shifted coordinates without touching characters, so the two can be compared
-as independent routes.
+beta-sets stored as integer bit masks: removing a strip of m cells moves a
+bead from b to an empty b - m, and its height is the number of beads in
+between.  Values are memoized in one dict per remaining class, keyed by
+mask, with the largest part of the class stripped first.  A table build
+computes one row of each conjugate pair {lam, lam'} and fills the other by
+the sign character; its memo ends with the build, and whole tables per
+degree (up to MAX_TABLE_DEGREE) are cached in memory.  The transposition
+eigenvalue f2 is computed from shifted coordinates without touching
+characters, so the two can be compared as independent routes.
 """
 
 from __future__ import annotations
@@ -16,42 +21,68 @@ from functools import lru_cache
 from .partitions import check_partition, enumerate_partitions, z_factor
 
 
-def _beta_set(lam):
-    """First-column hook lengths lam_i + len - i as a strictly decreasing tuple."""
+# full tables stop at p(24) = 1575 rows, a build of a few seconds; single
+# values through `chi` are not capped
+MAX_TABLE_DEGREE = 24
+
+
+def _mask(lam) -> int:
+    """Beta-set of lam as a bit mask: bit lam_i + len - 1 - i for each row i."""
     n = len(lam)
-    return tuple(lam[i] + n - 1 - i for i in range(n))
+    mask = 0
+    for i, p in enumerate(lam):
+        mask |= 1 << (p + n - 1 - i)
+    return mask
 
 
-def _partition_from_beta(beta):
-    """Inverse of _beta_set after removing leading-zero slack."""
-    beta = sorted(beta, reverse=True)
-    n = len(beta)
-    parts = [beta[i] - (n - 1 - i) for i in range(n)]
-    return tuple(p for p in parts if p > 0)
+def _conjugate(lam) -> tuple:
+    """Transposed shape: column lengths of lam."""
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0])) if lam else ()
 
 
-def _strip_removals(lam, m):
-    """All ways to remove a border strip of m cells: (smaller shape, height)."""
-    beta = _beta_set(lam)
-    present = set(beta)
-    out = []
-    for b in beta:
-        if b - m >= 0 and (b - m) not in present:
-            height = sum(1 for x in beta if b - m < x < b)
-            new_beta = [x for x in beta if x != b] + [b - m]
-            out.append((_partition_from_beta(new_beta), height))
-    return out
+def _mn(mask: int, mu: tuple, memo: dict) -> int:
+    """Character of the shape with beta-set `mask` at the class mu.
 
-
-@lru_cache(maxsize=None)
-def _chi(lam, mu) -> int:
+    Strips a border strip of mu[0] cells, that is, moves a bead from b to an
+    empty b - mu[0], with sign (-1)^(beads strictly between); empty rows
+    (bead 0) are shifted away so every shape has one mask.  Values of the
+    smaller shapes are kept in memo[mu[1:]][mask].
+    """
     if not mu:
-        return 1 if not lam else 0
+        return 1
     m = mu[0]
+    rest = mu[1:]
+    sub = memo.get(rest)
+    if sub is None:
+        sub = memo[rest] = {}
+    between = (1 << (m - 1)) - 1
     total = 0
-    for smaller, height in _strip_removals(lam, m):
-        total += (-1) ** height * _chi(smaller, mu[1:])
+    moves = (mask >> m) & ~mask  # bit j: a bead at j + m and none at j
+    while moves:
+        bit = moves & -moves
+        moves ^= bit
+        new = mask ^ bit ^ (bit << m)
+        while new & 1:
+            new >>= 1
+        value = sub.get(new)
+        if value is None:
+            value = sub[new] = _mn(new, rest, memo)
+        if ((mask >> bit.bit_length()) & between).bit_count() & 1:
+            total -= value
+        else:
+            total += value
     return total
+
+
+_chi_memo: dict = {}
+
+
+def _chi(lam, mu) -> int:
+    """Unvalidated character value; `_chi.cache_clear()` empties its memo."""
+    return _mn(_mask(lam), mu, _chi_memo)
+
+
+_chi.cache_clear = _chi_memo.clear
 
 
 def chi(lam, mu) -> int:
@@ -69,10 +100,7 @@ def dim_hook(lam) -> int:
     n = sum(lam)
     if n == 0:
         return 1
-    conj = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            conj[j] += 1
+    conj = _conjugate(lam)
     num = math.factorial(n)
     for i, p in enumerate(lam):
         for j in range(p):
@@ -138,6 +166,22 @@ class CharacterTable:
 
 @lru_cache(maxsize=None)
 def _build_table(degree: int) -> CharacterTable:
+    """One row of each conjugate pair by the recursion, the other by
+    chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu); the memo ends with the build."""
+    if degree > MAX_TABLE_DEGREE:
+        raise ValueError(
+            f"degree {degree} is above the character-table ceiling "
+            f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}")
     parts = enumerate_partitions(degree)
-    matrix = [[_chi(lam, mu) for mu in parts] for lam in parts]
+    index = {lam: i for i, lam in enumerate(parts)}
+    signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in parts]
+    memo: dict = {}
+    matrix = []
+    for lam in parts:
+        twin = index[_conjugate(lam)]
+        if twin < len(matrix):
+            matrix.append([s * v for s, v in zip(signs, matrix[twin])])
+        else:
+            mask = _mask(lam)
+            matrix.append([_mn(mask, mu, memo) for mu in parts])
     return CharacterTable(degree, parts, matrix)

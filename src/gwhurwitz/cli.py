@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
 import tempfile
+from contextlib import nullcontext
 
 from . import __version__
 from .characters import CharacterTable
@@ -84,8 +86,7 @@ def store_table(degree: int, table: CharacterTable) -> str:
     fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -136,12 +137,14 @@ def _parse_ks(text: str | None):
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    rendered = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    """Write `json.dumps(doc, indent=2)` and a newline, joined in batches of
+    encoder chunks so that a large table is never one string."""
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+    with target as handle:
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            handle.write(batch)
+        handle.write("\n")
 
 
 def _document(command: str, request: dict, result) -> dict:

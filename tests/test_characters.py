@@ -3,13 +3,55 @@ class-algebra structure constants obtained by brute-force group enumeration."""
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
-from gwhurwitz.characters import (CharacterTable, chi, dim_hook, f2_shifted,
-                                  f_eta, transposition_class)
+from gwhurwitz import characters
+from gwhurwitz.characters import (MAX_TABLE_DEGREE, CharacterTable, chi, dim_hook,
+                                  f2_shifted, f_eta, transposition_class)
+from gwhurwitz.cli import CACHE_ENV, main
 from gwhurwitz.partitions import enumerate_partitions, z_factor
+
+
+# Independent reference: the border-strip recursion on beta-sets held as
+# tuples, with shapes rebuilt as partitions after every strip.
+def _ref_beta_set(lam):
+    n = len(lam)
+    return tuple(lam[i] + n - 1 - i for i in range(n))
+
+
+def _ref_partition_from_beta(beta):
+    beta = sorted(beta, reverse=True)
+    n = len(beta)
+    parts = [beta[i] - (n - 1 - i) for i in range(n)]
+    return tuple(p for p in parts if p > 0)
+
+
+def _ref_strip_removals(lam, m):
+    beta = _ref_beta_set(lam)
+    present = set(beta)
+    out = []
+    for b in beta:
+        if b - m >= 0 and (b - m) not in present:
+            height = sum(1 for x in beta if b - m < x < b)
+            new_beta = [x for x in beta if x != b] + [b - m]
+            out.append((_ref_partition_from_beta(new_beta), height))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_chi(lam, mu):
+    if not mu:
+        return 1 if not lam else 0
+    return sum((-1) ** height * _ref_chi(smaller, mu[1:])
+               for smaller, height in _ref_strip_removals(lam, mu[0]))
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0])) if lam else ()
 
 
 def _cycle_type(p):
@@ -151,3 +193,70 @@ class TestTableCache:
         t2 = CharacterTable.build(6)
         assert t1 is t2
         assert t1.matrix == [[chi(l, m) for m in t1.partitions] for l in t1.partitions]
+
+
+class TestMaskKernel:
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_table_equals_reference_recursion(self, d):
+        table = CharacterTable.build(d)
+        assert table.partitions == enumerate_partitions(d)
+        assert table.matrix == [[_ref_chi(lam, mu) for mu in table.partitions]
+                                for lam in table.partitions]
+
+    def test_conjugate_filled_rows_equal_direct_rows(self):
+        d = 14
+        table = CharacterTable.build(d)
+        seen, filled = set(), 0
+        for lam in table.partitions:
+            if _conjugate(lam) in seen:
+                # this row was filled by sign from its conjugate's row
+                direct = [characters._mn(characters._mask(lam), mu, {})
+                          for mu in table.partitions]
+                assert table.matrix[table.partitions.index(lam)] == direct
+                filled += 1
+            seen.add(lam)
+        assert filled == (len(table.partitions) - sum(_conjugate(l) == l
+                                                       for l in table.partitions)) // 2
+
+    def test_degree_18_invariants(self):
+        d = 18
+        table = CharacterTable.build(d)
+        parts = table.partitions
+        assert sum(table.dim(lam) ** 2 for lam in parts) == math.factorial(d)
+        identity = (1,) * d
+        assert all(table.chi(lam, identity) == dim_hook(lam) for lam in parts)
+        assert all(table.chi(identity, mu) == (-1) ** (d - len(mu)) for mu in parts)
+        assert all(table.chi((d,), mu) == 1 for mu in parts)
+
+    def test_public_chi_matches_table(self):
+        d = 16
+        table = CharacterTable.build(d)
+        characters._chi.cache_clear()
+        rng = random.Random(16)
+        for _ in range(200):
+            lam, mu = rng.choice(table.partitions), rng.choice(table.partitions)
+            assert chi(lam, mu) == table.chi(lam, mu)
+
+    def test_ceiling_raises_before_enumerating(self, monkeypatch):
+        def no_enumeration(d):
+            raise AssertionError(f"partitions of {d} enumerated")
+
+        monkeypatch.setattr(characters, "enumerate_partitions", no_enumeration)
+        with pytest.raises(ValueError, match=f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}"):
+            CharacterTable.build(MAX_TABLE_DEGREE + 1)
+
+    def test_single_values_are_not_capped(self):
+        # the standard representation's trace is the number of fixed points less one
+        d = MAX_TABLE_DEGREE + 1
+        assert chi((d - 1, 1), transposition_class(d)) == d - 3
+        assert chi((d - 1, 1), (1,) * d) == dim_hook((d - 1, 1)) == d - 1
+
+    @pytest.mark.parametrize("argv", [
+        ["char", "--d", "25"],
+        ["hur", "--target-genus", "0", "--d", "25"],
+        ["gw", "--target-genus", "1", "--d", "25", "--ks", "1"],
+    ])
+    def test_cli_exits_2_above_the_ceiling(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        assert main(argv) == 2
+        assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err

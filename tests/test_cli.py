@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gwhurwitz import __version__
 from gwhurwitz.characters import CharacterTable
-from gwhurwitz.cli import (CACHE_ENV, _parse_ks, _parse_profiles, character_table,
-                           load_cached_table, main, store_table)
+from gwhurwitz.cli import (CACHE_ENV, _checksum, _emit, _parse_ks, _parse_profiles,
+                           _table_payload, character_table, load_cached_table, main,
+                           store_table)
 from gwhurwitz.partitions import parse_partition
 
 
@@ -190,6 +191,21 @@ class TestDeterminism:
         assert len(outputs) == 2
 
 
+class TestEmit:
+    @pytest.mark.parametrize("argv", [["char", "--d", "12"],
+                                      ["verify", "--d-max", "2", "--k-max", "3"]])
+    def test_batched_emit_is_one_dumps(self, argv, tmp_path, capsys):
+        _, out = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        expected = json.dumps(doc, indent=2) + "\n"
+        assert out == expected
+        _emit(doc, None)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "doc.json"
+        _emit(doc, str(target))
+        assert target.read_text(encoding="utf-8") == expected
+
+
 class TestCache:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_round_trip(self, d):
@@ -199,6 +215,26 @@ class TestCache:
         assert loaded is not None
         assert loaded.matrix == table.matrix
         assert loaded.partitions == table.partitions
+
+    def test_compact_file(self, isolated_cache):
+        path = store_table(5, CharacterTable.build(5))
+        text = open(path, encoding="utf-8").read()
+        assert "\n" not in text.rstrip("\n") and ", " not in text
+
+    def test_indented_file_still_loads(self, isolated_cache, capsys):
+        d = 9
+        _, fresh = run_cli(capsys, "char", "--d", str(d))
+        payload = _table_payload(d, CharacterTable.build(d))
+        payload["checksum"] = _checksum(payload)
+        path = os.path.join(isolated_cache, f"chartable_d{d}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=1)
+            handle.write("\n")
+        written = open(path, encoding="utf-8").read()
+        assert load_cached_table(d) is not None
+        _, out = run_cli(capsys, "char", "--d", str(d))
+        assert out == fresh
+        assert open(path, encoding="utf-8").read() == written  # read, not rebuilt
 
     def test_delete_changes_nothing(self, isolated_cache, capsys):
         _, first = run_cli(capsys, "char", "--d", "6")
