@@ -1,24 +1,48 @@
 """Exact arithmetic for Hurwitz numbers, symmetric-group characters,
 infinite-wedge correlators, completed cycles, and stationary invariants
-of target curves."""
+of target curves.
+
+Public names are imported on first use (PEP 562), so a process loads only
+the layers it touches: a character-table or Hurwitz count never loads the
+wedge engine.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .characters import CharacterTable, chi, dim_hook, f2_shifted, f_eta, transposition_class
-from .fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState, apply_A, apply_Astar,
-                   apply_alpha, apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
-                   correlator, inner_product)
-from .gwh import (CompletedCycle, CrosscheckReport, ElsvReport, IFunctionCoefficient,
-                  StationaryGW, completed_cycle, elsv_check, gwh_crosscheck,
-                  hodge_H_connected, hodge_H_series, i_function_empty,
-                  i_function_numeric, i_function_unstable_connected, rho,
-                  stationary_gw, tau_via_wallcrossing)
-from .hurwitz import (BranchData, double_hurwitz_exp_series, hurwitz_classsum,
-                      hurwitz_connected, hurwitz_disconnected, monodromy_oracle)
-from .partitions import (ClassSum, as_partition, enumerate_partitions, format_partition,
-                         parse_partition, subpartitions_by_removing_ones, z_factor)
-from .qseries import (INF, MultiSeries, PrecisionError, Rational, SeriesError,
-                      VariableMismatchError, format_rational, pochhammer_series, s_of,
-                      s_series, sigma_of, sigma_series)
+_EXPORTS = {
+    "characters": ("CharacterTable", "chi", "dim_hook", "f2_shifted", "f_eta",
+                   "transposition_class"),
+    "fock": ("Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "FockState", "apply_A",
+             "apply_Astar", "apply_alpha", "apply_calE", "apply_expUF2", "apply_exp_alpha",
+             "boson_state", "correlator", "inner_product"),
+    "gwh": ("CompletedCycle", "CrosscheckReport", "ElsvReport", "IFunctionCoefficient",
+            "StationaryGW", "completed_cycle", "elsv_check", "gwh_crosscheck",
+            "hodge_H_connected", "hodge_H_series", "i_function_empty", "i_function_numeric",
+            "i_function_unstable_connected", "rho", "stationary_gw", "tau_via_wallcrossing"),
+    "hurwitz": ("BranchData", "double_hurwitz_exp_series", "hurwitz_classsum",
+                "hurwitz_connected", "hurwitz_disconnected", "monodromy_oracle"),
+    "partitions": ("ClassSum", "as_partition", "enumerate_partitions", "format_partition",
+                   "parse_partition", "subpartitions_by_removing_ones", "z_factor"),
+    "qseries": ("INF", "MultiSeries", "PrecisionError", "Rational", "SeriesError",
+                "VariableMismatchError", "format_rational", "pochhammer_series", "s_of",
+                "s_series", "sigma_of", "sigma_series"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,23 +6,23 @@ deterministic ordering, to stdout or to `--out`.  Character tables are
 persisted per degree under the directory named by GWHURWITZ_CACHE_DIR
 (default ~/.cache/gwhurwitz); the cache is an optimization only and is
 rebuilt on any version or checksum mismatch.
+
+Each process loads only the layers its subcommand runs: the wedge and GW
+layer (`gwh`, and `fock` through it) is imported inside the subcommands
+that use it, so `hur`, `char` and `--help` never load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import os
 import sys
-import tempfile
 from contextlib import nullcontext
 
 from . import __version__
 from .characters import CharacterTable
-from .gwh import (completed_cycle, elsv_check, gwh_crosscheck, i_function_empty,
-                  i_function_numeric, stationary_gw)
 from .hurwitz import (DEFAULT_ORACLE_BOUND, ORACLE_CEILING, BranchData, hurwitz_connected,
                       hurwitz_disconnected, monodromy_oracle)
 from .partitions import enumerate_partitions, format_partition, parse_partition
@@ -49,6 +49,8 @@ def _table_payload(degree: int, table: CharacterTable) -> dict:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib  # loads OpenSSL: only commands that touch the cache pay for it
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -58,26 +60,38 @@ def _cache_path(degree: int) -> str:
 
 
 def load_cached_table(degree: int) -> CharacterTable | None:
-    """Validated load; any mismatch means rebuild, never silent reuse."""
+    """Validated load; any mismatch means rebuild, never silent reuse.
+
+    Whatever the file holds, a malformed document, a wrong shape or a
+    non-integer entry reads as a miss and never raises."""
     path = _cache_path(degree)
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except (OSError, ValueError):
         return None
+    if not isinstance(doc, dict):
+        return None
     payload = {k: doc.get(k) for k in ("version", "d", "partitions", "matrix")}
     if payload["version"] != CACHE_VERSION or payload["d"] != degree:
         return None
     if doc.get("checksum") != _checksum(payload):
         return None
-    partitions = [parse_partition(p) for p in payload["partitions"]]
-    if partitions != enumerate_partitions(degree):
+    partitions = enumerate_partitions(degree)
+    if payload["partitions"] != [format_partition(p) for p in partitions]:
         return None
-    return CharacterTable(degree, partitions, payload["matrix"])
+    matrix = payload["matrix"]
+    if not (isinstance(matrix, list) and len(matrix) == len(partitions)
+            and all(isinstance(row, list) and len(row) == len(partitions)
+                    and set(map(type, row)) <= {int} for row in matrix)):
+        return None
+    return CharacterTable(degree, partitions, matrix)
 
 
 def store_table(degree: int, table: CharacterTable) -> str:
     """Atomic write: temp file in the cache directory, then rename."""
+    import tempfile
+
     os.makedirs(cache_dir(), exist_ok=True)
     payload = _table_payload(degree, table)
     payload["checksum"] = _checksum({k: payload[k]
@@ -177,6 +191,8 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
+    from .gwh import completed_cycle
+
     cycle = completed_cycle(args.k, args.d)
     _emit(_document("cycle", {"d": args.d, "k": args.k}, cycle.value.to_dict()),
           args.out)
@@ -184,6 +200,8 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_gw(args) -> int:
+    from .gwh import stationary_gw
+
     ks = _parse_ks(args.ks)
     got = stationary_gw(args.target_genus, args.d, ks)
     result = {"total": format_rational(got.total),
@@ -194,6 +212,8 @@ def _cmd_gw(args) -> int:
 
 
 def _cmd_ifun(args) -> int:
+    from .gwh import i_function_empty, i_function_numeric
+
     eta = _parse_partition_flag("--eta", args.eta)
     if args.empty:
         got = i_function_empty(args.g, eta)
@@ -209,6 +229,8 @@ def _cmd_ifun(args) -> int:
 
 
 def _cmd_elsv(args) -> int:
+    from .gwh import elsv_check
+
     mu = _parse_partition_flag("--mu", args.mu)
     report = elsv_check(mu, args.g)
     result = {"stable": report.stable, "m": report.m}
@@ -222,6 +244,8 @@ def _cmd_elsv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .gwh import gwh_crosscheck
+
     report = gwh_crosscheck(args.d_max, args.k_max)
     doc = {"command": "verify", "version": __version__,
            "request": {"d_max": args.d_max, "k_max": args.k_max},

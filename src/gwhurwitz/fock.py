@@ -8,6 +8,11 @@ Sign convention: moving an occupied slot j to an empty slot i carries
 (-1)^(number of occupied slots strictly between i and j); this single rule
 is the only source of signs in the engine.  The diagonal (normally ordered)
 action is +1 on occupied positive slots and -1 on empty negative slots.
+
+`f2_eigenvalue` computes the same number as `characters.f2_shifted`, from
+the Maya diagram instead of shifted coordinates.  It stays here so that the
+wedge engine never imports `characters`; `tests/test_fock.py` pins the two
+equal.
 """
 
 from __future__ import annotations

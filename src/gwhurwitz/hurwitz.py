@@ -130,15 +130,14 @@ class _GroupContext:
         self.perms = list(itertools.permutations(range(d)))
         self.index = {p: i for i, p in enumerate(self.perms)}
         n = len(self.perms)
-        self.mult = [[self.index[tuple(p[q[x]] for x in range(d))]
-                      for q in self.perms] for p in self.perms]
+        self.identity = self.index[tuple(range(d))]
+        self.mult = self._product_table()
         self.inv = [0] * n
         for i, p in enumerate(self.perms):
             q = [0] * d
             for x in range(d):
                 q[p[x]] = x
             self.inv[i] = self.index[tuple(q)]
-        self.identity = self.index[tuple(range(d))]
 
         self.cycle_type = [self._cycle_type(p) for p in self.perms]
         self.class_elements = {}
@@ -152,6 +151,27 @@ class _GroupContext:
         self.orbit_of = [self._orbit_partition(p) for p in self.perms]
         self._join = {}
         self._comm = None
+
+    def _product_table(self) -> list:
+        """Rows of p -> index(p o q), built by composing rows with adjacent
+        transpositions: row(s o p) is row(s) read at row(p)'s entries."""
+        d, index = self.d, self.index
+        rows = [None] * len(self.perms)
+        rows[self.identity] = list(range(len(self.perms)))
+        adjacent = []
+        for i in range(d - 1):
+            s = list(range(d))
+            s[i], s[i + 1] = i + 1, i
+            adjacent.append([index[tuple(s[x] for x in q)] for q in self.perms])
+        queue = [self.identity]
+        for p in queue:
+            row_p = rows[p]
+            for row_s in adjacent:
+                sp = row_s[p]
+                if rows[sp] is None:
+                    rows[sp] = [row_s[x] for x in row_p]
+                    queue.append(sp)
+        return rows
 
     def _cycle_type(self, p) -> tuple:
         seen = [False] * self.d

@@ -78,28 +78,6 @@ def set_partitions(n: int) -> list:
     return out
 
 
-def euler_partition_counts(dmax: int) -> list:
-    """p(0..dmax) via the pentagonal-number recurrence (independent oracle)."""
-    p = [0] * (dmax + 1)
-    p[0] = 1
-    for n in range(1, dmax + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n and g2 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= n:
-                total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
-
-
 def aut_size(mu) -> int:
     """Order of the part-permuting automorphism group: product of mult!'s."""
     out = 1

@@ -262,6 +262,39 @@ class TestCache:
             json.dump(doc, handle)
         assert load_cached_table(3) is None
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None], ids=["list", "string", "null"])
+    def test_non_object_file_is_rebuilt(self, isolated_cache, capsys, doc):
+        _, fresh = run_cli(capsys, "char", "--d", "5")
+        with open(os.path.join(isolated_cache, "chartable_d5.json"), "w") as handle:
+            json.dump(doc, handle)
+        assert load_cached_table(5) is None
+        code, out = run_cli(capsys, "char", "--d", "5")
+        assert code == 0 and out == fresh
+
+    # each damage keeps a valid checksum, so only the shape check can catch it
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.update(matrix=None),
+        lambda p: p.update(matrix=p["matrix"][:-1]),
+        lambda p: p.update(matrix=[p["matrix"][0][:-1]] + p["matrix"][1:]),
+        lambda p: p.update(matrix=[7] + p["matrix"][1:]),
+        lambda p: p.update(matrix=[["x"] + p["matrix"][0][1:]] + p["matrix"][1:]),
+        lambda p: p.update(matrix=[[2.5] + p["matrix"][0][1:]] + p["matrix"][1:]),
+        lambda p: p.update(matrix=[[None] + p["matrix"][0][1:]] + p["matrix"][1:]),
+        lambda p: p.update(partitions=None),
+    ], ids=["matrix_null", "row_missing", "row_short", "row_not_a_list",
+            "string_entry", "float_entry", "null_entry", "partitions_null"])
+    def test_checksummed_malformed_table_is_rebuilt(self, isolated_cache, capsys, damage):
+        d = 5
+        _, fresh = run_cli(capsys, "char", "--d", str(d))
+        payload = _table_payload(d, CharacterTable.build(d))
+        damage(payload)
+        payload["checksum"] = _checksum(payload)
+        with open(os.path.join(isolated_cache, f"chartable_d{d}.json"), "w") as handle:
+            json.dump(payload, handle)
+        assert load_cached_table(d) is None
+        code, out = run_cli(capsys, "char", "--d", str(d))
+        assert code == 0 and out == fresh
+
     def test_regular_file_as_cache_dir(self, tmp_path, monkeypatch, capsys):
         # the cache is an optimization only: a regular file in place of the
         # directory means "not cached", never an error

@@ -1,0 +1,55 @@
+"""The command line as a process, the way the console script and the
+benchmark start it: `python -m gwhurwitz.cli` with `PYTHONPATH=src`."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from gwhurwitz.cli import CACHE_ENV, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+COMMANDS = {
+    "help": ["--help"],
+    "hur": ["hur", "--target-genus", "0", "--d", "4", "--profiles", "(2,1,1);(3,1);(4)"],
+    "hur_oracle": ["hur", "--target-genus", "1", "--d", "4", "--profiles", "(2,2)",
+                   "--connected", "--oracle"],
+    "char": ["char", "--d", "6"],
+    "ifun": ["ifun", "--g", "0", "--eta", "(1)", "--k", "2"],
+}
+
+
+def _process_env(tmp_path):
+    # a private HOME and cache, and a fixed width for argparse's help text
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"), HOME=str(tmp_path / "home"),
+                COLUMNS="80", **{CACHE_ENV: str(tmp_path / "cache")})
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_process_stdout_is_main_stdout(name, tmp_path, monkeypatch, capsys):
+    argv = COMMANDS[name]
+    done = subprocess.run([sys.executable, "-m", "gwhurwitz.cli", *argv],
+                          env=_process_env(tmp_path), capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "in_process_cache"))
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
+
+
+def test_light_commands_never_load_the_wedge_layer(tmp_path):
+    script = ("import contextlib, io, sys\n"
+              "from gwhurwitz.cli import main\n"
+              f"for argv in {[COMMANDS[n] for n in ('help', 'hur', 'hur_oracle', 'char')]!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.strip()
+    assert "gwhurwitz.cli" in loaded
+    assert "gwhurwitz.fock" not in loaded and "gwhurwitz.gwh" not in loaded

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwhurwitz.characters import dim_hook, f_eta, transposition_class
-from gwhurwitz.hurwitz import (BranchData, _carvings, branching_sums,
+from gwhurwitz.hurwitz import (BranchData, _carvings, _GroupContext, branching_sums,
                                double_hurwitz_exp_series, hurwitz_classsum,
                                hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
@@ -96,6 +96,14 @@ class TestOracleAgreement:
                     disc = hurwitz_disconnected(b)
                     conn = hurwitz_connected(b)
                     assert 0 <= conn <= disc, (h, d, profiles)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_product_table_matches_direct_composition(self, d):
+        ctx = _GroupContext(d)
+        # reference: compose the tuples and look the product up, one entry at a time
+        reference = [[ctx.index[tuple(p[q[x]] for x in range(d))] for q in ctx.perms]
+                     for p in ctx.perms]
+        assert ctx.mult == reference
 
     def test_trivial_profile_is_identity_insertion(self):
         for d in (2, 3, 4):

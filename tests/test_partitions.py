@@ -6,10 +6,32 @@ from fractions import Fraction as F
 import pytest
 
 from gwhurwitz.partitions import (ClassSum, as_partition, enumerate_partitions,
-                                  euler_partition_counts,
                                   format_partition, multiplicity_of_one,
                                   parse_partition, set_partitions,
                                   subpartitions_by_removing_ones, z_factor)
+
+
+def euler_partition_counts(dmax: int) -> list:
+    """p(0..dmax) via the pentagonal-number recurrence: an oracle that shares
+    no code with `enumerate_partitions`."""
+    p = [0] * (dmax + 1)
+    p[0] = 1
+    for n in range(1, dmax + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > n and g2 > n:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            if g1 <= n:
+                total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p
 
 
 class TestEnumeration:
