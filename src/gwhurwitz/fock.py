@@ -324,6 +324,16 @@ def apply_calE(r: int, z: MultiSeries, state: FockState, energy_cap: int,
     return out
 
 
+def _inverse_pochhammers(a: MultiSeries, order):
+    """1/(a+1)_k for k = 1, 2, ..., each from the last by one two-term inverse."""
+    inv = MultiSeries.constant(1, a.vars)
+    k = 0
+    while True:
+        k += 1
+        inv = inv * (a + k).inverse(order=order)
+        yield inv
+
+
 def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
               adjoint: bool) -> FockState:
     """Shared engine for the hypergeometric-kernel operators.
@@ -344,16 +354,15 @@ def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
 
     # k >= 0 branch
     sig_pow = MultiSeries.constant(1, state.vars)
-    denom = MultiSeries.constant(1, state.vars)
+    inv_pochs = _inverse_pochhammers(a, b.order)
     k = 0
     while True:
         if k > 0:
             sig_pow = sig_pow * sig
-            denom = denom * (a + k)
             if sig_pow.is_zero_window():
                 out.updated_guard(sig_pow.order)
                 break
-        factor = sig_pow * denom.inverse(order=b.order) if k else sig_pow
+        factor = sig_pow * next(inv_pochs) if k else sig_pow
         moved = apply_calE(-k if adjoint else k, b, state, energy_cap, weights)
         out = out + moved.scaled(factor)
         k += 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,22 +25,47 @@ DEFAULT_ORACLE_BOUND = 5
 ORACLE_CEILING = 8
 
 
-@dataclass(frozen=True)
 class BranchData:
-    """A target genus, a degree, and an ordered list of branch profiles."""
+    """A target genus, a degree, and an ordered list of branch profiles.
 
-    target_genus: int
-    degree: int
-    profiles: tuple = field(default_factory=tuple)
+    Immutable; equal and hashed by (target_genus, degree, profiles).
+    """
 
-    def __post_init__(self):
-        if self.target_genus < 0 or self.degree < 1:
+    __slots__ = ("target_genus", "degree", "profiles")
+
+    def __init__(self, target_genus: int, degree: int, profiles: tuple = ()):
+        if target_genus < 0 or degree < 1:
             raise ValueError("need target_genus >= 0 and degree >= 1")
-        profiles = tuple(check_partition(p) for p in self.profiles)
+        profiles = tuple(check_partition(p) for p in profiles)
         for p in profiles:
-            if sum(p) != self.degree:
-                raise ValueError(f"profile {p} is not a partition of {self.degree}")
-        object.__setattr__(self, "profiles", profiles)
+            if sum(p) != degree:
+                raise ValueError(f"profile {p} is not a partition of {degree}")
+        for name, value in zip(self.__slots__, (target_genus, degree, profiles)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.target_genus, self.degree, self.profiles)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (BranchData, self._fields())
+
+    def __repr__(self):
+        return (f"BranchData(target_genus={self.target_genus!r}, degree={self.degree!r}, "
+                f"profiles={self.profiles!r})")
 
 
 # ----------------------------------------------------------- character side

@@ -2,12 +2,17 @@
 
 Scalars are `fractions.Fraction` (re-exported as `Rational`).  A
 `MultiSeries` models an element of Q((x1,..,xn)) with finite polar part,
-known only up to a per-variable truncation order: coefficients are stored
+known only up to a per-variable truncation order: coefficients are known
 for exponent tuples e with floor <= e < order (componentwise), and every
 operation propagates the tightest order it can still guarantee.  Requesting
 a coefficient at or above the guaranteed order raises `PrecisionError`
 rather than returning a silent zero; below the floor the value is a
 known zero.
+
+Storage is integer numerators over one common denominator: `num` maps the
+exponents inside the window to nonzero ints, `den` is a positive int, and
+gcd(den, *num.values()) == 1, so the form is canonical and equality is
+structural.  `coeffs` is a read-only view exponent -> Fraction.
 
 Orders may be `math.inf` for objects that are known exactly (constants,
 monomials, polynomials).  Floors are always finite integers.
@@ -16,7 +21,9 @@ monomials, polynomials).  Floors are always finite integers.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+from operator import add, le, lt
 
 Rational = Fraction
 
@@ -36,78 +43,94 @@ class PrecisionError(SeriesError):
 
 
 def _as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
+
+
+class _Coefficients(Mapping):
+    """Exponent -> Fraction view of a series; only item reads build Fractions."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num, self._den = num, den
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __getitem__(self, exps):
+        return Fraction(self._num[exps], self._den)
 
 
 class MultiSeries:
     """A truncated Laurent series in one or two (or zero) variables."""
 
-    __slots__ = ("vars", "floor", "order", "coeffs")
+    __slots__ = ("vars", "floor", "order", "num", "den")
 
     def __init__(self, vars, floor, order, coeffs):
         vars = tuple(vars)
-        floor = tuple(int(f) for f in floor)
+        floor = tuple(map(int, floor))
         order = tuple(o if o == INF else int(o) for o in order)
         if not (len(vars) == len(floor) == len(order)):
             raise SeriesError("vars/floor/order length mismatch")
+        if len(vars) > 2:
+            raise SeriesError("a series has at most two variables")
         clean = {}
         for exps, value in coeffs.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != len(vars):
                 raise SeriesError("exponent arity mismatch")
-            if any(e < f for e, f in zip(exps, floor)):
+            if any(map(lt, exps, floor)):
                 raise SeriesError(f"exponent {exps} below declared floor {floor}")
-            if any(e >= o for e, o in zip(exps, order)):
+            if not all(map(lt, exps, order)):
                 continue
             value = _as_rational(value)
             if value:
                 clean[exps] = value
-        self.vars = vars
-        self.floor = floor
-        self.order = order
-        self.coeffs = clean
+        # over the lcm of reduced denominators, the form is already canonical
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.vars, self.floor, self.order, self.den = vars, floor, order, den
+        self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+
+    @property
+    def coeffs(self) -> Mapping:
+        """The known coefficients as a read-only mapping exponent -> Fraction."""
+        return _Coefficients(self.num, self.den)
 
     # ---------------------------------------------------------------- basics
 
     @classmethod
     def zero(cls, vars, order, floor=None):
         vars = tuple(vars)
-        if floor is None:
-            floor = (0,) * len(vars)
-        return cls(vars, floor, order, {})
+        return cls(vars, (0,) * len(vars) if floor is None else floor, order, {})
 
     @classmethod
     def constant(cls, value, vars, order=None):
         vars = tuple(vars)
-        if order is None:
-            order = (INF,) * len(vars)
-        return cls(vars, (0,) * len(vars), order, {(0,) * len(vars): value})
+        zeros = (0,) * len(vars)
+        return cls(vars, zeros, (INF,) * len(vars) if order is None else order, {zeros: value})
 
     @classmethod
     def monomial(cls, vars, exps, value=1, order=None):
         vars = tuple(vars)
         exps = tuple(exps)
-        if order is None:
-            order = (INF,) * len(vars)
-        floor = tuple(min(e, 0) for e in exps)
-        return cls(vars, floor, order, {exps: value})
+        order = (INF,) * len(vars) if order is None else order
+        return cls(vars, tuple(min(e, 0) for e in exps), order, {exps: value})
 
     def is_zero_window(self) -> bool:
         """True when no nonzero coefficient is known inside the window."""
-        return not self.coeffs
+        return not self.num
 
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and all(o == INF for o in self.order)
+        return not self.num and all(o == INF for o in self.order)
 
     def valuation_floor(self):
         """Componentwise min of stored exponents (declared floor if empty)."""
-        if not self.coeffs:
-            return self.floor
-        return tuple(min(e[i] for e in self.coeffs) for i in range(len(self.vars)))
+        return tuple(map(min, zip(*self.num))) if self.num else self.floor
 
     def _check_same_vars(self, other):
         if self.vars != other.vars:
@@ -116,29 +139,24 @@ class MultiSeries:
     # ------------------------------------------------------------ arithmetic
 
     def __neg__(self):
-        return _raw(self.vars, self.floor, self.order,
-                    {e: -c for e, c in self.coeffs.items()})
+        return _canonical(self.vars, self.floor, self.order,
+                          {e: -c for e, c in self.num.items()}, self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiSeries.constant(other, self.vars)
         if not isinstance(other, MultiSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiSeries.constant(other, self.vars)
         self._check_same_vars(other)
-        floor = tuple(min(a, b) for a, b in zip(self.floor, other.floor))
-        order = tuple(min(a, b) for a, b in zip(self.order, other.order))
-        coeffs = _window(self.coeffs, order)
-        for e, c in _window(other.coeffs, order).items():
-            s = coeffs.get(e)
-            if s is None:
-                coeffs[e] = c
-            else:
-                s += c
-                if s:
-                    coeffs[e] = s
-                else:
-                    del coeffs[e]
-        return _raw(self.vars, floor, order, coeffs)
+        floor = tuple(map(min, self.floor, other.floor))
+        order = tuple(map(min, self.order, other.order))
+        da, db = self.den, other.den
+        den = da // math.gcd(da, db) * db
+        sa, sb = den // da, den // db
+        num = {e: c * sa for e, c in _window(self.num, self.order, order).items()}
+        for e, c in _window(other.num, other.order, order).items():
+            num[e] = num.get(e, 0) + c * sb
+        return _canonical(self.vars, floor, order, num, den)
 
     __radd__ = __add__
 
@@ -149,34 +167,23 @@ class MultiSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_rational(other)
-            if not other:
-                return _raw(self.vars, self.floor, self.order, {})
-            return _raw(self.vars, self.floor, self.order,
-                        {e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, MultiSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p = other.numerator
+            return _canonical(self.vars, self.floor, self.order,
+                              {e: c * p for e, c in self.num.items()} if p else {},
+                              self.den * other.denominator)
         self._check_same_vars(other)
         # Unknown tail of one operand (exponents >= order) times the known
         # part of the other (exponents >= floor) pollutes the product from
         # order_a + floor_b on; the guaranteed order is the min over both
         # sides.  With floors of 0 this reduces to min(order_a, order_b).
-        floor = tuple(a + b for a, b in zip(self.floor, other.floor))
-        order = tuple(min(oa + fb, ob + fa)
-                      for oa, fa, ob, fb
-                      in zip(self.order, self.floor, other.order, other.floor))
-        if len(self.vars) == 2:
-            coeffs = _mul2(self.coeffs, other.coeffs, order[0], order[1])
-        else:
-            coeffs = {}
-            for ea, ca in self.coeffs.items():
-                for eb, cb in other.coeffs.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    if all(x < o for x, o in zip(e, order)):
-                        coeffs[e] = coeffs.get(e, 0) + ca * cb
-            coeffs = {e: c for e, c in coeffs.items() if c}
-        return _raw(self.vars, floor, order, coeffs)
+        floor = tuple(map(add, self.floor, other.floor))
+        order = tuple(map(min, map(add, self.order, other.floor),
+                          map(add, other.order, self.floor)))
+        num = _MUL[len(self.vars)](self.num, other.num, order)
+        return _canonical(self.vars, floor, order, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -186,61 +193,56 @@ class MultiSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = MultiSeries.constant(1, self.vars)
-        base = self
+        result, base = MultiSeries.constant(1, self.vars), self
         while n:
             if n & 1:
                 result = result * base
-            base2 = base * base if n > 1 else base
-            base = base2
+            if n > 1:
+                base = base * base
             n >>= 1
         return result
 
     def __eq__(self, other):
-        """Structural: the same vars, floor, order and coeffs.  `agrees_with`
-        compares coefficientwise over the common window."""
+        """Structural; `agrees_with` compares coefficientwise over the common window."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (self.vars == other.vars and self.floor == other.floor
-                and self.order == other.order and self.coeffs == other.coeffs)
+        return ((self.vars, self.floor, self.order, self.den, self.num)
+                == (other.vars, other.floor, other.order, other.den, other.num))
 
     def __hash__(self):
-        return hash((self.vars, self.floor, self.order,
-                     tuple(sorted(self.coeffs.items()))))
+        return hash((self.vars, self.floor, self.order, self.den,
+                     frozenset(self.num.items())))
 
     def agrees_with(self, other) -> bool:
         """Coefficientwise equality over the intersection of known windows."""
         self._check_same_vars(other)
-        order = tuple(min(a, b) for a, b in zip(self.order, other.order))
-        for e in set(self.coeffs) | set(other.coeffs):
+        order = tuple(map(min, self.order, other.order))
+        for e in set(self.num) | set(other.num):
             if any(x >= o for x, o in zip(e, order)):
                 continue
-            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
+            if self.num.get(e, 0) * other.den != other.num.get(e, 0) * self.den:
                 return False
         return True
 
     # ------------------------------------------------------------ extraction
 
     def coefficient(self, exps) -> Fraction:
-        if isinstance(exps, int):
-            exps = (exps,)
-        exps = tuple(exps)
+        exps = (exps,) if isinstance(exps, int) else tuple(exps)
         if len(exps) != len(self.vars):
             raise SeriesError("exponent arity mismatch")
         if any(e >= o for e, o in zip(exps, self.order)):
             raise PrecisionError(
                 f"coefficient at {exps} lies beyond guaranteed order {self.order}")
-        if any(e < f for e, f in zip(exps, self.floor)):
-            return Fraction(0)
-        return self.coeffs.get(exps, Fraction(0))
+        return Fraction(self.num.get(exps, 0), self.den)
 
     def truncated(self, order):
         if len(order) != len(self.vars):
             raise SeriesError("vars/floor/order length mismatch")
-        order = tuple(min(a, b) for a, b in zip(self.order, order))
-        order = tuple(o if o == INF else int(o) for o in order)
-        return _raw(self.vars, self.floor, order,
-                    _window(self.coeffs, order))
+        if all(map(le, self.order, order)):
+            return self
+        order = tuple(o if o == INF else int(o) for o in map(min, self.order, order))
+        return _canonical(self.vars, self.floor, order,
+                          _window(self.num, self.order, order), self.den)
 
     # -------------------------------------------------------- transformations
 
@@ -250,52 +252,42 @@ class MultiSeries:
         if not c:
             raise SeriesError("scale_var requires a nonzero scalar")
         i = self.vars.index(var)
-        coeffs = {e: val * c ** e[i] for e, val in self.coeffs.items()}
-        return _raw(self.vars, self.floor, self.order, coeffs)
+        return MultiSeries(self.vars, self.floor, self.order,
+                           {e: val * c ** e[i] for e, val in self.coeffs.items()})
 
     def _effective_order(self, order):
-        if order is None:
-            eff = self.order
-        elif isinstance(order, (int, float)):
-            eff = tuple(min(o, order) for o in self.order)
-        else:
-            eff = tuple(min(a, b) for a, b in zip(self.order, order))
+        if isinstance(order, (int, float)):
+            order = (order,) * len(self.order)
+        eff = self.order if order is None else tuple(map(min, self.order, order))
         if any(o == INF for o in eff):
             raise SeriesError("operation on an exact series needs an explicit order")
         return eff
 
     def inverse(self, order=None) -> "MultiSeries":
         """Multiplicative inverse of c*x^e*(1+g) with g of positive valuation."""
-        if not self.coeffs:
+        if not self.num:
             raise SeriesError("cannot invert a series with empty known window")
         corner = self.valuation_floor()
-        lead = self.coeffs.get(corner)
+        lead = self.num.get(corner)
         if lead is None:
             raise SeriesError("inverse requires a unique minimal corner term")
         # g = self / (lead * x^corner) - 1 must have nonnegative exponents
-        shifted = {tuple(x - y for x, y in zip(e, corner)): c / lead
-                   for e, c in self.coeffs.items()}
+        shifted = {tuple(x - y for x, y in zip(e, corner)): c
+                   for e, c in self.num.items()}
         del shifted[(0,) * len(self.vars)]
         if any(any(x < 0 for x in e) for e in shifted):
             raise SeriesError("inverse requires a dominant corner term")
+        inv_lead = Fraction(self.den, lead)
         if not shifted:
             # exact monomial inverse
-            out_order = tuple(o if o == INF else o - 2 * e
-                              for o, e in zip(self.order, corner))
+            out_order = tuple(o if o == INF else o - 2 * e for o, e in zip(self.order, corner))
             return MultiSeries.monomial(self.vars, tuple(-e for e in corner),
-                                        Fraction(1) / lead, out_order)
-        rel_order = tuple(o if o == INF else o - c
-                          for o, c in zip(self.order, corner))
-        if order is not None:
-            extra = (order,) * len(self.vars) if isinstance(order, (int, float)) else order
-            rel_order = tuple(min(a, b) for a, b in zip(rel_order, extra))
-        if any(o == INF for o in rel_order):
-            raise SeriesError("inverse of an exact non-monomial needs an explicit order")
-        g = MultiSeries(self.vars, (0,) * len(self.vars), rel_order, shifted)
-        acc = taylor_eval(lambda n: Fraction((-1) ** n), g)
-        shift = MultiSeries.monomial(self.vars, tuple(-e for e in corner),
-                                     Fraction(1) / lead)
-        return acc * shift
+                                        inv_lead, out_order)
+        rel_order = tuple(o if o == INF else o - c for o, c in zip(self.order, corner))
+        g = _canonical(self.vars, (0,) * len(self.vars), rel_order,
+                       {e: c if lead > 0 else -c for e, c in shifted.items()}, abs(lead))
+        acc = taylor_eval(lambda n: (-1) ** n, g, order)
+        return acc * MultiSeries.monomial(self.vars, tuple(-e for e in corner), inv_lead)
 
     def exp(self, order=None) -> "MultiSeries":
         """exp of a series with zero constant term and nonnegative exponents."""
@@ -304,7 +296,7 @@ class MultiSeries:
     def log(self, order=None) -> "MultiSeries":
         """log of a series with constant term 1."""
         a = self.truncated(self._effective_order(order))
-        if a.coeffs.get((0,) * len(self.vars)) != 1:
+        if a.num.get((0,) * len(self.vars)) != a.den:
             raise SeriesError("log requires constant term 1")
         return taylor_eval(lambda n: Fraction((-1) ** (n + 1), n) if n else 0, a - 1)
 
@@ -316,72 +308,84 @@ class MultiSeries:
                 for e, c in sorted(self.coeffs.items())]
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            bits = []
-            for e, c in sorted(self.coeffs.items()):
-                mon = "*".join(f"{v}^{k}" for v, k in zip(self.vars, e) if k)
-                bits.append(f"{c}" + (f"*{mon}" if mon else ""))
-            body = " + ".join(bits)
-        return f"<{body} ; O{self.order}>"
+        bits = []
+        for e, c in sorted(self.coeffs.items()):
+            mon = "*".join(f"{v}^{k}" for v, k in zip(self.vars, e) if k)
+            bits.append(f"{c}" + (f"*{mon}" if mon else ""))
+        return f"<{' + '.join(bits) or '0'} ; O{self.order}>"
 
 
 # ------------------------------------------------------- internal kernels
 #
-# Arithmetic results are built by `_raw`, which skips the validation of the
-# public constructor: every result already has integer exponent tuples inside
-# [floor, order) and nonzero Fraction values, and the helpers below keep it so.
+# Arithmetic results are built by `_canonical`, which skips the validation of
+# the public constructor (every kernel keeps exponents inside [floor, order)),
+# drops cancelled numerators and divides out their content by one gcd.
 
 
-def _raw(vars, floor, order, coeffs) -> MultiSeries:
+def _canonical(vars, floor, order, num, den) -> MultiSeries:
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    g = den if den == 1 or not num else math.gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
     series = MultiSeries.__new__(MultiSeries)
-    series.vars = vars
-    series.floor = floor
-    series.order = order
-    series.coeffs = coeffs
+    series.vars, series.floor, series.order, series.num, series.den = vars, floor, order, num, den
     return series
 
 
-def _window(coeffs, order) -> dict:
-    """Copy of coeffs without the exponents at or above order."""
-    return {e: c for e, c in coeffs.items() if all(x < o for x, o in zip(e, order))}
+def _window(num, known, order) -> dict:
+    """The numerators below order: num itself when its known order fits."""
+    if all(map(le, known, order)):
+        return num
+    return {e: c for e, c in num.items() if all(map(lt, e, order))}
 
 
-def _mul2(left, right, o0, o1) -> dict:
-    """Bivariate product of coefficient dicts, kept below the order (o0, o1)."""
+def _mul0(left, right, order) -> dict:
+    return {(): left[()] * right[()]} if left and right else {}
+
+
+def _mul1(left, right, order) -> dict:
+    (o,) = order
+    rhs = sorted((b, c) for (b,), c in right.items())
+    out = {}
+    get = out.get
+    for (a,), ca in left.items():
+        lim = o - a
+        for b, cb in rhs:
+            if b >= lim:
+                break
+            e = (a + b,)
+            out[e] = get(e, 0) + ca * cb
+    return out
+
+
+def _mul2(left, right, order) -> dict:
+    o0, o1 = order
     rhs = sorted((e[0], e[1], c) for e, c in right.items())
-    coeffs = {}
-    get = coeffs.get
+    out = {}
+    get = out.get
     for (a0, a1), ca in left.items():
-        lim0 = o0 - a0
-        lim1 = o1 - a1
+        lim0, lim1 = o0 - a0, o1 - a1
         for b0, b1, cb in rhs:
             if b0 >= lim0:
                 break
             if b1 >= lim1:
                 continue
             e = (a0 + b0, a1 + b1)
-            s = get(e)
-            if s is None:
-                coeffs[e] = ca * cb
-            else:
-                s += ca * cb
-                if s:
-                    coeffs[e] = s
-                else:
-                    del coeffs[e]
-    return coeffs
+            out[e] = get(e, 0) + ca * cb
+    return out
+
+
+# numerator product kernels by arity, each kept below the product's order
+_MUL = (_mul0, _mul1, _mul2)
 
 
 # ------------------------------------------------------------- constructors
 
 
 def format_rational(value) -> str:
-    value = _as_rational(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(_as_rational(value))
 
 
 def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
@@ -392,7 +396,7 @@ def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
     """
     eff = arg._effective_order(order)
     a = arg.truncated(eff)
-    if any(any(x < 0 for x in e) for e in a.coeffs) or (0,) * len(a.vars) in a.coeffs:
+    if any(any(x < 0 for x in e) for e in a.num) or (0,) * len(a.vars) in a.num:
         raise SeriesError("series substitution requires positive valuation")
     acc = MultiSeries.zero(a.vars, eff)
     power = MultiSeries.constant(1, a.vars).truncated(eff)
@@ -408,32 +412,28 @@ def taylor_eval(coeff_of, arg: MultiSeries, order=None) -> MultiSeries:
 
 def _sigma_coeff(n: int) -> Fraction:
     # e^{x/2} - e^{-x/2}: only odd powers survive, with coefficient 2/(2^n n!).
-    if n % 2 == 0:
-        return Fraction(0)
-    return Fraction(2, 2 ** n * math.factorial(n))
+    return Fraction(2, 2 ** n * math.factorial(n)) if n % 2 else Fraction(0)
 
 
 def _s_coeff(n: int) -> Fraction:
     # (e^{x/2} - e^{-x/2})/x: even powers, constant term 1.
-    if n % 2 == 1:
-        return Fraction(0)
-    return Fraction(2, 2 ** (n + 1) * math.factorial(n + 1))
+    return _sigma_coeff(n + 1)
+
+
+def _kernel_series(coeff_of, var: str, order: int) -> MultiSeries:
+    if order < 1:
+        raise SeriesError("order must be >= 1")
+    return MultiSeries((var,), (0,), (order,), {(n,): coeff_of(n) for n in range(order)})
 
 
 def sigma_series(var: str, order: int) -> MultiSeries:
     """The odd exponential kernel x + x^3/24 + x^5/1920 + ..."""
-    if order < 1:
-        raise SeriesError("order must be >= 1")
-    coeffs = {(n,): _sigma_coeff(n) for n in range(1, order, 2)}
-    return MultiSeries((var,), (0,), (order,), coeffs)
+    return _kernel_series(_sigma_coeff, var, order)
 
 
 def s_series(var: str, order: int) -> MultiSeries:
     """The even normalized kernel 1 + x^2/24 + x^4/1920 + ..."""
-    if order < 1:
-        raise SeriesError("order must be >= 1")
-    coeffs = {(n,): _s_coeff(n) for n in range(0, order, 2)}
-    return MultiSeries((var,), (0,), (order,), coeffs)
+    return _kernel_series(_s_coeff, var, order)
 
 
 def sigma_of(arg: MultiSeries, order=None) -> MultiSeries:

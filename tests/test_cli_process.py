@@ -46,10 +46,13 @@ def test_light_commands_never_load_the_wedge_layer(tmp_path):
               f"for argv in {[COMMANDS[n] for n in ('help', 'hur', 'hur_oracle', 'char')]!r}:\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert main(argv) == 0, argv\n"
-              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n"
+              "print('dataclasses' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = done.stdout.strip()
+    loaded, dataclasses_loaded = done.stdout.strip().splitlines()
     assert "gwhurwitz.cli" in loaded
     assert "gwhurwitz.fock" not in loaded and "gwhurwitz.gwh" not in loaded
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms per process
+    assert dataclasses_loaded == "False"

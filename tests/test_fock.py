@@ -5,14 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from gwhurwitz import fock
 from gwhurwitz.characters import chi
 from gwhurwitz.fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState,
                             apply_A, apply_Astar, apply_E_elem, apply_alpha,
                             apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
                             correlator, e_moves, f2_eigenvalue, inner_product)
 from gwhurwitz.partitions import enumerate_partitions
-from gwhurwitz.qseries import (MultiSeries, VariableMismatchError, s_of,
-                               sigma_of, sigma_series)
+from gwhurwitz.qseries import (MultiSeries, VariableMismatchError, pochhammer_series,
+                               s_of, sigma_of, sigma_series)
 
 UV = ("u",)
 
@@ -217,6 +218,27 @@ class TestHypergeometricOperators:
             lhs = inner_product(apply_A(a, b, s, energy_cap=8), t)
             rhs = inner_product(s, apply_Astar(a, b, t, energy_cap=8))
             assert lhs.agrees_with(rhs)
+
+    def test_running_inverse_pochhammer_is_the_inverted_product(self, monkeypatch):
+        # the k >= 0 loop carries 1/(a+1)_k from k - 1 by one two-term inverse;
+        # at every k it reaches, the running value must equal the whole
+        # product (w+1)..(w+k) inverted at b's order
+        carried = fock._inverse_pochhammers
+        for order in (5, 8):
+            seen = []
+
+            def recording(a, inv_order):
+                for inv in carried(a, inv_order):
+                    seen.append(inv)
+                    yield inv
+
+            monkeypatch.setattr(fock, "_inverse_pochhammers", recording)
+            w = MultiSeries.monomial(("w",), (1,), 1, (order,))
+            apply_Astar(w, w, FockState.vacuum(("w",)), energy_cap=2)
+            # sigma(w)^k leaves the window at k = order
+            assert len(seen) == order - 1
+            for k, inv in enumerate(seen, start=1):
+                assert inv == pochhammer_series(k, "w", order).inverse(order=w.order), k
 
     def test_two_cycle_closed_form(self):
         # pairing the adjoint word against the 2-cycle boundary reproduces

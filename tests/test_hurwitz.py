@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,24 @@ def profile_multisets(d, max_n):
         out += [tuple(sorted(c)) for c in
                 itertools.combinations_with_replacement(parts, n)]
     return out
+
+
+class TestBranchData:
+    def test_validated_immutable_and_compared_by_value(self):
+        b = BranchData(1, 3, [(2, 1)])
+        assert b.profiles == ((2, 1),)
+        same = BranchData(target_genus=1, degree=3, profiles=((2, 1),))
+        assert b == same and hash(b) == hash(same)
+        assert b != BranchData(0, 3, ((2, 1),)) and BranchData(1, 2) == BranchData(1, 2, ())
+        assert repr(b) == "BranchData(target_genus=1, degree=3, profiles=((2, 1),))"
+        assert pickle.loads(pickle.dumps(b)) == b
+        with pytest.raises(AttributeError):
+            b.degree = 4
+        with pytest.raises(AttributeError):
+            del b.profiles
+        for bad in [(-1, 3, ()), (0, 0, ()), (0, 3, ((2, 2),))]:
+            with pytest.raises(ValueError):
+                BranchData(*bad)
 
 
 class TestSpotValues:

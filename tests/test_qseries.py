@@ -1,5 +1,6 @@
 """Series arithmetic: examples, ring axioms, truncation contract."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from gwhurwitz.qseries import (INF, MultiSeries, PrecisionError, SeriesError,
                                VariableMismatchError, format_rational,
                                pochhammer_series, s_of, s_series, sigma_of,
-                               sigma_series)
+                               sigma_series, taylor_eval)
 
 
 def uni(coeffs, order=8, floor=0, var="x"):
@@ -452,3 +453,39 @@ def test_positive_floors_match_their_floor_zero_twin(case):
     twin = MultiSeries(s.vars, (0,) * len(s.vars), s.order, s.coeffs)
     for f in (MultiSeries.exp, sigma_of, s_of):
         assert _outcome(f, s, order) == _outcome(f, twin, order)
+
+
+# ------------------------------------------------ canonical integer storage
+#
+# Every result keeps nonzero integer numerators over one positive common
+# denominator, coprime to all of them, at exponents inside its window; so
+# equal series are stored, compared and hashed alike.
+
+
+def _assert_canonical(s):
+    assert isinstance(s.den, int) and s.den > 0
+    assert math.gcd(s.den, *s.num.values()) == 1
+    for e, c in s.num.items():
+        assert isinstance(c, int) and c != 0
+        assert all(f <= x < o for x, f, o in zip(e, s.floor, s.order))
+    # the validating constructor reaches the same storage from the Fractions
+    twin = MultiSeries(s.vars, s.floor, s.order, s.coeffs)
+    assert (twin.num, twin.den) == (s.num, s.den)
+    assert twin == s and hash(twin) == hash(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pairs(), st.sampled_from([0, 3, F(-2, 9), F(5, 6)]), _unary_cases())
+def test_every_result_is_canonical(pair, scalar, case):
+    a, b = pair
+    results = [a + b, a - b, a * b, a * scalar, scalar * b, -a, a.truncated(b.order)]
+    assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
+    s, order = case
+    for op in (s.exp, s.log, s.inverse, lambda order: sigma_of(s, order),
+               lambda order: taylor_eval(lambda n: F((-2) ** n, 3 * n + 1), s, order)):
+        try:
+            results.append(op(order))
+        except SeriesError:
+            pass
+    for result in results:
+        _assert_canonical(result)
