@@ -17,7 +17,7 @@ equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .partitions import check_partition
@@ -395,32 +395,11 @@ def apply_A(a: MultiSeries, b: MultiSeries, state: FockState,
 # -------------------------------------------------------------- correlator
 
 
-@dataclass(frozen=True)
-class Alpha:
-    r: int
-
-
-@dataclass(frozen=True)
-class ExpAlpha:
-    r: int  # +1 or -1
-
-
-@dataclass(frozen=True)
-class ExpUF2:
-    scale: int = 1
-    u_var: str = "u"
-
-
-@dataclass(frozen=True)
-class CalE:
-    r: int
-    z: MultiSeries
-
-
-@dataclass(frozen=True)
-class AStarOp:
-    a: MultiSeries
-    b: MultiSeries
+Alpha = namedtuple("Alpha", "r")
+ExpAlpha = namedtuple("ExpAlpha", "r")  # r = +1 or -1
+ExpUF2 = namedtuple("ExpUF2", "scale u_var", defaults=(1, "u"))
+CalE = namedtuple("CalE", "r z")
+AStarOp = namedtuple("AStarOp", "a b")
 
 
 def boson_state(eta, vars) -> FockState:

@@ -11,17 +11,16 @@ cover counts through linear Hodge integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from .characters import transposition_class
 from .fock import Alpha, AStarOp, ExpAlpha, ExpUF2, correlator
 from .hurwitz import BranchData, branching_sums, double_hurwitz_exp_series, hurwitz_connected
 from .partitions import (ClassSum, check_partition, enumerate_partitions,
                          format_partition, set_partitions, subpartitions_by_removing_ones,
                          z_factor)
-from .qseries import MultiSeries, PrecisionError, s_series
-
-_SLACK = 3
+from .qseries import MultiSeries, s_series
 
 
 def rho(k: int, mu) -> Fraction:
@@ -48,11 +47,7 @@ def rho(k: int, mu) -> Fraction:
     return scale * series.coefficient((exponent,))
 
 
-@dataclass(frozen=True)
-class CompletedCycle:
-    k: int
-    d: int
-    value: ClassSum
+CompletedCycle = namedtuple("CompletedCycle", "k d value")
 
 
 def completed_cycle(k: int, d: int) -> CompletedCycle:
@@ -72,36 +67,36 @@ def completed_cycle(k: int, d: int) -> CompletedCycle:
 # ----------------------------------------------------------- I-coefficients
 
 
-@dataclass(frozen=True)
-class IFunctionCoefficient:
-    g: int
-    eta: tuple
-    k: int | None
-    value: Fraction
-    z_degree: int
+IFunctionCoefficient = namedtuple("IFunctionCoefficient", "g eta k value z_degree")
+
+# The word carries a single 1/sigma(uw) factor: dividing out uw and then
+# multiplying by (uw)^-1 each cost one order in u and one in w.
+_I_WORD_LOSS = 2
 
 
 def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
     """Raw boundary pairing against the adjoint-operator word.
 
-    Evaluated with the energy cap |eta|: the adjoint operator raises energy
-    at unit series cost, and the atoms to its left only raise or preserve
-    energy, so states above the boundary energy can never pair.
+    The word is evaluated _I_WORD_LOSS orders deeper than requested, so the
+    result carries exactly the orders (u_order, w_order).  Evaluated with the
+    energy cap |eta|: the adjoint operator raises energy at unit series
+    cost, and the atoms to its left only raise or preserve energy, so states
+    above the boundary energy can never pair.
     """
     vars = ("u", "w")
-    order = (u_order, w_order)
+    order = (u_order + _I_WORD_LOSS, w_order + _I_WORD_LOSS)
     a = MultiSeries.monomial(vars, (0, 1), 1, order)
     b = MultiSeries.monomial(vars, (1, 1), 1, order)
     word = [ExpUF2(1), ExpAlpha(-1), AStarOp(a, b)]
     return correlator(word, eta, vars, order, energy_cap=sum(eta))
 
 
-# eta -> ((u_order, w_order), series evaluated at those orders)
+# eta -> the pairing at the largest orders requested so far (its `.order`)
 _i_store: dict = {}
 
 
 def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
-    """The raw pairing of eta, truncated to (u_order, w_order).
+    """The raw pairing of eta at exactly the orders (u_order, w_order).
 
     One evaluation per boundary profile: the store keeps the series at the
     largest orders requested so far, and a request inside them is answered
@@ -110,17 +105,12 @@ def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
     them is evaluated at the componentwise maximum, which replaces the entry.
     `_i_correlator.cache_clear()` empties the store.
     """
-    got = _i_store.get(eta)
-    if got is not None:
-        (u_have, w_have), series = got
-        if u_order <= u_have and w_order <= w_have:
-            return series.truncated((u_order, w_order))
-        u_have, w_have = max(u_order, u_have), max(w_order, w_have)
-    else:
-        u_have, w_have = u_order, w_order
-    series = _evaluate_i_correlator(eta, u_have, w_have)
-    _i_store[eta] = ((u_have, w_have), series)
-    return series.truncated((u_order, w_order))
+    want = (u_order, w_order)
+    series = _i_store.get(eta)
+    if series is None or u_order > series.order[0] or w_order > series.order[1]:
+        have = want if series is None else tuple(map(max, want, series.order))
+        series = _i_store[eta] = _evaluate_i_correlator(eta, *have)
+    return series.truncated(want)
 
 
 _i_correlator.cache_clear = _i_store.clear
@@ -132,7 +122,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
     normalization.  Truncation orders are derived here, and only here, from
-    the degree count, and enlarged once on a precision failure.  The pairing
+    the degree count: exactly the orders that coefficient needs.  The pairing
     comes from the per-profile store of `_i_correlator`, so callers that
     loop over g or k should ask for the largest orders (top g, top k) first:
     the first request of a profile is then the only evaluation.
@@ -145,19 +135,16 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
         raise ValueError("eta must be a nonempty partition")
     vd = 2 * g - 1 + d + len(eta)
     z_degree = k + 2 - 2 * g - d - len(eta)
-    u_order = max(vd + 1, 1) + _SLACK
-    w_order = k + 2 + _SLACK
-    for attempt in range(2):
-        series = _i_correlator(eta, u_order, w_order)
-        try:
-            value = series.coefficient((vd, k + 1))
-            break
-        except PrecisionError:
-            if attempt:
-                raise
-            u_order *= 2
-            w_order *= 2
-    return IFunctionCoefficient(g, eta, k, value, z_degree)
+    series = _i_correlator(eta, max(vd + 1, 1), k + 2)
+    return IFunctionCoefficient(g, eta, k, series.coefficient((vd, k + 1)), z_degree)
+
+
+def _hodge_prefactor(eta) -> Fraction:
+    """The classical ELSV prefactor prod eta_j^eta_j / eta_j!."""
+    scale = Fraction(1)
+    for p in eta:
+        scale *= Fraction(p ** p, math.factorial(p))
+    return scale
 
 
 def hodge_H_series(eta, u_order: int) -> MultiSeries:
@@ -172,14 +159,9 @@ def hodge_H_series(eta, u_order: int) -> MultiSeries:
         raise ValueError("eta must be nonempty")
     d = sum(eta)
     shift = len(eta) + d
-    corr_order = u_order + shift + 1
     word = [ExpAlpha(1), ExpUF2(1)] + [Alpha(-p) for p in eta]
-    series = correlator(word, None, ("u",), (corr_order,), energy_cap=d)
-    scale = Fraction(1)
-    for p in eta:
-        scale *= Fraction(math.factorial(p), p ** p)
-    mono = MultiSeries.monomial(("u",), (-shift,), scale)
-    return (series * mono).truncated((u_order,))
+    series = correlator(word, None, ("u",), (u_order + shift,), energy_cap=d)
+    return series * MultiSeries.monomial(("u",), (-shift,), 1 / _hodge_prefactor(eta))
 
 
 def hodge_H_connected(eta, u_order: int) -> MultiSeries:
@@ -199,7 +181,7 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
             sub = tuple(sorted((eta[i] for i in block), reverse=True))
             piece = piece * hodge_H_series(sub, u_order + pole)
         total = total + piece
-    return total.truncated((u_order,))
+    return total
 
 
 def i_function_empty(g: int, eta) -> IFunctionCoefficient:
@@ -210,12 +192,9 @@ def i_function_empty(g: int, eta) -> IFunctionCoefficient:
         raise ValueError("eta must be a nonempty partition")
     z_degree = 3 - 2 * g - d - len(eta)
     target = 2 * g - 2
-    u_order = max(target + 1, -len(eta) - d + 1) + _SLACK
-    series = hodge_H_series(eta, u_order)
-    scale = Fraction(1)
-    for p in eta:
-        scale *= Fraction(p ** p, math.factorial(p))
-    return IFunctionCoefficient(g, eta, None, scale * series.coefficient((target,)),
+    series = hodge_H_series(eta, target + 1)
+    return IFunctionCoefficient(g, eta, None,
+                                _hodge_prefactor(eta) * series.coefficient((target,)),
                                 z_degree)
 
 
@@ -284,13 +263,8 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     return ClassSum(d, terms)
 
 
-@dataclass(frozen=True)
-class CrosscheckRow:
-    d: int
-    k: int
-    matched: bool
-    lhs: ClassSum
-    rhs: ClassSum
+class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
+    __slots__ = ()
 
     def mismatches(self):
         out = []
@@ -302,11 +276,8 @@ class CrosscheckRow:
         return out
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    d_max: int
-    k_max: int
-    rows: tuple
+class CrosscheckReport(namedtuple("CrosscheckReport", "d_max k_max rows")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -346,10 +317,7 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
 # ------------------------------------------------------- stationary theory
 
 
-@dataclass(frozen=True)
-class StationaryGW:
-    total: Fraction
-    by_genus: dict
+StationaryGW = namedtuple("StationaryGW", "total by_genus")
 
 
 def stationary_gw(h: int, d: int, ks) -> StationaryGW:
@@ -374,14 +342,8 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
 # ------------------------------------------------------------------- ELSV
 
 
-@dataclass(frozen=True)
-class ElsvReport:
-    mu: tuple
-    g: int
-    m: int
-    stable: bool
-    lhs: Fraction | None
-    rhs: Fraction | None
+class ElsvReport(namedtuple("ElsvReport", "mu g m stable lhs rhs")):
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:
@@ -404,14 +366,11 @@ def elsv_check(mu, g: int) -> ElsvReport:
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
     target = 2 * g - 2
-    series = hodge_H_connected(mu, target + 1 + _SLACK)
-    scale = Fraction(math.factorial(m), z_factor(mu))
-    for p in mu:
-        scale *= Fraction(p ** p, math.factorial(p))
+    series = hodge_H_connected(mu, target + 1)
+    scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)
     lhs = scale * series.coefficient((target,))
     if d >= 2:
-        simple = (2,) + (1,) * (d - 2)
-        rhs = hurwitz_connected(BranchData(0, d, (mu,) + (simple,) * m))
+        rhs = hurwitz_connected(BranchData(0, d, (mu,) + (transposition_class(d),) * m))
     else:
         rhs = Fraction(0)  # no simple branching exists over a single sheet
     return ElsvReport(mu, g, m, True, lhs, rhs)

@@ -56,3 +56,18 @@ def test_light_commands_never_load_the_wedge_layer(tmp_path):
     assert "gwhurwitz.fock" not in loaded and "gwhurwitz.gwh" not in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms per process
     assert dataclasses_loaded == "False"
+
+
+def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
+    argvs = [COMMANDS["ifun"], ["cycle", "--d", "3", "--k", "2"],
+             ["elsv", "--mu", "(2,1)", "--g", "0"], ["verify", "--d-max", "2", "--k-max", "2"]]
+    script = ("import contextlib, io, sys\n"
+              "from gwhurwitz.cli import main\n"
+              f"for argv in {argvs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "print('gwhurwitz.gwh' in sys.modules, 'dataclasses' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]

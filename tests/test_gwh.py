@@ -73,15 +73,14 @@ class TestIFunctionNumeric:
             got = i_function_numeric(-len(eta) - 1, eta, 4)
             assert got.value == 0
 
-    def test_truncation_autoscaling_retries(self, monkeypatch):
-        # with a hostile slack the first pass cannot see the target
-        # coefficient; one doubling must recover it
+    @pytest.mark.parametrize("orders", [(2, 2), (3, 2), (6, 6), (10, 4), (4, 10)])
+    def test_word_evaluation_has_exactly_the_requested_orders(self, orders):
+        # the padding covers the word's loss exactly: no coefficient is
+        # computed past the request, and none the request needs is missing
         import gwhurwitz.gwh as gwh_module
-        monkeypatch.setattr(gwh_module, "_SLACK", -1)
-        gwh_module._i_correlator.cache_clear()
-        assert gwh_module.i_function_numeric(1, (2,), 2).value == \
-            i_function_numeric(1, (2,), 2).value
-        gwh_module._i_correlator.cache_clear()
+        for d in range(1, 5):
+            for eta in enumerate_partitions(d):
+                assert gwh_module._evaluate_i_correlator(eta, *orders).order == orders, eta
 
     def test_boundary_cap_matches_default_cap(self):
         vars = ("u", "w")
@@ -134,6 +133,23 @@ class TestCorrelatorStore:
         assert gwh_crosscheck(4, 6).passed
         assert len(calls) == len(set(calls)) == 190
         assert len(evaluations) == 11
+
+    def test_first_request_evaluates_exactly_the_orders_read(self, empty_store, monkeypatch):
+        first = {}
+        fetch = empty_store.i_function_numeric
+
+        def counted(g, eta, k):
+            first.setdefault(eta, (g, k))
+            return fetch(g, eta, k)
+
+        monkeypatch.setattr(empty_store, "i_function_numeric", counted)
+        evaluations = self._count_evaluations(empty_store, monkeypatch)
+        assert gwh_crosscheck(4, 6).passed
+        assert len(evaluations) == len(first) == 11
+        for eta, u_order, w_order in evaluations:
+            g, k = first[eta]
+            vd = 2 * g - 1 + sum(eta) + len(eta)
+            assert (u_order, w_order) == (max(vd + 1, 1), k + 2), eta
 
     def test_larger_request_replaces_entry(self, empty_store, monkeypatch):
         calls = self._count_evaluations(empty_store, monkeypatch)
@@ -210,6 +226,24 @@ class TestHodgeSeries:
         series = hodge_H_series((1,), 5)
         assert series.coefficient(-2) == 1
         assert all(series.coefficient(n) == 0 for n in range(-1, 5))
+
+    def test_series_has_exactly_the_requested_order(self, monkeypatch):
+        # the Hodge word loses no order, so its correlator is asked for the
+        # request plus the pole shift and nothing more
+        import gwhurwitz.gwh as gwh_module
+        asked = []
+
+        def recorded(word, mu_left, vars, order, energy_cap=None):
+            asked.append(order)
+            return correlator(word, mu_left, vars, order, energy_cap)
+
+        monkeypatch.setattr(gwh_module, "correlator", recorded)
+        for d in range(1, 5):
+            for eta in enumerate_partitions(d):
+                for u_order in range(-4, 7):
+                    asked.clear()
+                    assert hodge_H_series(eta, u_order).order == (u_order,), (eta, u_order)
+                    assert asked == [(u_order + len(eta) + d,)], (eta, u_order)
 
     def test_prefactor_cancellation_is_exact(self):
         for eta in [(2,), (3, 1), (4, 2, 2)]:
