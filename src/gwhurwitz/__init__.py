@@ -4,7 +4,7 @@ of target curves.
 
 Public names are imported on first use (PEP 562), so a process loads only
 the layers it touches: a character-table or Hurwitz count never loads the
-wedge engine.
+series core or the wedge engine.
 """
 
 import importlib

@@ -7,9 +7,10 @@ persisted per degree under the directory named by GWHURWITZ_CACHE_DIR
 (default ~/.cache/gwhurwitz); the cache is an optimization only and is
 rebuilt on any version or checksum mismatch.
 
-Each process loads only the layers its subcommand runs: the wedge and GW
-layer (`gwh`, and `fock` through it) is imported inside the subcommands
-that use it, so `hur`, `char` and `--help` never load it.
+Each process loads only the layers its subcommand runs: the GW layer
+(`gwh`, and the wedge engine `fock` and series core `qseries` through it)
+is imported inside the subcommands that use it, so `hur`, `char` and
+`--help` never load it.  Scalars are `int`s or `Fraction`s, printed by `str`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .characters import CharacterTable
 from .hurwitz import (DEFAULT_ORACLE_BOUND, ORACLE_CEILING, BranchData, hurwitz_connected,
                       hurwitz_disconnected, monodromy_oracle)
 from .partitions import enumerate_partitions, format_partition, parse_partition
-from .qseries import format_rational
 
 CACHE_ENV = "GWHURWITZ_CACHE_DIR"
 CACHE_VERSION = 1
@@ -179,7 +179,7 @@ def _cmd_hur(args) -> int:
     request = {"target_genus": args.target_genus, "d": args.d,
                "profiles": [format_partition(p) for p in profiles],
                "connected": bool(args.connected), "oracle": bool(args.oracle)}
-    _emit(_document("hur", request, {"value": format_rational(value)}), args.out)
+    _emit(_document("hur", request, {"value": str(value)}), args.out)
     return 0
 
 
@@ -204,8 +204,8 @@ def _cmd_gw(args) -> int:
 
     ks = _parse_ks(args.ks)
     got = stationary_gw(args.target_genus, args.d, ks)
-    result = {"total": format_rational(got.total),
-              "by_genus": {str(g): format_rational(v) for g, v in got.by_genus.items()}}
+    result = {"total": str(got.total),
+              "by_genus": {str(g): str(v) for g, v in got.by_genus.items()}}
     request = {"target_genus": args.target_genus, "d": args.d, "ks": ks}
     _emit(_document("gw", request, result), args.out)
     return 0
@@ -221,7 +221,7 @@ def _cmd_ifun(args) -> int:
         if args.k is None:
             raise SystemExit("ifun: --k is required unless --empty is given")
         got = i_function_numeric(args.g, eta, args.k)
-    result = {"value": format_rational(got.value), "z_degree": got.z_degree}
+    result = {"value": str(got.value), "z_degree": got.z_degree}
     request = {"g": args.g, "eta": format_partition(eta),
                "k": got.k, "empty": bool(args.empty)}
     _emit(_document("ifun", request, result), args.out)
@@ -235,8 +235,8 @@ def _cmd_elsv(args) -> int:
     report = elsv_check(mu, args.g)
     result = {"stable": report.stable, "m": report.m}
     if report.stable:
-        result.update({"lhs": format_rational(report.lhs),
-                       "rhs": format_rational(report.rhs),
+        result.update({"lhs": str(report.lhs),
+                       "rhs": str(report.rhs),
                        "equal": report.equal})
     _emit(_document("elsv", {"mu": format_partition(mu), "g": args.g}, result),
           args.out)

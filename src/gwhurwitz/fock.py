@@ -249,10 +249,11 @@ def apply_exp_alpha(r: int, state: FockState, energy_cap: int) -> FockState:
         m += 1
         term = apply_alpha(r, term, energy_cap).scaled(Fraction(1, m))
         if not term.terms:
+            if out is state:  # never lower the caller's guard
+                out = FockState(state.vars, state.terms, state.guard)
             out.updated_guard(term.guard)
-            break
+            return out
         out = out + term
-    return out
 
 
 def apply_expUF2(state: FockState, u_var: str = "u", scale=1, order=None) -> FockState:

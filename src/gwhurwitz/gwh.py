@@ -167,19 +167,23 @@ def hodge_H_series(eta, u_order: int) -> MultiSeries:
 def hodge_H_connected(eta, u_order: int) -> MultiSeries:
     """Connected linear-Hodge series by inclusion-exclusion over the parts.
 
-    Each block factor carries a pole of depth len+size at u = 0, so the
-    factors are computed deep enough that the product still guarantees the
-    requested order.
+    The block of sub-profile `sub` has a pole of depth len(sub) + |sub| at
+    u = 0, and in a product only the other blocks' poles cost it orders, so
+    it is evaluated to u_order + pole - len(sub) - |sub|, once per distinct
+    sub-profile.
     """
     eta = check_partition(eta)
     pole = len(eta) + sum(eta)
+    blocks_of = {}
     total = MultiSeries.zero(("u",), (u_order,), (-pole,))
     for blocks in set_partitions(len(eta)):
         sign = Fraction((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
         piece = MultiSeries.constant(sign, ("u",))
         for block in blocks:
             sub = tuple(sorted((eta[i] for i in block), reverse=True))
-            piece = piece * hodge_H_series(sub, u_order + pole)
+            if sub not in blocks_of:
+                blocks_of[sub] = hodge_H_series(sub, u_order + pole - len(sub) - sum(sub))
+            piece = piece * blocks_of[sub]
         total = total + piece
     return total
 
@@ -247,8 +251,6 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
         g_hi = (k + 2 - d - ell) // 2
         for g in range(g_hi, -ell - 1, -1):
             b = k + 2 - 2 * g - d - ell
-            if b < 0:
-                continue
             coeffs = [dh.coefficient((b,)) for dh in dhs]
             if not any(coeffs):
                 continue

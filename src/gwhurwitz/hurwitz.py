@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .characters import CharacterTable, f2_shifted
 from .partitions import ClassSum, check_partition, set_partitions, z_factor
-from .qseries import MultiSeries
 
 DEFAULT_ORACLE_BOUND = 5
 # the group context's d! x d! table has 1.6e9 entries at d = 8: never build it
@@ -114,33 +113,38 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
     return sum(branching_sums(h, d, [a.terms.items() for a in args]).values(), Fraction(0))
 
 
-def double_hurwitz_exp_series(mu, eta, u_order: int) -> MultiSeries:
+def double_hurwitz_exp_series(mu, eta, u_order: int):
     """Generating series of double covers with exponentiated simple branching.
 
-    The u^b coefficient is (-1)^b/b! times the disconnected double Hurwitz
-    number with b extra simple branch points.  The normalization constant
-    1/(z(mu) z(eta)) is pinned by the explicit-profile regression test
-    against `hurwitz_disconnected`.
+    Returns a `MultiSeries` in u whose u^n coefficient is (-1)^n/n! times the
+    disconnected double Hurwitz number with n extra simple branch points:
+    N_n / (z(mu) z(eta) n!) with the integer power sum
+    N_n = sum_lam chi^lam(mu) chi^lam(eta) (-f2(lam))^n.  The normalization
+    is pinned by the explicit-profile regression test against
+    `hurwitz_disconnected`.
     """
+    # the cover side's one series: the series core loads only when it is asked for
+    from .qseries import MultiSeries
+
     mu = check_partition(mu)
     eta = check_partition(eta)
     d = sum(mu)
     if sum(eta) != d:
         raise ValueError(f"size mismatch: |{mu}| != |{eta}|")
     table = CharacterTable.build(d)
-    norm = Fraction(1, z_factor(mu) * z_factor(eta))
-    coeffs = {}
-    for lam in table.partitions:
-        weight = norm * table.chi(lam, mu) * table.chi(lam, eta)
-        if not weight:
-            continue
-        ev = -f2_shifted(lam)
-        power = Fraction(1)
-        for n in range(u_order):
-            if power:
-                coeffs[(n,)] = coeffs.get((n,), Fraction(0)) + weight * power
-            power = power * ev / (n + 1)
-    return MultiSeries(("u",), (0,), (u_order,), coeffs)
+    i, j = table.partitions.index(mu), table.partitions.index(eta)
+    power_sums = [0] * max(u_order, 0)
+    for lam, row in zip(table.partitions, table.matrix):
+        term = row[i] * row[j]
+        if term:
+            ev = -int(f2_shifted(lam))  # f2 is a sum of contents: an integer
+            for n in range(len(power_sums)):
+                power_sums[n] += term
+                term *= ev
+    norm = z_factor(mu) * z_factor(eta)
+    return MultiSeries(("u",), (0,), (u_order,),
+                       {(n,): Fraction(total, norm * math.factorial(n))
+                        for n, total in enumerate(power_sums)})
 
 
 # ------------------------------------------------------------- brute force
@@ -163,16 +167,16 @@ class _GroupContext:
                 q[p[x]] = x
             self.inv[i] = self.index[tuple(q)]
 
-        self.cycle_type = [self._cycle_type(p) for p in self.perms]
-        self.class_elements = {}
-        for i, ct in enumerate(self.cycle_type):
-            self.class_elements.setdefault(ct, []).append(i)
-
         self.partitions = set_partitions(d)
         self.part_index = {p: i for i, p in enumerate(self.partitions)}
         self.discrete = self.part_index[tuple((i,) for i in range(d))]
         self.top = self.part_index[(tuple(range(d)),)]
         self.orbit_of = [self._orbit_partition(p) for p in self.perms]
+        # a permutation's cycle type is the block sizes of its orbit partition
+        shapes = [tuple(sorted(map(len, part), reverse=True)) for part in self.partitions]
+        self.class_elements = {}
+        for i, orbits in enumerate(self.orbit_of):
+            self.class_elements.setdefault(shapes[orbits], []).append(i)
         self._join = {}
         self._comm = None
 
@@ -196,21 +200,6 @@ class _GroupContext:
                     rows[sp] = [row_s[x] for x in row_p]
                     queue.append(sp)
         return rows
-
-    def _cycle_type(self, p) -> tuple:
-        seen = [False] * self.d
-        lengths = []
-        for x in range(self.d):
-            if seen[x]:
-                continue
-            m = 0
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                y = p[y]
-                m += 1
-            lengths.append(m)
-        return tuple(sorted(lengths, reverse=True))
 
     def _orbit_partition(self, p) -> int:
         seen = [False] * self.d

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qseries import format_rational
-
 
 def as_partition(parts) -> tuple:
     """Canonicalize and validate an iterable of parts."""
@@ -187,8 +185,7 @@ class ClassSum:
                 if mu in self.terms]
 
     def to_dict(self) -> dict:
-        return {format_partition(mu): format_rational(c)
-                for mu, c in self.items_canonical()}
+        return {format_partition(mu): str(c) for mu, c in self.items_canonical()}
 
     def __repr__(self):
         if not self.terms:

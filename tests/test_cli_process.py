@@ -41,9 +41,11 @@ def test_process_stdout_is_main_stdout(name, tmp_path, monkeypatch, capsys):
 
 
 def test_light_commands_never_load_the_wedge_layer(tmp_path):
+    argvs = [COMMANDS[n] for n in ("help", "hur", "hur_oracle", "char")]
+    argvs.append(COMMANDS["hur"] + ["--connected"])
     script = ("import contextlib, io, sys\n"
               "from gwhurwitz.cli import main\n"
-              f"for argv in {[COMMANDS[n] for n in ('help', 'hur', 'hur_oracle', 'char')]!r}:\n"
+              f"for argv in {argvs!r}:\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n"
@@ -54,6 +56,8 @@ def test_light_commands_never_load_the_wedge_layer(tmp_path):
     loaded, dataclasses_loaded = done.stdout.strip().splitlines()
     assert "gwhurwitz.cli" in loaded
     assert "gwhurwitz.fock" not in loaded and "gwhurwitz.gwh" not in loaded
+    # the counting layers print their scalars with str: the series core stays unloaded
+    assert "gwhurwitz.qseries" not in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms per process
     assert dataclasses_loaded == "False"
 

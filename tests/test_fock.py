@@ -327,6 +327,17 @@ class TestExpAlphaTermination:
         out = apply_exp_alpha(1, state, energy_cap=4)
         assert const_coeff(out, ()) == 0
 
+    def test_leaves_its_input_untouched(self):
+        # alpha_1 sends (2) - (1,1) to zero, so no term is left at m = 1: the
+        # result must still be a new state, and the input keeps its guard
+        s = MultiSeries.constant(1, UV, order=(5,))
+        state = FockState(UV, {(2,): s, (1, 1): -s})
+        out = apply_exp_alpha(1, state, 4)
+        assert out is not state
+        assert state.guard == (float("inf"),)
+        assert state.coefficient((3,)).is_exact_zero()
+        assert out.guard == (5,)
+
     def test_raising_respects_cap(self):
         out = apply_exp_alpha(-1, FockState.vacuum(UV), energy_cap=3)
         assert out.max_energy() <= 3

@@ -263,6 +263,26 @@ class TestHodgeSeries:
                 val = min(e[0] for e in series.coeffs)
                 assert val == -2 * len(eta), eta
 
+    def test_connected_evaluates_each_block_once_at_its_exact_order(self, monkeypatch):
+        # a block only loses the orders of the other blocks' poles, and a
+        # sub-profile shared by several set partitions is evaluated once
+        import gwhurwitz.gwh as gwh_module
+        asked = []
+
+        def recorded(eta, u_order):
+            asked.append((eta, u_order))
+            return hodge_H_series(eta, u_order)
+
+        monkeypatch.setattr(gwh_module, "hodge_H_series", recorded)
+        eta = (2, 1, 1, 1)
+        pole = len(eta) + sum(eta)
+        subs = [(2,), (1,), (2, 1), (1, 1), (2, 1, 1), (1, 1, 1), (2, 1, 1, 1)]
+        for u_order in (-4, 1, 3):
+            asked.clear()
+            assert hodge_H_connected(eta, u_order).order == (u_order,)
+            assert sorted(asked) == sorted(
+                (sub, u_order + pole - len(sub) - sum(sub)) for sub in subs)
+
     def test_connected_extraction_subtracts_products(self):
         full = hodge_H_series((1, 1), 2)
         conn = hodge_H_connected((1, 1), 2)

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwhurwitz.characters import dim_hook, f_eta, transposition_class
+from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
+                                  transposition_class)
 from gwhurwitz.hurwitz import (BranchData, _carvings, _GroupContext, branching_sums,
                                double_hurwitz_exp_series, hurwitz_classsum,
                                hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
-from gwhurwitz.partitions import ClassSum, aut_size, check_partition, enumerate_partitions
+from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
+                                  z_factor)
+from gwhurwitz.qseries import MultiSeries
 
 
 def profile_multisets(d, max_n):
@@ -123,6 +126,24 @@ class TestOracleAgreement:
         reference = [[ctx.index[tuple(p[q[x]] for x in range(d))] for q in ctx.perms]
                      for p in ctx.perms]
         assert ctx.mult == reference
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_classes_are_the_cycle_types(self, d):
+        def cycle_type(p):
+            seen, lengths = set(), []
+            for x in range(d):
+                m = 0
+                while x not in seen:
+                    seen.add(x)
+                    x, m = p[x], m + 1
+                if m:
+                    lengths.append(m)
+            return tuple(sorted(lengths, reverse=True))
+
+        ctx = _GroupContext(d)
+        assert sorted(ctx.class_elements) == sorted(enumerate_partitions(d))
+        for mu, elements in ctx.class_elements.items():
+            assert elements == [i for i, p in enumerate(ctx.perms) if cycle_type(p) == mu]
 
     def test_trivial_profile_is_identity_insertion(self):
         for d in (2, 3, 4):
@@ -254,6 +275,34 @@ class TestDoubleHurwitzSeries:
                     want = double_hurwitz_exp_series(mu, eta, 6) * \
                         (z_factor(mu) * z_factor(eta))
                     assert got.agrees_with(want), (mu, eta)
+
+    def test_matches_the_fraction_loop(self):
+        # reference: the per-coefficient Fraction sum the integer power sums replaced
+        def reference(mu, eta, u_order):
+            table = CharacterTable.build(sum(mu))
+            norm = F(1, z_factor(mu) * z_factor(eta))
+            coeffs = {}
+            for lam in table.partitions:
+                weight = norm * table.chi(lam, mu) * table.chi(lam, eta)
+                if not weight:
+                    continue
+                ev = -f2_shifted(lam)
+                power = F(1)
+                for n in range(u_order):
+                    if power:
+                        coeffs[(n,)] = coeffs.get((n,), F(0)) + weight * power
+                    power = power * ev / (n + 1)
+            return MultiSeries(("u",), (0,), (u_order,), coeffs)
+
+        def form(series):
+            return series.vars, series.floor, series.order, series.den, series.num
+
+        for d in range(7):
+            for mu in enumerate_partitions(d):
+                for eta in enumerate_partitions(d):
+                    for u_order in range(9):
+                        assert form(double_hurwitz_exp_series(mu, eta, u_order)) == \
+                            form(reference(mu, eta, u_order)), (mu, eta, u_order)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_coefficients_match_explicit_profiles(self, d):

@@ -77,3 +77,22 @@ def test_import_loads_only_what_is_touched():
     assert bare == "[]"
     assert "gwhurwitz.characters" in touched
     assert "gwhurwitz.fock" not in touched and "gwhurwitz.gwh" not in touched
+
+
+# each counting layer with the package modules it may load: only those below it
+LAYERS = {
+    "partitions": ["gwhurwitz.partitions"],
+    "characters": ["gwhurwitz.characters", "gwhurwitz.partitions"],
+    "hurwitz": ["gwhurwitz.characters", "gwhurwitz.hurwitz", "gwhurwitz.partitions"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_counting_layers_load_only_the_layers_below(module):
+    script = (f"import sys, gwhurwitz.{module}\n"
+              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(LAYERS[module])
