@@ -7,10 +7,21 @@ persisted per degree under the directory named by GWHURWITZ_CACHE_DIR
 (default ~/.cache/gwhurwitz); the cache is an optimization only and is
 rebuilt on any version or checksum mismatch.
 
-Each process loads only the layers its subcommand runs: the GW layer
-(`gwh`, and the wedge engine `fock` and series core `qseries` through it)
-is imported inside the subcommands that use it, so `hur`, `char` and
-`--help` never load it.  Scalars are `int`s or `Fraction`s, printed by `str`.
+Each process loads only the layers its subcommand runs.  Only `partitions`
+is imported at module level; `characters` is imported by the table-cache
+functions, `hurwitz` by `hur` and `verify`, and the GW layer `gwh` by the
+subcommands that use it.  The package modules each command loads:
+
+    --help          cli, partitions
+    char            cli, partitions, characters
+    hur --oracle    cli, partitions, hurwitz
+    hur             cli, partitions, characters, hurwitz
+    cycle           cli, partitions, qseries, gwh
+    ifun            cli, partitions, qseries, fock, gwh
+    gw              cli, partitions, qseries, gwh, characters, hurwitz
+    elsv, verify    all seven
+
+Scalars are `int`s or `Fraction`s, printed by `str`.
 """
 
 from __future__ import annotations
@@ -22,10 +33,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import __version__
-from .characters import CharacterTable
-from .hurwitz import (DEFAULT_ORACLE_BOUND, ORACLE_CEILING, BranchData, hurwitz_connected,
-                      hurwitz_disconnected, monodromy_oracle)
+from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING, __version__
 from .partitions import enumerate_partitions, format_partition, parse_partition
 
 CACHE_ENV = "GWHURWITZ_CACHE_DIR"
@@ -39,7 +47,7 @@ def cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "gwhurwitz")
 
 
-def _table_payload(degree: int, table: CharacterTable) -> dict:
+def _table_payload(degree: int, table) -> dict:
     return {
         "version": CACHE_VERSION,
         "d": degree,
@@ -59,11 +67,14 @@ def _cache_path(degree: int) -> str:
     return os.path.join(cache_dir(), f"chartable_d{degree}.json")
 
 
-def load_cached_table(degree: int) -> CharacterTable | None:
+def load_cached_table(degree: int):
     """Validated load; any mismatch means rebuild, never silent reuse.
 
-    Whatever the file holds, a malformed document, a wrong shape or a
-    non-integer entry reads as a miss and never raises."""
+    Returns a `CharacterTable` or None.  Whatever the file holds, a malformed
+    document, a wrong shape or a non-integer entry reads as a miss and never
+    raises."""
+    from .characters import CharacterTable
+
     path = _cache_path(degree)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -88,7 +99,7 @@ def load_cached_table(degree: int) -> CharacterTable | None:
     return CharacterTable(degree, partitions, matrix)
 
 
-def store_table(degree: int, table: CharacterTable) -> str:
+def store_table(degree: int, table) -> str:
     """Atomic write: temp file in the cache directory, then rename."""
     import tempfile
 
@@ -109,9 +120,12 @@ def store_table(degree: int, table: CharacterTable) -> str:
     return path
 
 
-def character_table(degree: int) -> CharacterTable:
-    """Cached table of the given degree; a cache that cannot be written
-    (say, a regular file named as its directory) leaves the table uncached."""
+def character_table(degree: int):
+    """Cached `CharacterTable` of the given degree; a cache that cannot be
+    written (say, a regular file named as its directory) leaves the table
+    uncached."""
+    from .characters import CharacterTable
+
     table = load_cached_table(degree)
     if table is None:
         table = CharacterTable.build(degree)
@@ -167,6 +181,8 @@ def _document(command: str, request: dict, result) -> dict:
 
 
 def _cmd_hur(args) -> int:
+    from .hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, monodromy_oracle
+
     profiles = _parse_profiles(args.profiles)
     branch = BranchData(args.target_genus, args.d, profiles)
     if args.oracle:
@@ -245,6 +261,7 @@ def _cmd_elsv(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .gwh import gwh_crosscheck
+    from .hurwitz import BranchData, hurwitz_disconnected, monodromy_oracle
 
     report = gwh_crosscheck(args.d_max, args.k_max)
     doc = {"command": "verify", "version": __version__,

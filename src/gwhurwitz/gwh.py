@@ -6,17 +6,21 @@ wall-crossing assembly through double Hurwitz series and infinite-wedge
 correlators (`tau_via_wallcrossing`).  `gwh_crosscheck` certifies their
 termwise agreement; `elsv_check` ties the correlator route to brute-force
 cover counts through linear Hodge integrals.
+
+Only `partitions` and the series core `qseries` are imported at module
+level, so each function loads only the layers its route runs.  The wedge
+engine `fock` is imported by `_evaluate_i_correlator` and `hodge_H_series`,
+so by the I-coefficients and the Hodge series; the cover side (`hurwitz`
+and `characters`) by `tau_via_wallcrossing`, `stationary_gw` and
+`elsv_check`.  The closed formula `completed_cycle` loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .characters import transposition_class
-from .fock import Alpha, AStarOp, ExpAlpha, ExpUF2, correlator
-from .hurwitz import BranchData, branching_sums, double_hurwitz_exp_series, hurwitz_connected
 from .partitions import (ClassSum, check_partition, enumerate_partitions,
                          format_partition, set_partitions, subpartitions_by_removing_ones,
                          z_factor)
@@ -83,6 +87,8 @@ def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSerie
     cost, and the atoms to its left only raise or preserve energy, so states
     above the boundary energy can never pair.
     """
+    from .fock import AStarOp, ExpAlpha, ExpUF2, correlator
+
     vars = ("u", "w")
     order = (u_order + _I_WORD_LOSS, w_order + _I_WORD_LOSS)
     a = MultiSeries.monomial(vars, (0, 1), 1, order)
@@ -154,6 +160,8 @@ def hodge_H_series(eta, u_order: int) -> MultiSeries:
     energy-raising alphas, shifted by u^(-len(eta)-|eta|) and the
     prod(eta_j!/eta_j^eta_j) prefactor.
     """
+    from .fock import Alpha, ExpAlpha, ExpUF2, correlator
+
     eta = check_partition(eta)
     if not eta:
         raise ValueError("eta must be nonempty")
@@ -170,17 +178,23 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
     The block of sub-profile `sub` has a pole of depth len(sub) + |sub| at
     u = 0, and in a product only the other blocks' poles cost it orders, so
     it is evaluated to u_order + pole - len(sub) - |sub|, once per distinct
-    sub-profile.
+    sub-profile.  Set partitions with the same multiset of sub-profiles give
+    the same product, so it is formed once per multiset, weighted by their
+    number.
     """
     eta = check_partition(eta)
     pole = len(eta) + sum(eta)
+    classes = Counter()
+    for blocks in set_partitions(len(eta)):
+        subs = (tuple(sorted((eta[i] for i in block), reverse=True)) for block in blocks)
+        classes[tuple(sorted(subs))] += 1
     blocks_of = {}
     total = MultiSeries.zero(("u",), (u_order,), (-pole,))
-    for blocks in set_partitions(len(eta)):
-        sign = Fraction((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
-        piece = MultiSeries.constant(sign, ("u",))
-        for block in blocks:
-            sub = tuple(sorted((eta[i] for i in block), reverse=True))
+    for subs, count in classes.items():
+        n = len(subs)
+        weight = Fraction(count * (-1) ** (n - 1) * math.factorial(n - 1))
+        piece = MultiSeries.constant(weight, ("u",))
+        for sub in subs:
             if sub not in blocks_of:
                 blocks_of[sub] = hodge_H_series(sub, u_order + pole - len(sub) - sum(sub))
             piece = piece * blocks_of[sub]
@@ -240,6 +254,8 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     I-coefficient asked of a profile is the one with the largest truncation
     order.
     """
+    from .hurwitz import double_hurwitz_exp_series
+
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
     mus = enumerate_partitions(d)
@@ -329,6 +345,8 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     the source genus (d(2h-2) + b)/2 + 1.  An odd grade holds only monomials
     that vanish by the sign symmetry lam <-> lam', so a nonzero one raises.
     """
+    from .hurwitz import branching_sums
+
     cycles = [completed_cycle(k, d).value.terms.items() for k in ks]
     by_genus: dict[int, Fraction] = {}
     for b, value in sorted(branching_sums(h, d, cycles).items()):
@@ -360,6 +378,9 @@ def elsv_check(mu, g: int) -> ElsvReport:
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed.
     """
+    from .characters import transposition_class
+    from .hurwitz import BranchData, hurwitz_connected
+
     mu = check_partition(mu)
     d = sum(mu)
     if d < 1:

@@ -6,7 +6,9 @@ one permutation per branch profile equals the identity), so every
 normalization in the package can be pinned against honest enumeration.
 Transitivity is tracked through the join of the generators' orbit
 partitions, which turns the transitive count into the same dynamic
-programming sweep over (partial product, partial orbit join) pairs.
+programming sweep over (partial product, partial orbit join) pairs.  Only
+the character sums import `characters`, so the oracle, their independent
+check, runs without it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import CharacterTable, f2_shifted
+from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
 from .partitions import ClassSum, check_partition, set_partitions, z_factor
-
-DEFAULT_ORACLE_BOUND = 5
-# the group context's d! x d! table has 1.6e9 entries at d = 8: never build it
-ORACLE_CEILING = 8
 
 
 class BranchData:
@@ -76,6 +74,8 @@ def branching_sums(h: int, d: int, factors) -> dict:
     Each factor is an iterable of (partition, coefficient) pairs of degree d;
     grade b keeps the monomials of total branching b = sum_j (d - len(mu_j)).
     """
+    from .characters import CharacterTable
+
     table = CharacterTable.build(d)
     dfact = math.factorial(d)
     # the table's partitions are canonical by construction, so each is a column
@@ -123,6 +123,7 @@ def double_hurwitz_exp_series(mu, eta, u_order: int):
     is pinned by the explicit-profile regression test against
     `hurwitz_disconnected`.
     """
+    from .characters import CharacterTable, f2_shifted
     # the cover side's one series: the series core loads only when it is asked for
     from .qseries import MultiSeries
 
@@ -311,17 +312,21 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
 # ------------------------------------------------- connected from splittings
 
 
-def _carvings(eta, d1: int) -> list:
+@lru_cache(maxsize=4096)
+def _carvings(eta, d1: int) -> tuple:
     """Each distinct sub-multiset of eta's parts with total d1, paired with the
-    rest; the largest carved part is taken at its value's first occurrence."""
+    rest; the largest carved part is taken at its value's first occurrence.
+
+    Memoized, since the connected recursion carves the same profiles at every
+    level; the answer is a tuple, so callers can share it."""
     if d1 == 0:
-        return [((), eta)]
+        return (((), eta),)
     out = []
     for i, p in enumerate(eta):
         if p <= d1 and (i == 0 or eta[i - 1] != p):
             for carved, rest in _carvings(eta[i + 1:], d1 - p):
                 out.append(((p,) + carved, eta[:i] + rest))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -75,3 +75,40 @@ def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "False"]
+
+
+# each subcommand with exactly the package modules its route runs
+ALL_LAYERS = ["characters", "cli", "fock", "gwh", "hurwitz", "partitions", "qseries"]
+MODULE_SETS = {
+    "help": (COMMANDS["help"], ["cli", "partitions"]),
+    "char": (COMMANDS["char"], ["characters", "cli", "partitions"]),
+    "hur": (COMMANDS["hur"], ["characters", "cli", "hurwitz", "partitions"]),
+    "hur_connected": (COMMANDS["hur"] + ["--connected"],
+                      ["characters", "cli", "hurwitz", "partitions"]),
+    # the oracle, which checks the character sums, shares no code with them
+    "hur_oracle": (COMMANDS["hur_oracle"], ["cli", "hurwitz", "partitions"]),
+    # the closed-formula route loads neither the wedge engine nor the characters
+    "cycle": (["cycle", "--d", "3", "--k", "2"], ["cli", "gwh", "partitions", "qseries"]),
+    "ifun": (COMMANDS["ifun"], ["cli", "fock", "gwh", "partitions", "qseries"]),
+    "ifun_empty": (["ifun", "--g", "0", "--eta", "(2,1)", "--empty"],
+                   ["cli", "fock", "gwh", "partitions", "qseries"]),
+    "gw": (["gw", "--target-genus", "1", "--d", "2", "--ks", "1,1"],
+           ["characters", "cli", "gwh", "hurwitz", "partitions", "qseries"]),
+    "elsv": (["elsv", "--mu", "(2,1)", "--g", "0"], ALL_LAYERS),
+    "verify": (["verify", "--d-max", "2", "--k-max", "2"], ALL_LAYERS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_SETS))
+def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
+    # one fresh process per command: modules loaded by one would hide another's
+    argv, layers = MODULE_SETS[name]
+    script = ("import contextlib, io, sys\n"
+              "from gwhurwitz.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"0 {[f'gwhurwitz.{m}' for m in layers]}"

@@ -230,14 +230,14 @@ class TestHodgeSeries:
     def test_series_has_exactly_the_requested_order(self, monkeypatch):
         # the Hodge word loses no order, so its correlator is asked for the
         # request plus the pole shift and nothing more
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.fock as fock_module
         asked = []
 
         def recorded(word, mu_left, vars, order, energy_cap=None):
             asked.append(order)
             return correlator(word, mu_left, vars, order, energy_cap)
 
-        monkeypatch.setattr(gwh_module, "correlator", recorded)
+        monkeypatch.setattr(fock_module, "correlator", recorded)
         for d in range(1, 5):
             for eta in enumerate_partitions(d):
                 for u_order in range(-4, 7):
@@ -282,6 +282,55 @@ class TestHodgeSeries:
             assert hodge_H_connected(eta, u_order).order == (u_order,)
             assert sorted(asked) == sorted(
                 (sub, u_order + pole - len(sub) - sum(sub)) for sub in subs)
+
+    def test_connected_matches_the_loop_over_set_partitions(self):
+        # the former loop, one product per set partition, kept as the reference;
+        # equality is structural: vars, floor, order and every coefficient
+        from gwhurwitz.partitions import set_partitions
+        blocks_of = {}
+
+        def block(sub, u_order):
+            if (sub, u_order) not in blocks_of:
+                blocks_of[sub, u_order] = hodge_H_series(sub, u_order)
+            return blocks_of[sub, u_order]
+
+        def reference(eta, u_order):
+            pole = len(eta) + sum(eta)
+            total = MultiSeries.zero(("u",), (u_order,), (-pole,))
+            for blocks in set_partitions(len(eta)):
+                sign = F((-1) ** (len(blocks) - 1) * math.factorial(len(blocks) - 1))
+                piece = MultiSeries.constant(sign, ("u",))
+                for b in blocks:
+                    sub = tuple(sorted((eta[i] for i in b), reverse=True))
+                    piece = piece * block(sub, u_order + pole - len(sub) - sum(sub))
+                total = total + piece
+            return total
+
+        for d in range(1, 6):
+            for eta in enumerate_partitions(d):
+                for u_order in range(-4, 5):
+                    assert hodge_H_connected(eta, u_order) == reference(eta, u_order), \
+                        (eta, u_order)
+
+    def test_connected_forms_one_product_per_block_multiset(self, monkeypatch):
+        # the 52 set partitions of (1,1,1,1,1) fall into 7 block multisets, one
+        # per partition of 5, with 20 blocks between them (151 over all 52)
+        import gwhurwitz.gwh as gwh_module
+        eta, u_order = (1, 1, 1, 1, 1), 1
+        pole = len(eta) + sum(eta)
+        blocks_of = {(1,) * n: hodge_H_series((1,) * n, u_order + pole - 2 * n)
+                     for n in range(1, 6)}
+        monkeypatch.setattr(gwh_module, "hodge_H_series", lambda sub, order: blocks_of[sub])
+        products = []
+        multiply = MultiSeries.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        hodge_H_connected(eta, u_order)
+        assert len(products) == 20
 
     def test_connected_extraction_subtracts_products(self):
         full = hodge_H_series((1, 1), 2)
@@ -433,10 +482,10 @@ class TestStationary:
         # Riemann-Hurwitz forces even total branching, so a nonzero count
         # for a single transposition over the sphere is an internal fault;
         # it must raise even under python -O
-        import gwhurwitz.gwh as gwh_module
-        monkeypatch.setattr(gwh_module, "branching_sums", lambda h, d, factors: {1: F(1)})
+        import gwhurwitz.hurwitz as hurwitz_module
+        monkeypatch.setattr(hurwitz_module, "branching_sums", lambda h, d, factors: {1: F(1)})
         with pytest.raises(ArithmeticError, match="odd total branching"):
-            gwh_module.stationary_gw(0, 2, [1])
+            stationary_gw(0, 2, [1])
 
     def test_odd_branching_check_sees_the_real_sum(self, monkeypatch):
         # a degree-2 table with chi^(1,1)((2)) flipped to +1 breaks the sign

@@ -224,6 +224,9 @@ def test_carvings_match_brute_force_over_index_subsets():
                     assert check_partition(carved) == carved
                     assert check_partition(rest) == rest
                     assert tuple(sorted(carved + rest, reverse=True)) == eta
+                # a memoized answer is shared between callers: it must be immutable
+                assert isinstance(got, tuple), (eta, d1)
+    assert _carvings.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

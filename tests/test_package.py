@@ -83,7 +83,7 @@ def test_import_loads_only_what_is_touched():
 LAYERS = {
     "partitions": ["gwhurwitz.partitions"],
     "characters": ["gwhurwitz.characters", "gwhurwitz.partitions"],
-    "hurwitz": ["gwhurwitz.characters", "gwhurwitz.hurwitz", "gwhurwitz.partitions"],
+    "hurwitz": ["gwhurwitz.hurwitz", "gwhurwitz.partitions"],
 }
 
 
