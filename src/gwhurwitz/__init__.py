@@ -27,8 +27,8 @@ _EXPORTS = {
             "StationaryGW", "completed_cycle", "elsv_check", "gwh_crosscheck",
             "hodge_H_connected", "hodge_H_series", "i_function_empty", "i_function_numeric",
             "i_function_unstable_connected", "rho", "stationary_gw", "tau_via_wallcrossing"),
-    "hurwitz": ("BranchData", "double_hurwitz_exp_series", "hurwitz_classsum",
-                "hurwitz_connected", "hurwitz_disconnected", "monodromy_oracle"),
+    "hurwitz": ("BranchData", "hurwitz_classsum", "hurwitz_connected",
+                "hurwitz_disconnected", "monodromy_oracle"),
     "partitions": ("ClassSum", "as_partition", "enumerate_partitions", "format_partition",
                    "parse_partition", "subpartitions_by_removing_ones", "z_factor"),
     "qseries": ("INF", "MultiSeries", "PrecisionError", "Rational", "SeriesError",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from .partitions import check_partition
 from .qseries import INF, MultiSeries, VariableMismatchError, s_of, sigma_of
@@ -173,11 +174,23 @@ class FockState:
         return f"FockState({self.to_debug_dict()})"
 
 
+def _least_floor(state: FockState) -> tuple:
+    """Componentwise min of 0 and the floors of the state's terms."""
+    return tuple(map(min, zip((0,) * len(state.vars), *(s.floor for s in state.terms.values()))))
+
+
 def inner_product(bra: FockState, ket: FockState) -> MultiSeries:
-    """Orthonormal-basis pairing; the result honours both states' guards."""
+    """Orthonormal-basis pairing; the result honours both states' guards.
+
+    A term one side dropped is unknown from that side's guard on, and the
+    other side's terms can lower it by their least floor, so each guard is
+    shifted by the other side's least floor.
+    """
     if bra.vars != ket.vars:
         raise VariableMismatchError(f"{bra.vars} vs {ket.vars}")
-    total = MultiSeries.zero(bra.vars, tuple(min(a, b) for a, b in zip(bra.guard, ket.guard)))
+    bra_floor, ket_floor = _least_floor(bra), _least_floor(ket)
+    order = tuple(map(min, map(add, bra.guard, ket_floor), map(add, ket.guard, bra_floor)))
+    total = MultiSeries.zero(bra.vars, order, tuple(map(add, bra_floor, ket_floor)))
     for lam, series in bra.terms.items():
         other = ket.terms.get(lam)
         if other is not None:

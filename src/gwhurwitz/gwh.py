@@ -2,17 +2,18 @@
 
 Two independent routes to the same class sums are implemented: a closed
 formula through even-kernel series coefficients (`completed_cycle`) and the
-wall-crossing assembly through double Hurwitz series and infinite-wedge
-correlators (`tau_via_wallcrossing`).  `gwh_crosscheck` certifies their
-termwise agreement; `elsv_check` ties the correlator route to brute-force
-cover counts through linear Hodge integrals.
+wall-crossing assembly, whose double Hurwitz factors are summed through the
+irreducible characters, against infinite-wedge correlators
+(`tau_via_wallcrossing`).  `gwh_crosscheck` certifies their termwise
+agreement; `elsv_check` ties the correlator route to brute-force cover
+counts through linear Hodge integrals.
 
 Only `partitions` and the series core `qseries` are imported at module
 level, so each function loads only the layers its route runs.  The wedge
 engine `fock` is imported by `_evaluate_i_correlator` and `hodge_H_series`,
-so by the I-coefficients and the Hodge series; the cover side (`hurwitz`
-and `characters`) by `tau_via_wallcrossing`, `stationary_gw` and
-`elsv_check`.  The closed formula `completed_cycle` loads neither.
+so by the I-coefficients and the Hodge series; `characters` by
+`tau_via_wallcrossing` and `elsv_check`; `hurwitz` by `stationary_gw` and
+`elsv_check`.  The closed formula `completed_cycle` loads none of them.
 """
 
 from __future__ import annotations
@@ -73,28 +74,32 @@ def completed_cycle(k: int, d: int) -> CompletedCycle:
 
 IFunctionCoefficient = namedtuple("IFunctionCoefficient", "g eta k value z_degree")
 
-# The word carries a single 1/sigma(uw) factor: dividing out uw and then
+# The ket A*|0> carries a single 1/sigma(uw) factor: dividing out uw and then
 # multiplying by (uw)^-1 each cost one order in u and one in w.
 _I_WORD_LOSS = 2
 
 
 def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
-    """Raw boundary pairing against the adjoint-operator word.
+    """Raw boundary pairing <eta| e^(uF2) e^(alpha_-1) A*(w, uw) |0>, bra first.
 
-    The word is evaluated _I_WORD_LOSS orders deeper than requested, so the
-    result carries exactly the orders (u_order, w_order).  Evaluated with the
-    energy cap |eta|: the adjoint operator raises energy at unit series
-    cost, and the atoms to its left only raise or preserve energy, so states
-    above the boundary energy can never pair.
+    The adjoint of the left word is e^(alpha_1) e^(uF2) applied to |eta>, so
+    the bra carries u only and is paired once with the ket A*|0>.  Both are
+    evaluated _I_WORD_LOSS orders deeper than requested, so the result
+    carries exactly the orders (u_order, w_order).  Energies are capped at
+    |eta|: A* raises energy at unit series cost and e^(alpha_1) only lowers
+    it, so states above the boundary energy can never pair.
     """
-    from .fock import AStarOp, ExpAlpha, ExpUF2, correlator
+    from .fock import FockState, apply_Astar, apply_exp_alpha, apply_expUF2, \
+        boson_state, inner_product
 
     vars = ("u", "w")
     order = (u_order + _I_WORD_LOSS, w_order + _I_WORD_LOSS)
+    cap = sum(eta)
+    bra = apply_exp_alpha(1, apply_expUF2(boson_state(eta, vars), "u", 1, order), cap)
     a = MultiSeries.monomial(vars, (0, 1), 1, order)
     b = MultiSeries.monomial(vars, (1, 1), 1, order)
-    word = [ExpUF2(1), ExpAlpha(-1), AStarOp(a, b)]
-    return correlator(word, eta, vars, order, energy_cap=sum(eta))
+    ket = apply_Astar(a, b, FockState.vacuum(vars), cap)
+    return inner_product(bra, ket).truncated((u_order, w_order))
 
 
 # eta -> the pairing at the largest orders requested so far (its `.order`)
@@ -246,39 +251,36 @@ def i_function_unstable_connected(n: int, eta) -> IFunctionCoefficient:
 def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     """Assemble the degree-d descendent class sum from the crossing route.
 
-    For each profile eta the genus runs down from the bound where the
-    simple-branching count b = k+2-2g-d-len(eta) stays nonnegative to
-    -len(eta) (the marking may sit on its own component); the double Hurwitz
-    series coefficient at u^b multiplies the one-marking I-coefficient.  The
-    profile loop is outermost and the genus runs downward, so the first
+    The double Hurwitz factors are summed through the irreducibles:
+    the coefficient of mu is sum_lam chi^lam(mu) c_lam with
+    c_lam = sum_eta chi^lam(eta)/z(eta) sum_g (-f2(lam))^b/b! I(g, eta, k),
+    where b = k+2-2g-d-len(eta) counts the simple branch points.  For each
+    profile eta the genus runs down from the bound where b stays nonnegative
+    to -len(eta) (the marking may sit on its own component), so the first
     I-coefficient asked of a profile is the one with the largest truncation
-    order.
+    order.  An I-coefficient is fetched only when some chi^lam(eta)(-f2)^b
+    is nonzero.
     """
-    from .hurwitz import double_hurwitz_exp_series
+    from .characters import CharacterTable, f2_shifted
 
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    mus = enumerate_partitions(d)
-    totals = dict.fromkeys(mus, Fraction(0))
-    for eta in enumerate_partitions(d):
+    table = CharacterTable.build(d)
+    evs = [-int(f2_shifted(lam)) for lam in table.partitions]  # an integer: a content sum
+    c = [Fraction(0)] * len(evs)
+    for col, eta in enumerate(table.partitions):
         ell = len(eta)
-        b_max = k + 2 - d - ell + 2 * ell
-        dhs = [double_hurwitz_exp_series(mu, eta, max(b_max, 0) + 1) for mu in mus]
+        chis = [row[col] for row in table.matrix]
         g_hi = (k + 2 - d - ell) // 2
         for g in range(g_hi, -ell - 1, -1):
             b = k + 2 - 2 * g - d - ell
-            coeffs = [dh.coefficient((b,)) for dh in dhs]
-            if not any(coeffs):
+            weights = [chi * ev ** b for chi, ev in zip(chis, evs)]
+            if not any(weights):
                 continue
-            value = i_function_numeric(g, eta, k).value
-            for mu, coeff in zip(mus, coeffs):
-                totals[mu] += coeff * value
-    terms = {}
-    for mu in mus:
-        total = totals[mu] * z_factor(mu)
-        if total:
-            terms[mu] = total
-    return ClassSum(d, terms)
+            value = i_function_numeric(g, eta, k).value / (z_factor(eta) * math.factorial(b))
+            c = [c_lam + weight * value for c_lam, weight in zip(c, weights)]
+    return ClassSum(d, {mu: sum(row[col] * c_lam for row, c_lam in zip(table.matrix, c))
+                        for col, mu in enumerate(table.partitions)})
 
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):

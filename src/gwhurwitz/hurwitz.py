@@ -8,7 +8,8 @@ Transitivity is tracked through the join of the generators' orbit
 partitions, which turns the transitive count into the same dynamic
 programming sweep over (partial product, partial orbit join) pairs.  Only
 the character sums import `characters`, so the oracle, their independent
-check, runs without it.
+check, runs without it.  No count here builds a series, so the series core
+`qseries` is never loaded.
 """
 
 from __future__ import annotations
@@ -111,41 +112,6 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
         if not isinstance(a, ClassSum) or a.degree != d:
             raise ValueError("arguments must be class sums of the stated degree")
     return sum(branching_sums(h, d, [a.terms.items() for a in args]).values(), Fraction(0))
-
-
-def double_hurwitz_exp_series(mu, eta, u_order: int):
-    """Generating series of double covers with exponentiated simple branching.
-
-    Returns a `MultiSeries` in u whose u^n coefficient is (-1)^n/n! times the
-    disconnected double Hurwitz number with n extra simple branch points:
-    N_n / (z(mu) z(eta) n!) with the integer power sum
-    N_n = sum_lam chi^lam(mu) chi^lam(eta) (-f2(lam))^n.  The normalization
-    is pinned by the explicit-profile regression test against
-    `hurwitz_disconnected`.
-    """
-    from .characters import CharacterTable, f2_shifted
-    # the cover side's one series: the series core loads only when it is asked for
-    from .qseries import MultiSeries
-
-    mu = check_partition(mu)
-    eta = check_partition(eta)
-    d = sum(mu)
-    if sum(eta) != d:
-        raise ValueError(f"size mismatch: |{mu}| != |{eta}|")
-    table = CharacterTable.build(d)
-    i, j = table.partitions.index(mu), table.partitions.index(eta)
-    power_sums = [0] * max(u_order, 0)
-    for lam, row in zip(table.partitions, table.matrix):
-        term = row[i] * row[j]
-        if term:
-            ev = -int(f2_shifted(lam))  # f2 is a sum of contents: an integer
-            for n in range(len(power_sums)):
-                power_sums[n] += term
-                term *= ev
-    norm = z_factor(mu) * z_factor(eta)
-    return MultiSeries(("u",), (0,), (u_order,),
-                       {(n,): Fraction(total, norm * math.factorial(n))
-                        for n, total in enumerate(power_sums)})
 
 
 # ------------------------------------------------------------- brute force

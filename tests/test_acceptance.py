@@ -39,6 +39,15 @@ def test_criterion_1_route_equivalence():
     report(f"criterion 1: route equivalence d<=3 k<=6 ({elapsed:.1f}s)", ok and elapsed < 300)
 
 
+def test_criterion_1_route_equivalence_to_degree_8():
+    start = time.time()
+    # k runs down, so the first I-coefficient asked of a profile is its largest
+    ok = all(completed_cycle(k, d).value == tau_via_wallcrossing(k, d)
+             for d in range(1, 9) for k in range(10, -1, -1))
+    elapsed = time.time() - start
+    report(f"criterion 1: route equivalence d<=8 k<=10 ({elapsed:.1f}s)", ok and elapsed < 300)
+
+
 def test_criterion_2_burnside_vs_oracle():
     start = time.time()
     ok = True

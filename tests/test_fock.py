@@ -12,8 +12,8 @@ from gwhurwitz.fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState,
                             apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
                             correlator, e_moves, f2_eigenvalue, inner_product)
 from gwhurwitz.partitions import enumerate_partitions
-from gwhurwitz.qseries import (MultiSeries, VariableMismatchError, pochhammer_series,
-                               s_of, sigma_of, sigma_series)
+from gwhurwitz.qseries import (MultiSeries, PrecisionError, VariableMismatchError,
+                               pochhammer_series, s_of, sigma_of, sigma_series)
 
 UV = ("u",)
 
@@ -249,6 +249,34 @@ class TestHypergeometricOperators:
         expected = ((a * s_of(b).log()).exp() * sigma_of(b)
                     * sigma_of(b * 2) * poch2.inverse())
         assert got.agrees_with(expected)
+
+
+class TestInnerProduct:
+    def test_dropped_term_times_polar_term_is_unknown(self):
+        # the bra dropped its vacuum term, which is unknown from its guard
+        # (4, 4) on; times the ket's vacuum term of floor (-1, -1) it is
+        # unknown from (3, 3) on, so u^3 w^-1 must raise or be exact
+        vars, order = ("u", "w"), (4, 4)
+        bra = apply_exp_alpha(1, apply_expUF2(boson_state((5,), vars), "u", 1, order), 5)
+        a = MultiSeries.monomial(vars, (0, 1), 1, order)
+        b = MultiSeries.monomial(vars, (1, 1), 1, order)
+        ket = apply_Astar(a, b, FockState.vacuum(vars), 5)
+        assert () not in bra.terms and ket.terms[()].floor == (-1, -1)
+        pairing = inner_product(bra, ket)
+        try:
+            value = pairing.coefficient((3, -1))
+        except PrecisionError:
+            return
+        assert value == F(125, 24)
+
+    def test_order_and_floor_shift_by_the_other_side(self):
+        vars = ("u", "w")
+        polar = MultiSeries.monomial(vars, (-1, -2), 1, (3, 3))
+        bra = FockState(vars, {(1,): MultiSeries.constant(1, vars)}, guard=(5, 4))
+        ket = FockState(vars, {(1,): polar, (2,): polar})
+        pairing = inner_product(bra, ket)
+        assert pairing.floor == (-1, -2)
+        assert pairing.order == (3, 2)
 
 
 class TestCorrelator:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwhurwitz.fock import AStarOp, ExpAlpha, correlator
+from gwhurwitz.fock import AStarOp, ExpAlpha, ExpUF2, correlator
 from gwhurwitz.gwh import (CompletedCycle, UnsupportedUnstableCase, completed_cycle,
                            elsv_check, gwh_crosscheck, hodge_H_connected,
                            hodge_H_series, i_function_empty, i_function_numeric,
@@ -81,6 +81,32 @@ class TestIFunctionNumeric:
         for d in range(1, 5):
             for eta in enumerate_partitions(d):
                 assert gwh_module._evaluate_i_correlator(eta, *orders).order == orders, eta
+
+    def test_bra_first_pairing_equals_the_operator_word(self):
+        # reference: the word <eta| e^(uF2) e^(alpha_-1) A* |0> applied to the
+        # vacuum right to left, at the same padded orders and truncation
+        import gwhurwitz.gwh as gwh_module
+
+        def word_pairing(eta, u_order, w_order):
+            vars = ("u", "w")
+            pad = gwh_module._I_WORD_LOSS
+            order = (u_order + pad, w_order + pad)
+            a = MultiSeries.monomial(vars, (0, 1), 1, order)
+            b = MultiSeries.monomial(vars, (1, 1), 1, order)
+            word = [ExpUF2(1), ExpAlpha(-1), AStarOp(a, b)]
+            series = correlator(word, eta, vars, order, energy_cap=sum(eta))
+            return series.truncated((u_order, w_order))
+
+        def form(series):
+            return series.vars, series.floor, series.order, series.den, series.num
+
+        for d in range(1, 6):
+            for eta in enumerate_partitions(d):
+                g = (12 - d - len(eta)) // 2  # the top genus of a k = 10 request
+                vd = 2 * g - 1 + d + len(eta)
+                for orders in [(2, 2), (3, 2), (6, 6), (10, 4), (4, 10), (max(vd + 1, 1), 12)]:
+                    assert form(gwh_module._evaluate_i_correlator(eta, *orders)) == \
+                        form(word_pairing(eta, *orders)), (eta, orders)
 
     def test_boundary_cap_matches_default_cap(self):
         vars = ("u", "w")
