@@ -4,12 +4,18 @@ Characters are computed by the Murnaghan-Nakayama border-strip recursion on
 beta-sets stored as integer bit masks: removing a strip of m cells moves a
 bead from b to an empty b - m, and its height is the number of beads in
 between.  Values are memoized in one dict per remaining class, keyed by
-mask, with the largest part of the class stripped first.  A table build
-computes one row of each conjugate pair {lam, lam'} and fills the other by
-the sign character; its memo ends with the build, and whole tables per
-degree (up to MAX_TABLE_DEGREE) are cached in memory.  The transposition
-eigenvalue f2 is computed from shifted coordinates without touching
-characters, so the two can be compared as independent routes.
+mask, with the largest part of the class stripped first.  Both readers
+compute one row of each conjugate pair {lam, lam'} and fill the other by the
+sign character, with a memo that ends with the call:
+
+- `character_columns` reads only the columns it is asked for, with each
+  row's dimension; the character sums of `hurwitz` use it.
+- `CharacterTable.build` reads every column; whole tables per degree are
+  cached in memory.  `char` and the wall-crossing route use it.
+
+Both refuse degrees above MAX_TABLE_DEGREE before enumerating anything.  The
+transposition eigenvalue f2 is computed from shifted coordinates without
+touching characters, so the two can be compared as independent routes.
 """
 
 from __future__ import annotations
@@ -21,9 +27,17 @@ from functools import lru_cache
 from .partitions import check_partition, enumerate_partitions, z_factor
 
 
-# full tables stop at p(24) = 1575 rows, a build of a few seconds; single
-# values through `chi` are not capped
+# full tables stop at p(24) = 1575 rows, a build of a few seconds; column
+# reads stop there too; single values through `chi` are not capped
 MAX_TABLE_DEGREE = 24
+
+
+def check_table_degree(degree: int) -> None:
+    """Refuse a degree above MAX_TABLE_DEGREE; cheap, so callers check first."""
+    if degree > MAX_TABLE_DEGREE:
+        raise ValueError(
+            f"degree {degree} is above the character-table ceiling "
+            f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}")
 
 
 def _mask(lam) -> int:
@@ -138,6 +152,35 @@ def transposition_class(d: int) -> tuple:
     return (2,) + (1,) * (d - 2)
 
 
+def character_columns(degree: int, classes) -> list:
+    """(dim lam, [chi^lam(mu) for mu in classes]) for each partition lam of degree.
+
+    Rows come in `enumerate_partitions` order, as in a `CharacterTable`, but
+    only the requested columns are computed.  One row of each conjugate pair
+    is read by the recursion and the other by the sign character, and the
+    memo ends with the call.
+    """
+    check_table_degree(degree)
+    classes = [check_partition(mu) for mu in classes]
+    for mu in classes:
+        if sum(mu) != degree:
+            raise ValueError(f"class {mu} is not a partition of {degree}")
+    parts = enumerate_partitions(degree)
+    index = {lam: i for i, lam in enumerate(parts)}
+    signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in classes]
+    memo: dict = {}
+    rows = []
+    for lam in parts:
+        twin = index[_conjugate(lam)]
+        if twin < len(rows):
+            dim, values = rows[twin]
+            rows.append((dim, [s * v for s, v in zip(signs, values)]))
+        else:
+            mask = _mask(lam)
+            rows.append((dim_hook(lam), [_mn(mask, mu, memo) for mu in classes]))
+    return rows
+
+
 class CharacterTable:
     """Full character table of one symmetric group, rows and columns in
     reverse-lexicographic partition order."""
@@ -168,10 +211,7 @@ class CharacterTable:
 def _build_table(degree: int) -> CharacterTable:
     """One row of each conjugate pair by the recursion, the other by
     chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu); the memo ends with the build."""
-    if degree > MAX_TABLE_DEGREE:
-        raise ValueError(
-            f"degree {degree} is above the character-table ceiling "
-            f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}")
+    check_table_degree(degree)
     parts = enumerate_partitions(degree)
     index = {lam: i for i, lam in enumerate(parts)}
     signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in parts]

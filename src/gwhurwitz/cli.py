@@ -260,9 +260,12 @@ def _cmd_elsv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .characters import check_table_degree
     from .gwh import gwh_crosscheck
     from .hurwitz import BranchData, hurwitz_disconnected, monodromy_oracle
 
+    # the route builds a table for every degree up to d_max: refuse first
+    check_table_degree(args.d_max)
     report = gwh_crosscheck(args.d_max, args.k_max)
     doc = {"command": "verify", "version": __version__,
            "request": {"d_max": args.d_max, "k_max": args.k_max},

@@ -353,9 +353,12 @@ def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
     """Shared engine for the hypergeometric-kernel operators.
 
     The operator is S(b)^a * sum_k sigma(b)^k / (a+1)_k E_(sgn k)(b) with
-    E_{-k} for the adjoint and E_{+k} otherwise.  The k >= 0 tail terminates
-    because b has positive valuation, so sigma(b)^k eventually leaves the
-    truncation window; the k < 0 range is finite because each step lowers
+    E_{-k} for the adjoint and E_{+k} otherwise.  A shift k > 0 raises
+    (adjoint) or lowers a term's energy by k, so the k >= 0 tail stops after
+    the cap less the least term energy (adjoint) or after the state's energy,
+    or earlier, where sigma(b)^k leaves the truncation window because b has
+    positive valuation; either stop bounds the guard by sigma(b)'s order.
+    The k < 0 range is finite for the same reason: each step lowers
     (adjoint: raises) slot energy, which is bounded by the state's energy
     (adjoint: by the cap).
     """
@@ -366,12 +369,19 @@ def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
     sig = sigma_of(b)
     out = FockState(state.vars, guard=state.guard)
 
-    # k >= 0 branch
+    # k >= 0 branch, up to the last shift that can move a term
+    if adjoint:
+        last = energy_cap - min((sum(lam) for lam in state.terms), default=energy_cap)
+    else:
+        last = state.max_energy()
     sig_pow = MultiSeries.constant(1, state.vars)
     inv_pochs = _inverse_pochhammers(a, b.order)
     k = 0
     while True:
         if k > 0:
+            if k > last:
+                out.updated_guard(sig.order)
+                break
             sig_pow = sig_pow * sig
             if sig_pow.is_zero_window():
                 out.updated_guard(sig_pow.order)

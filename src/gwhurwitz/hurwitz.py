@@ -1,21 +1,26 @@
 """Hurwitz numbers of target curves: character sums and brute-force counts.
 
-`branching_sums` evaluates the graded character-sum formula; the monodromy
-oracle counts permutation tuples directly (product of h commutators times
-one permutation per branch profile equals the identity), so every
+`hurwitz_disconnected` and the graded `branching_sums` evaluate the
+character-sum formula over only the character columns their classes need
+(`characters.character_columns`, no full table), in integers: one rational
+weight per dimension and one constant at the end.  The monodromy oracle
+counts permutation tuples directly (product of h commutators times one
+permutation per branch profile equals the identity), so every
 normalization in the package can be pinned against honest enumeration.
 Transitivity is tracked through the join of the generators' orbit
 partitions, which turns the transitive count into the same dynamic
-programming sweep over (partial product, partial orbit join) pairs.  Only
-the character sums import `characters`, so the oracle, their independent
-check, runs without it.  No count here builds a series, so the series core
-`qseries` is never loaded.
+programming sweep over (partial product, partial orbit join) pairs; the
+joins are tabulated one row per partial join, and a count that does not ask
+for transitivity keeps every join discrete.  Only the character sums import
+`characters`, so the oracle, their independent check, runs without it.  No
+count here builds a series, so the series core `qseries` is never loaded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,40 +74,82 @@ class BranchData:
 # ----------------------------------------------------------- character side
 
 
+def _dim_weighted(by_dim: dict, exponent: int):
+    """Sum of value * dim^exponent over a {dim: integer} map, in integers over
+    one denominator when the exponent is negative."""
+    if exponent >= 0:
+        return sum(value * dim ** exponent for dim, value in by_dim.items())
+    k = -exponent
+    den = math.lcm(*by_dim) ** k
+    return Fraction(sum(value * (den // dim ** k) for dim, value in by_dim.items()), den)
+
+
 def branching_sums(h: int, d: int, factors) -> dict:
     """Character sum of a product of class sums over a genus-h target.
 
     Each factor is an iterable of (partition, coefficient) pairs of degree d;
     grade b keeps the monomials of total branching b = sum_j (d - len(mu_j)).
+    A factor's coefficients times d!/z(mu) are brought to integer numerators
+    over one denominator, so per lam the grades are integer sums of character
+    products.  Rows of equal dimension are added up first; the weight
+    dim^(2-2h-n) is applied once per (dimension, grade) and the constant
+    d!^(2h-2) / (product of the denominators) once per grade.
     """
-    from .characters import CharacterTable
+    from .characters import character_columns
 
-    table = CharacterTable.build(d)
     dfact = math.factorial(d)
-    # the table's partitions are canonical by construction, so each is a column
-    factors = [[(d - len(mu), table.partitions.index(mu), c * Fraction(dfact, z_factor(mu)))
-                for mu, c in factor] for factor in factors]
-    sums = {}
-    for lam, row in zip(table.partitions, table.matrix):
-        dim = table.dims[lam]
-        # every central character f_A(lam) divides by dim: do it once, up front
-        grades = {0: Fraction(dim, dfact) ** (2 - 2 * h) / dim ** len(factors)}
-        for factor in factors:
+    columns = {}  # class -> its position among the columns read
+    factor_terms = []
+    den = 1
+    for factor in factors:
+        scaled = [(mu, c * Fraction(dfact, z_factor(mu))) for mu, c in factor]
+        fden = math.lcm(*(s.denominator for _mu, s in scaled))
+        den *= fden
+        factor_terms.append([(d - len(mu), columns.setdefault(mu, len(columns)),
+                              s.numerator * (fden // s.denominator)) for mu, s in scaled])
+    by_grade = {}  # grade -> {dim: integer sum over the rows of that dim}
+    for dim, chis in character_columns(d, columns):
+        grades = {0: 1}
+        for terms in factor_terms:
+            central = {}  # the factor's integer central character times dim, by branching
+            for branching, col, num in terms:
+                central[branching] = central.get(branching, 0) + num * chis[col]
             new = {}
             for b, value in grades.items():
-                for branching, col, scale in factor:
-                    key, term = b + branching, value * scale * row[col]
-                    new[key] = new[key] + term if key in new else term
+                for branching, c in central.items():
+                    key = b + branching
+                    new[key] = new.get(key, 0) + value * c
             grades = new
         for b, value in grades.items():
-            sums[b] = sums.get(b, 0) + value
-    return sums
+            acc = by_grade.setdefault(b, {})
+            acc[dim] = acc.get(dim, 0) + value
+    scale = Fraction(dfact) ** (2 * h - 2) / den
+    exponent = 2 - 2 * h - len(factor_terms)
+    return {b: scale * _dim_weighted(acc, exponent) for b, acc in by_grade.items()}
 
 
 def hurwitz_disconnected(branch: BranchData) -> Fraction:
-    """Weighted count of possibly-disconnected covers via character sums."""
-    factors = [[(eta, 1)] for eta in branch.profiles]
-    return sum(branching_sums(branch.target_genus, branch.degree, factors).values())
+    """Weighted count of possibly-disconnected covers via character sums.
+
+    The count is d!^(2h-2+n) / prod z(eta) times
+    sum_lam dim^(2-2h-n) prod_eta chi^lam(eta), over the n profiles eta; a
+    repeated profile is one column raised to its multiplicity.
+    """
+    return _disconnected(branch.target_genus, branch.degree, branch.profiles)
+
+
+def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
+    from .characters import character_columns
+
+    counts = Counter(profiles)
+    powers = list(counts.values())
+    by_dim = {}
+    for dim, chis in character_columns(d, counts):
+        by_dim[dim] = by_dim.get(dim, 0) + math.prod(map(pow, chis, powers))
+    n = len(profiles)
+    scale = (Fraction(math.factorial(d)) ** (2 * h - 2 + n)
+             / math.prod(z_factor(eta) ** m for eta, m in counts.items()))
+    return scale * _dim_weighted(by_dim, 2 - 2 * h - n)
 
 
 def hurwitz_classsum(h: int, d: int, args) -> Fraction:
@@ -144,8 +191,12 @@ class _GroupContext:
         self.class_elements = {}
         for i, orbits in enumerate(self.orbit_of):
             self.class_elements.setdefault(shapes[orbits], []).append(i)
-        self._join = {}
-        self._comm = None
+        self._join_rows = [None] * len(self.partitions)
+        # joining with the discrete partition changes nothing; every other
+        # row needs the merge plan, made on first use
+        self._join_rows[self.discrete] = list(range(len(self.partitions)))
+        self._steps = None
+        self._comm = {}
 
     def _product_table(self) -> list:
         """Rows of p -> index(p o q), built by composing rows with adjacent
@@ -183,47 +234,73 @@ class _GroupContext:
             blocks.append(tuple(sorted(block)))
         return self.part_index[tuple(sorted(blocks))]
 
-    def join(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        got = self._join.get(key)
-        if got is not None:
-            return got
-        parent = list(range(self.d))
+    def _join_steps(self) -> list:
+        """(j, j', x, y) for each set partition j but the discrete one: j is
+        j' with the blocks of x and y merged, where j' splits off the largest
+        element of j's first non-singleton block.  j' has one block more than
+        j, so it comes first."""
+        parts, index = self.partitions, self.part_index
+        steps = []
+        for j, part in enumerate(parts):
+            for k, block in enumerate(part):
+                if len(block) > 1:
+                    split = part[:k] + (block[:-1], block[-1:]) + part[k + 1:]
+                    steps.append((len(part), j, index[tuple(sorted(split))], block[0], block[-1]))
+                    break
+        steps.sort(reverse=True)
+        return [step[1:] for step in steps]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _merge(self, i: int, x: int, y: int) -> int:
+        """Set partition i with the blocks of x and y merged."""
+        part = self.partitions[i]
+        bx = next(b for b in part if x in b)
+        by = next(b for b in part if y in b)
+        if bx is by:
+            return i
+        rest = [b for b in part if b is not bx and b is not by]
+        return self.part_index[tuple(sorted(rest + [tuple(sorted(bx + by))]))]
 
-        for part in (self.partitions[i], self.partitions[j]):
-            for block in part:
-                for other in block[1:]:
-                    parent[find(other)] = find(block[0])
-        blocks = {}
-        for x in range(self.d):
-            blocks.setdefault(find(x), []).append(x)
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
-        out = self.part_index[canon]
-        self._join[key] = out
-        return out
+    def join_row(self, i: int) -> list:
+        """[index of the join of set partitions i and j, for each j], built on
+        first use: each entry is one merge of an earlier entry of the row, and
+        the merges are memoized across rows, in a flat list by (i, x, y)."""
+        row = self._join_rows[i]
+        if row is None:
+            d = self.d
+            if self._steps is None:
+                self._steps = self._join_steps()
+                self._merged = [None] * (len(self.partitions) * d * d)
+            row = [i] * len(self.partitions)
+            merged = self._merged
+            for j, parent, x, y in self._steps:
+                p = row[parent]
+                key = (p * d + x) * d + y
+                got = merged[key]
+                if got is None:
+                    got = merged[key] = self._merge(p, x, y)
+                row[j] = got
+            self._join_rows[i] = row
+        return row
 
-    def commutator_distribution(self):
-        """Counts of ([a,b], orbit-join(a,b)) over all pairs (a, b)."""
-        if self._comm is None:
-            dist = {}
-            n = len(self.perms)
-            for a in range(n):
-                arow = self.mult[a]
-                ainv = self.inv[a]
-                for b in range(n):
-                    c = self.mult[self.mult[arow[b]][ainv]][self.inv[b]]
-                    key = (c, self.join(self.orbit_of[a], self.orbit_of[b]))
-                    dist[key] = dist.get(key, 0) + 1
-            self._comm = dist
-        return self._comm
+    def commutator_distribution(self, joined: bool = True) -> Counter:
+        """Counts of ([a,b], orbit-join(a,b)) over all pairs (a, b); not
+        joined, every join reads as the discrete partition.
+
+        Each a takes one Counter update: its commutators with every b,
+        zipped with the joins read from the join row of a's orbit partition."""
+        dist = self._comm.get(joined)
+        if dist is None:
+            mult, inv, orbit_of = self.mult, self.inv, self.orbit_of
+            dist = self._comm[joined] = Counter()
+            for a, arow in enumerate(mult):
+                # [a, b] = a b a^-1 b^-1: right multiplication by a^-1 is a column
+                ainv = inv[a]
+                right = [row[ainv] for row in mult]
+                comms = [mult[right[ab]][binv] for ab, binv in zip(arow, inv)]
+                joins = (map(self.join_row(orbit_of[a]).__getitem__, orbit_of) if joined
+                         else itertools.repeat(self.discrete))
+                dist.update(zip(comms, joins))
+        return dist
 
 
 @lru_cache(maxsize=None)
@@ -249,29 +326,23 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
     ctx = _group_context(d)
+    # each step multiplies in one group element with its orbit partition;
+    # only transitivity reads the joins, so other counts keep them discrete
+    steps = [ctx.commutator_distribution(transitive_only).items()
+             for _ in range(branch.target_genus)]
+    for eta in branch.profiles:
+        steps.append([((g, ctx.orbit_of[g] if transitive_only else ctx.discrete), 1)
+                      for g in ctx.class_elements[eta]])
     state = {(ctx.identity, ctx.discrete): 1}
-    for _ in range(branch.target_genus):
-        dist = ctx.commutator_distribution()
+    for dist in steps:
         new = {}
         for (g1, p1), c1 in state.items():
-            row = ctx.mult[g1]
-            for (g2, p2), c2 in dist.items():
-                key = (row[g2], ctx.join(p1, p2))
+            row, jrow = ctx.mult[g1], ctx.join_row(p1)
+            for (g2, p2), c2 in dist:
+                key = (row[g2], jrow[p2])
                 new[key] = new.get(key, 0) + c1 * c2
         state = new
-    for eta in branch.profiles:
-        elements = ctx.class_elements[eta]
-        new = {}
-        for (g1, p1), c1 in state.items():
-            row = ctx.mult[g1]
-            for g2 in elements:
-                key = (row[g2], ctx.join(p1, ctx.orbit_of[g2]))
-                new[key] = new.get(key, 0) + c1
-        state = new
-    if transitive_only:
-        count = state.get((ctx.identity, ctx.top), 0)
-    else:
-        count = sum(c for (g, _p), c in state.items() if g == ctx.identity)
+    count = state.get((ctx.identity, ctx.top if transitive_only else ctx.discrete), 0)
     return Fraction(count, math.factorial(d))
 
 
@@ -295,9 +366,8 @@ def _carvings(eta, d1: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _disconnected_cached(h: int, d: int, profiles: tuple) -> Fraction:
-    return hurwitz_disconnected(BranchData(h, d, profiles))
+# the recursion's sub-profiles are canonical by construction: no BranchData
+_disconnected_cached = lru_cache(maxsize=None)(_disconnected)
 
 
 @lru_cache(maxsize=None)
@@ -310,17 +380,26 @@ def _connected_cached(h: int, d: int, profiles: tuple) -> Fraction:
     The whole recursion is validated against the transitive oracle.
     """
     total = _disconnected_cached(h, d, profiles)
+    repeats = Counter(profiles)
     for d1 in range(1, d):
         weight = Fraction(d1, d)
-        # fold the profiles in one at a time: distributions with the same
-        # sorted outcome contribute the same term, so only their number is kept
+        # fold each distinct profile in once: m copies of it are carved by a
+        # multiset of m carvings, counted by its number of orderings, since
+        # distributions with the same sorted outcome contribute the same term
         folds = {((), ()): 1}
-        for eta in profiles:
+        for eta, m in repeats.items():
+            choices = []
+            for combo in itertools.combinations_with_replacement(_carvings(eta, d1), m):
+                ways = math.factorial(m)
+                for k in Counter(combo).values():
+                    ways //= math.factorial(k)
+                choices.append((tuple(carved for carved, _ in combo),
+                                tuple(rest for _, rest in combo), ways))
             new = {}
             for (left, right), count in folds.items():
-                for carved, rest in _carvings(eta, d1):
-                    key = (tuple(sorted(left + (carved,))), tuple(sorted(right + (rest,))))
-                    new[key] = new.get(key, 0) + count
+                for carved, rest, ways in choices:
+                    key = (tuple(sorted(left + carved)), tuple(sorted(right + rest)))
+                    new[key] = new.get(key, 0) + count * ways
             folds = new
         for (left, right), count in folds.items():
             total -= (count * weight * _connected_cached(h, d1, left)

@@ -10,8 +10,8 @@ from functools import lru_cache
 import pytest
 
 from gwhurwitz import characters
-from gwhurwitz.characters import (MAX_TABLE_DEGREE, CharacterTable, chi, dim_hook,
-                                  f2_shifted, f_eta, transposition_class)
+from gwhurwitz.characters import (MAX_TABLE_DEGREE, CharacterTable, character_columns, chi,
+                                  dim_hook, f2_shifted, f_eta, transposition_class)
 from gwhurwitz.cli import CACHE_ENV, main
 from gwhurwitz.partitions import enumerate_partitions, z_factor
 
@@ -195,6 +195,39 @@ class TestTableCache:
         assert t1.matrix == [[chi(l, m) for m in t1.partitions] for l in t1.partitions]
 
 
+class TestColumns:
+    @pytest.mark.parametrize("d", range(0, 13))
+    def test_columns_are_the_table_columns(self, d):
+        table = CharacterTable.build(d)
+        rng = random.Random(d)
+        for n in (0, 1, 3, len(table.partitions)):
+            classes = rng.sample(table.partitions, min(n, len(table.partitions)))
+            rows = character_columns(d, classes)
+            assert rows == [(table.dim(lam), [table.chi(lam, mu) for mu in classes])
+                            for lam in table.partitions], classes
+
+    def test_rows_of_conjugates_are_read_once(self, monkeypatch):
+        # one row of each conjugate pair goes through the recursion
+        calls = []
+        kernel = characters._mn
+
+        def counting(mask, mu, memo):
+            calls.append(mu)
+            return kernel(mask, mu, memo)
+
+        monkeypatch.setattr(characters, "_mn", counting)
+        parts = enumerate_partitions(8)
+        character_columns(8, [(4, 4)])
+        # the recursion's own calls strip a part first
+        assert calls.count((4, 4)) == len({min(lam, _conjugate(lam)) for lam in parts})
+
+    def test_classes_must_be_partitions_of_the_degree(self):
+        with pytest.raises(ValueError, match="not a partition of 4"):
+            character_columns(4, [(2, 1)])
+        with pytest.raises(ValueError, match="not a canonical partition"):
+            character_columns(4, [(1, 3)])
+
+
 class TestMaskKernel:
     @pytest.mark.parametrize("d", range(0, 13))
     def test_table_equals_reference_recursion(self, d):
@@ -244,6 +277,8 @@ class TestMaskKernel:
         monkeypatch.setattr(characters, "enumerate_partitions", no_enumeration)
         with pytest.raises(ValueError, match=f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}"):
             CharacterTable.build(MAX_TABLE_DEGREE + 1)
+        with pytest.raises(ValueError, match=f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}"):
+            character_columns(MAX_TABLE_DEGREE + 1, [(MAX_TABLE_DEGREE + 1,)])
 
     def test_single_values_are_not_capped(self):
         # the standard representation's trace is the number of fixed points less one
@@ -259,4 +294,15 @@ class TestMaskKernel:
     def test_cli_exits_2_above_the_ceiling(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
         assert main(argv) == 2
+        assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err
+
+    def test_verify_refuses_above_the_ceiling_before_any_work(self, monkeypatch, capsys):
+        # the route would build every table below the ceiling before reaching it
+        import gwhurwitz.gwh as gwh_module
+
+        def no_work(d_max, k_max):
+            raise AssertionError("crosscheck started")
+
+        monkeypatch.setattr(gwh_module, "gwh_crosscheck", no_work)
+        assert main(["verify", "--d-max", str(MAX_TABLE_DEGREE + 1)]) == 2
         assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err

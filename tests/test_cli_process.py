@@ -62,6 +62,27 @@ def test_light_commands_never_load_the_wedge_layer(tmp_path):
     assert dataclasses_loaded == "False"
 
 
+def test_character_sums_never_build_a_full_table(tmp_path):
+    # `hur` and `gw` read only the character columns their sums use
+    argvs = [COMMANDS["hur"], COMMANDS["hur"] + ["--connected"],
+             ["hur", "--target-genus", "1", "--d", "8", "--profiles", "(2,1,1,1,1,1,1)"],
+             ["gw", "--target-genus", "1", "--d", "6", "--ks", "2,3"]]
+    script = ("import contextlib, io\n"
+              "from gwhurwitz import characters\n"
+              "from gwhurwitz.cli import main\n"
+              "def no_table(degree):\n"
+              "    raise AssertionError(f'full table of degree {degree} built')\n"
+              "characters._build_table = no_table\n"
+              f"for argv in {argvs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "print('ok')\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
 def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
     argvs = [COMMANDS["ifun"], ["cycle", "--d", "3", "--k", "2"],
              ["elsv", "--mu", "(2,1)", "--g", "0"], ["verify", "--d-max", "2", "--k-max", "2"]]

@@ -224,7 +224,7 @@ class TestHypergeometricOperators:
         # at every k it reaches, the running value must equal the whole
         # product (w+1)..(w+k) inverted at b's order
         carried = fock._inverse_pochhammers
-        for order in (5, 8):
+        for order, energy_cap in ((5, 2), (8, 2), (5, 6), (8, 6)):
             seen = []
 
             def recording(a, inv_order):
@@ -234,11 +234,27 @@ class TestHypergeometricOperators:
 
             monkeypatch.setattr(fock, "_inverse_pochhammers", recording)
             w = MultiSeries.monomial(("w",), (1,), 1, (order,))
-            apply_Astar(w, w, FockState.vacuum(("w",)), energy_cap=2)
-            # sigma(w)^k leaves the window at k = order
-            assert len(seen) == order - 1
+            apply_Astar(w, w, FockState.vacuum(("w",)), energy_cap=energy_cap)
+            # sigma(w)^k leaves the window at k = order, and no shift past the
+            # cap moves the vacuum: the loop stops at whichever comes first
+            assert len(seen) == min(order - 1, energy_cap)
             for k, inv in enumerate(seen, start=1):
                 assert inv == pochhammer_series(k, "w", order).inverse(order=w.order), k
+
+    def test_stopping_at_the_cap_keeps_every_term_and_the_guard(self):
+        # A*|0> at cap c is A*|0> at cap c + 3 with the terms above energy c
+        # left out: stopping the k >= 0 loop at the cap drops only moves the
+        # cap would refuse, and the guard still carries sigma(b)'s order
+        vars = ("u", "w")
+        for order in ((3, 3), (6, 6), (10, 4), (4, 10)):
+            a = MultiSeries.monomial(vars, (0, 1), 1, order)
+            b = MultiSeries.monomial(vars, (1, 1), 1, order)
+            for cap in range(5):
+                low = apply_Astar(a, b, FockState.vacuum(vars), cap)
+                high = apply_Astar(a, b, FockState.vacuum(vars), cap + 3)
+                assert low.guard == high.guard, (order, cap)
+                assert low.terms == {lam: series for lam, series in high.terms.items()
+                                     if sum(lam) <= cap}, (order, cap)
 
     def test_two_cycle_closed_form(self):
         # pairing the adjoint word against the 2-cycle boundary reproduces

@@ -514,12 +514,14 @@ class TestStationary:
             stationary_gw(0, 2, [1])
 
     def test_odd_branching_check_sees_the_real_sum(self, monkeypatch):
-        # a degree-2 table with chi^(1,1)((2)) flipped to +1 breaks the sign
+        # degree-2 columns with chi^(1,1)((2)) flipped to +1 break the sign
         # symmetry lam <-> lam' that makes every odd grade vanish, so the
         # odd grade of a single transposition over the sphere turns nonzero
-        from gwhurwitz.characters import CharacterTable
-        flipped = CharacterTable(2, [(2,), (1, 1)], [[1, 1], [1, 1]])
-        monkeypatch.setattr(CharacterTable, "build", classmethod(lambda cls, degree: flipped))
+        import gwhurwitz.characters as characters
+        rows = [{(2,): 1, (1, 1): 1},  # the trivial character
+                {(2,): 1, (1, 1): 1}]  # the sign character, -1 at (2) flipped to +1
+        monkeypatch.setattr(characters, "character_columns", lambda degree, classes: [
+            (1, [row[mu] for mu in classes]) for row in rows])
         with pytest.raises(ArithmeticError, match="odd total branching"):
             stationary_gw(0, 2, [1])
 

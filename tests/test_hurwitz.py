@@ -205,6 +205,89 @@ def test_branching_sums_match_the_monomial_expansion(case):
         assert got.get(b, 0) == want.get(b, 0), (b, got, want)
 
 
+def _full_table_disconnected(h, d, profiles):
+    """The count as a full-table sum, one Fraction product per (lam, profile)."""
+    table = CharacterTable.build(d)
+    dfact = math.factorial(d)
+    total = F(0)
+    for lam in table.partitions:
+        dim = table.dim(lam)
+        term = F(dim, dfact) ** (2 - 2 * h)
+        for eta in profiles:
+            term *= F(dfact, z_factor(eta)) * F(table.chi(lam, eta), dim)
+        total += term
+    return total
+
+
+def _folded_connected(h, d, profiles, memo):
+    """The marked-sheet recursion folding one profile at a time, over the
+    full-table sums."""
+    key = (h, d, profiles)
+    if key not in memo:
+        total = _full_table_disconnected(h, d, profiles)
+        for d1 in range(1, d):
+            folds = {((), ()): 1}
+            for eta in profiles:
+                new = {}
+                for (left, right), count in folds.items():
+                    for carved, rest in _carvings(eta, d1):
+                        k = (tuple(sorted(left + (carved,))), tuple(sorted(right + (rest,))))
+                        new[k] = new.get(k, 0) + count
+                folds = new
+            for (left, right), count in folds.items():
+                total -= (count * F(d1, d) * _folded_connected(h, d1, left, memo)
+                          * _full_table_disconnected(h, d - d1, right))
+        memo[key] = total
+    return memo[key]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_counts_match_the_full_table_sums(d):
+    memo = {}
+    for h in range(3):
+        for profiles in profile_multisets(d, 3):
+            b = BranchData(h, d, profiles)
+            assert hurwitz_disconnected(b) == _full_table_disconnected(h, d, profiles), b
+            assert hurwitz_connected(b) == _folded_connected(h, d, profiles, memo), b
+
+
+def _union_find_join(ctx, i, j):
+    parent = list(range(ctx.d))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for part in (ctx.partitions[i], ctx.partitions[j]):
+        for block in part:
+            for other in block[1:]:
+                parent[find(other)] = find(block[0])
+    blocks = {}
+    for x in range(ctx.d):
+        blocks.setdefault(find(x), []).append(x)
+    return ctx.part_index[tuple(sorted(tuple(b) for b in blocks.values()))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_commutator_distribution_matches_the_double_loop(d):
+    ctx = _GroupContext(d)
+    want = {}
+    for a in range(len(ctx.perms)):
+        for b in range(len(ctx.perms)):
+            c = ctx.mult[ctx.mult[ctx.mult[a][b]][ctx.inv[a]]][ctx.inv[b]]
+            key = (c, _union_find_join(ctx, ctx.orbit_of[a], ctx.orbit_of[b]))
+            want[key] = want.get(key, 0) + 1
+    assert dict(ctx.commutator_distribution()) == want
+    unjoined = {}
+    for (c, _join), count in want.items():
+        unjoined[c, ctx.discrete] = unjoined.get((c, ctx.discrete), 0) + count
+    assert dict(ctx.commutator_distribution(joined=False)) == unjoined
+    for i in range(len(ctx.partitions)):
+        assert ctx.join_row(i) == [_union_find_join(ctx, i, j)
+                                   for j in range(len(ctx.partitions))], i
+
+
 def test_carvings_match_brute_force_over_index_subsets():
     for d in range(9):
         for eta in enumerate_partitions(d):
