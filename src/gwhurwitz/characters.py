@@ -4,14 +4,13 @@ Characters are computed by the Murnaghan-Nakayama border-strip recursion on
 beta-sets stored as integer bit masks: removing a strip of m cells moves a
 bead from b to an empty b - m, and its height is the number of beads in
 between.  Values are memoized in one dict per remaining class, keyed by
-mask, with the largest part of the class stripped first.  Both readers
-compute one row of each conjugate pair {lam, lam'} and fill the other by the
-sign character, with a memo that ends with the call:
-
-- `character_columns` reads only the columns it is asked for, with each
-  row's dimension; the character sums of `hurwitz` use it.
-- `CharacterTable.build` reads every column; whole tables per degree are
-  cached in memory.  `char` and the wall-crossing route use it.
+mask, with the largest part of the class stripped first.
+`character_columns` reads only the columns it is asked for: one row of each
+conjugate pair {lam, lam'} by the recursion and the other by the sign
+character, with a memo that ends with the call.  The character sums of
+`hurwitz` use it.  `CharacterTable.build` is the same read over every class;
+whole tables per degree are cached in memory, and `char` and the
+wall-crossing route use them.
 
 Both refuse degrees above MAX_TABLE_DEGREE before enumerating anything.  The
 transposition eigenvalue f2 is computed from shifted coordinates without
@@ -153,12 +152,13 @@ def transposition_class(d: int) -> tuple:
 
 
 def character_columns(degree: int, classes) -> list:
-    """(dim lam, [chi^lam(mu) for mu in classes]) for each partition lam of degree.
+    """[chi^lam(mu) for mu in classes] for each partition lam of degree.
 
     Rows come in `enumerate_partitions` order, as in a `CharacterTable`, but
-    only the requested columns are computed.  One row of each conjugate pair
-    is read by the recursion and the other by the sign character, and the
-    memo ends with the call.
+    only the requested columns are computed; a caller that needs dim lam asks
+    for the identity class (1^d).  One row of each conjugate pair is read by
+    the recursion and the other by chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu),
+    and the memo ends with the call.
     """
     check_table_degree(degree)
     classes = [check_partition(mu) for mu in classes]
@@ -173,11 +173,10 @@ def character_columns(degree: int, classes) -> list:
     for lam in parts:
         twin = index[_conjugate(lam)]
         if twin < len(rows):
-            dim, values = rows[twin]
-            rows.append((dim, [s * v for s, v in zip(signs, values)]))
+            rows.append([s * v for s, v in zip(signs, rows[twin])])
         else:
             mask = _mask(lam)
-            rows.append((dim_hook(lam), [_mn(mask, mu, memo) for mu in classes]))
+            rows.append([_mn(mask, mu, memo) for mu in classes])
     return rows
 
 
@@ -209,19 +208,7 @@ class CharacterTable:
 
 @lru_cache(maxsize=None)
 def _build_table(degree: int) -> CharacterTable:
-    """One row of each conjugate pair by the recursion, the other by
-    chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu); the memo ends with the build."""
+    """Every column, read by `character_columns`."""
     check_table_degree(degree)
     parts = enumerate_partitions(degree)
-    index = {lam: i for i, lam in enumerate(parts)}
-    signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in parts]
-    memo: dict = {}
-    matrix = []
-    for lam in parts:
-        twin = index[_conjugate(lam)]
-        if twin < len(matrix):
-            matrix.append([s * v for s, v in zip(signs, matrix[twin])])
-        else:
-            mask = _mask(lam)
-            matrix.append([_mn(mask, mu, memo) for mu in parts])
-    return CharacterTable(degree, parts, matrix)
+    return CharacterTable(degree, parts, character_columns(degree, parts))

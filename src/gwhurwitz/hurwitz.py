@@ -107,8 +107,10 @@ def branching_sums(h: int, d: int, factors) -> dict:
         den *= fden
         factor_terms.append([(d - len(mu), columns.setdefault(mu, len(columns)),
                               s.numerator * (fden // s.denominator)) for mu, s in scaled])
+    identity = columns.setdefault((1,) * d, len(columns))  # chi^lam(1^d) = dim lam
     by_grade = {}  # grade -> {dim: integer sum over the rows of that dim}
-    for dim, chis in character_columns(d, columns):
+    for chis in character_columns(d, columns):
+        dim = chis[identity]
         grades = {0: 1}
         for terms in factor_terms:
             central = {}  # the factor's integer central character times dim, by branching
@@ -144,7 +146,10 @@ def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
     counts = Counter(profiles)
     powers = list(counts.values())
     by_dim = {}
-    for dim, chis in character_columns(d, counts):
+    # the last column is the identity class, chi^lam(1^d) = dim lam; `map`
+    # stops at the shorter `powers`, so it takes no part in the product
+    for chis in character_columns(d, [*counts, (1,) * d]):
+        dim = chis[-1]
         by_dim[dim] = by_dim.get(dim, 0) + math.prod(map(pow, chis, powers))
     n = len(profiles)
     scale = (Fraction(math.factorial(d)) ** (2 * h - 2 + n)
@@ -191,11 +196,7 @@ class _GroupContext:
         self.class_elements = {}
         for i, orbits in enumerate(self.orbit_of):
             self.class_elements.setdefault(shapes[orbits], []).append(i)
-        self._join_rows = [None] * len(self.partitions)
-        # joining with the discrete partition changes nothing; every other
-        # row needs the merge plan, made on first use
-        self._join_rows[self.discrete] = list(range(len(self.partitions)))
-        self._steps = None
+        self._join = {}
         self._comm = {}
 
     def _product_table(self) -> list:
@@ -234,71 +235,55 @@ class _GroupContext:
             blocks.append(tuple(sorted(block)))
         return self.part_index[tuple(sorted(blocks))]
 
-    def _join_steps(self) -> list:
-        """(j, j', x, y) for each set partition j but the discrete one: j is
-        j' with the blocks of x and y merged, where j' splits off the largest
-        element of j's first non-singleton block.  j' has one block more than
-        j, so it comes first."""
-        parts, index = self.partitions, self.part_index
-        steps = []
-        for j, part in enumerate(parts):
-            for k, block in enumerate(part):
-                if len(block) > 1:
-                    split = part[:k] + (block[:-1], block[-1:]) + part[k + 1:]
-                    steps.append((len(part), j, index[tuple(sorted(split))], block[0], block[-1]))
-                    break
-        steps.sort(reverse=True)
-        return [step[1:] for step in steps]
-
-    def _merge(self, i: int, x: int, y: int) -> int:
-        """Set partition i with the blocks of x and y merged."""
-        part = self.partitions[i]
-        bx = next(b for b in part if x in b)
-        by = next(b for b in part if y in b)
-        if bx is by:
+    def join(self, i: int, j: int) -> int:
+        if i == j:
             return i
-        rest = [b for b in part if b is not bx and b is not by]
-        return self.part_index[tuple(sorted(rest + [tuple(sorted(bx + by))]))]
+        if i > j:
+            i, j = j, i
+        key = (i, j)
+        got = self._join.get(key)
+        if got is not None:
+            return got
+        parent = list(range(self.d))
 
-    def join_row(self, i: int) -> list:
-        """[index of the join of set partitions i and j, for each j], built on
-        first use: each entry is one merge of an earlier entry of the row, and
-        the merges are memoized across rows, in a flat list by (i, x, y)."""
-        row = self._join_rows[i]
-        if row is None:
-            d = self.d
-            if self._steps is None:
-                self._steps = self._join_steps()
-                self._merged = [None] * (len(self.partitions) * d * d)
-            row = [i] * len(self.partitions)
-            merged = self._merged
-            for j, parent, x, y in self._steps:
-                p = row[parent]
-                key = (p * d + x) * d + y
-                got = merged[key]
-                if got is None:
-                    got = merged[key] = self._merge(p, x, y)
-                row[j] = got
-            self._join_rows[i] = row
-        return row
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    def commutator_distribution(self, joined: bool = True) -> Counter:
+        for part in (self.partitions[i], self.partitions[j]):
+            for block in part:
+                for other in block[1:]:
+                    parent[find(other)] = find(block[0])
+        blocks = {}
+        for x in range(self.d):
+            blocks.setdefault(find(x), []).append(x)
+        canon = tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+        out = self.part_index[canon]
+        self._join[key] = out
+        return out
+
+    def commutator_distribution(self, joined: bool) -> Counter:
         """Counts of ([a,b], orbit-join(a,b)) over all pairs (a, b); not
         joined, every join reads as the discrete partition.
 
         Each a takes one Counter update: its commutators with every b,
-        zipped with the joins read from the join row of a's orbit partition."""
+        zipped with the joins of a's orbit partition with b's."""
         dist = self._comm.get(joined)
         if dist is None:
-            mult, inv, orbit_of = self.mult, self.inv, self.orbit_of
+            mult, inv, orbit_of, join = self.mult, self.inv, self.orbit_of, self.join
             dist = self._comm[joined] = Counter()
             for a, arow in enumerate(mult):
                 # [a, b] = a b a^-1 b^-1: right multiplication by a^-1 is a column
                 ainv = inv[a]
                 right = [row[ainv] for row in mult]
                 comms = [mult[right[ab]][binv] for ab, binv in zip(arow, inv)]
-                joins = (map(self.join_row(orbit_of[a]).__getitem__, orbit_of) if joined
-                         else itertools.repeat(self.discrete))
+                if joined:
+                    oa = orbit_of[a]
+                    joins = [join(oa, ob) for ob in orbit_of]
+                else:
+                    joins = itertools.repeat(self.discrete)
                 dist.update(zip(comms, joins))
         return dist
 
@@ -333,13 +318,14 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     for eta in branch.profiles:
         steps.append([((g, ctx.orbit_of[g] if transitive_only else ctx.discrete), 1)
                       for g in ctx.class_elements[eta]])
+    join = ctx.join
     state = {(ctx.identity, ctx.discrete): 1}
     for dist in steps:
         new = {}
         for (g1, p1), c1 in state.items():
-            row, jrow = ctx.mult[g1], ctx.join_row(p1)
+            row = ctx.mult[g1]
             for (g2, p2), c2 in dist:
-                key = (row[g2], jrow[p2])
+                key = (row[g2], join(p1, p2))
                 new[key] = new.get(key, 0) + c1 * c2
         state = new
     count = state.get((ctx.identity, ctx.top if transitive_only else ctx.discrete), 0)

@@ -521,7 +521,7 @@ class TestStationary:
         rows = [{(2,): 1, (1, 1): 1},  # the trivial character
                 {(2,): 1, (1, 1): 1}]  # the sign character, -1 at (2) flipped to +1
         monkeypatch.setattr(characters, "character_columns", lambda degree, classes: [
-            (1, [row[mu] for mu in classes]) for row in rows])
+            [row[mu] for mu in classes] for row in rows])
         with pytest.raises(ArithmeticError, match="odd total branching"):
             stationary_gw(0, 2, [1])
 
