@@ -9,9 +9,9 @@ permutation per branch profile equals the identity), so every
 normalization in the package can be pinned against honest enumeration.
 Transitivity is tracked through the join of the generators' orbit
 partitions, which turns the transitive count into the same dynamic
-programming sweep over (partial product, partial orbit join) pairs; the
-joins are tabulated one row per partial join, and a count that does not ask
-for transitivity keeps every join discrete.  Only the character sums import
+programming sweep over (partial product, partial orbit join) pairs; joins
+are memoized per pair of set partitions, and a count that does not ask for
+transitivity keeps every partition discrete.  Only the character sums import
 `characters`, so the oracle, their independent check, runs without it.  No
 count here builds a series, so the series core `qseries` is never loaded.
 """
@@ -236,6 +236,8 @@ class _GroupContext:
         return self.part_index[tuple(sorted(blocks))]
 
     def join(self, i: int, j: int) -> int:
+        # a count without transitivity joins the discrete partition with
+        # itself at every step of its sweep
         if i == j:
             return i
         if i > j:
