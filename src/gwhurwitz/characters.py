@@ -9,7 +9,7 @@ mask, with the largest part of the class stripped first.
 conjugate pair {lam, lam'} by the recursion and the other by the sign
 character, with a memo that ends with the call.  The character sums of
 `hurwitz` use it.  `CharacterTable.build` is the same read over every class;
-whole tables per degree are cached in memory, and `char` and the
+the last few whole tables are cached in memory, and `char` and the
 wall-crossing route use them.
 
 Both refuse degrees above MAX_TABLE_DEGREE before enumerating anything.  The
@@ -87,24 +87,13 @@ def _mn(mask: int, mu: tuple, memo: dict) -> int:
     return total
 
 
-_chi_memo: dict = {}
-
-
-def _chi(lam, mu) -> int:
-    """Unvalidated character value; `_chi.cache_clear()` empties its memo."""
-    return _mn(_mask(lam), mu, _chi_memo)
-
-
-_chi.cache_clear = _chi_memo.clear
-
-
 def chi(lam, mu) -> int:
-    """Irreducible character value at the class mu (largest strips first)."""
+    """Irreducible character value at the class mu; the recursion's memo ends with the call."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _chi(lam, mu)
+    return _mn(_mask(lam), mu, {})
 
 
 def dim_hook(lam) -> int:
@@ -206,9 +195,10 @@ class CharacterTable:
         return self.dims[check_partition(lam)]
 
 
-@lru_cache(maxsize=None)
+# a d = 24 table holds 1575^2 values, and callers read one degree at a time
+@lru_cache(maxsize=4)
 def _build_table(degree: int) -> CharacterTable:
-    """Every column, read by `character_columns`."""
+    """Every column, read by `character_columns`; the last few are kept."""
     check_table_degree(degree)
     parts = enumerate_partitions(degree)
     return CharacterTable(degree, parts, character_columns(degree, parts))

@@ -13,16 +13,21 @@ action is +1 on occupied positive slots and -1 on empty negative slots.
 the Maya diagram instead of shifted coordinates.  It stays here so that the
 wedge engine never imports `characters`; `tests/test_fock.py` pins the two
 equal.
+
+The weights exp(c z) and 1/sigma(z) come only from the bounded memos
+`_exp_weight` and `_inv_sigma`, keyed by the series z and shared by every
+call.  In the package only `gwh` imports this module, for its bra and A*|0>.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 
 from .partitions import check_partition
-from .qseries import INF, MultiSeries, VariableMismatchError, s_of, sigma_of
+from .qseries import (INF, MultiSeries, VariableMismatchError, _product_window, s_of,
+                      sigma_of)
 
 
 # ------------------------------------------------------------- Maya windows
@@ -188,9 +193,8 @@ def inner_product(bra: FockState, ket: FockState) -> MultiSeries:
     """
     if bra.vars != ket.vars:
         raise VariableMismatchError(f"{bra.vars} vs {ket.vars}")
-    bra_floor, ket_floor = _least_floor(bra), _least_floor(ket)
-    order = tuple(map(min, map(add, bra.guard, ket_floor), map(add, ket.guard, bra_floor)))
-    total = MultiSeries.zero(bra.vars, order, tuple(map(add, bra_floor, ket_floor)))
+    floor, order = _product_window(_least_floor(bra), bra.guard, _least_floor(ket), ket.guard)
+    total = MultiSeries.zero(bra.vars, order, floor)
     for lam, series in bra.terms.items():
         other = ket.terms.get(lam)
         if other is not None:
@@ -269,71 +273,54 @@ def apply_exp_alpha(r: int, state: FockState, energy_cap: int) -> FockState:
         out = out + term
 
 
+@lru_cache(maxsize=1024)  # every weight of an I-correlator or a criterion-6 sweep
+def _exp_weight(z: MultiSeries, c: Fraction) -> MultiSeries:
+    """exp(c * z), to z's order; the exact 1 when c is 0."""
+    return (z * c).exp() if c else MultiSeries.constant(1, z.vars)
+
+
+@lru_cache(maxsize=64)
+def _inv_sigma(z: MultiSeries) -> MultiSeries:
+    """1/sigma(z), to z's order."""
+    return sigma_of(z).inverse()
+
+
 def apply_expUF2(state: FockState, u_var: str = "u", scale=1, order=None) -> FockState:
-    """Multiply each v_lam coefficient by exp(scale * u * f2(lam))."""
+    """Multiply each v_lam coefficient by exp(scale * u * f2(lam)), cut at
+    `order` or else at that coefficient's order."""
     if u_var not in state.vars:
         raise VariableMismatchError(f"variable {u_var!r} missing from {state.vars}")
+    i = state.vars.index(u_var)
+    u = tuple(int(j == i) for j in range(len(state.vars)))
     out = FockState(state.vars, guard=state.guard)
-    cache = {}
     for lam, series in state.terms.items():
-        ev = Fraction(scale) * f2_eigenvalue(lam)
-        if ev not in cache:
-            i = state.vars.index(u_var)
-            exps = tuple(1 if j == i else 0 for j in range(len(state.vars)))
-            eff = series.order if order is None else order
-            mono = MultiSeries.monomial(state.vars, exps, ev, order=eff)
-            cache[ev] = mono.exp() if ev else MultiSeries.constant(1, state.vars)
-        out.add_term(lam, series * cache[ev])
+        z = MultiSeries.monomial(state.vars, u, 1, series.order if order is None else order)
+        out.add_term(lam, series * _exp_weight(z, Fraction(scale) * f2_eigenvalue(lam)))
     return out
 
 
-class _ExpWeights:
-    """Per-evaluation cache of exp(mid * z) prefactors and 1/sigma(z)."""
-
-    def __init__(self, z: MultiSeries):
-        self.z = z
-        self._exp = {}
-        self._inv_sigma = None
-
-    def exp(self, mid: Fraction) -> MultiSeries:
-        if mid not in self._exp:
-            if mid == 0:
-                self._exp[mid] = MultiSeries.constant(1, self.z.vars)
-            else:
-                self._exp[mid] = (self.z * mid).exp()
-        return self._exp[mid]
-
-    def inv_sigma(self) -> MultiSeries:
-        if self._inv_sigma is None:
-            self._inv_sigma = sigma_of(self.z).inverse()
-        return self._inv_sigma
-
-
-def apply_calE(r: int, z: MultiSeries, state: FockState, energy_cap: int,
-               weights: _ExpWeights | None = None) -> FockState:
+def apply_calE(r: int, z: MultiSeries, state: FockState, energy_cap: int) -> FockState:
     """The exponentially weighted move operator of shift r.
 
     For r = 0 the action is diagonal with weight sum(exp(z k)) over occupied
     positive slots minus empty negative slots, plus the 1/sigma(z) scalar;
     the scalar term is present only at r = 0.
     """
-    if weights is None:
-        weights = _ExpWeights(z)
     out = FockState(state.vars, guard=state.guard)
     for lam, series in state.terms.items():
         if r == 0:
             positives, holes = e_diagonal_support(lam)
-            weight = weights.inv_sigma()
+            weight = _inv_sigma(z)
             for m in positives:
-                weight = weight + weights.exp(Fraction(m, 2))
+                weight = weight + _exp_weight(z, Fraction(m, 2))
             for m in holes:
-                weight = weight - weights.exp(Fraction(m, 2))
+                weight = weight - _exp_weight(z, Fraction(m, 2))
             out.add_term(lam, series * weight)
             continue
         for new_lam, sign, mid in e_moves(lam, r):
             if sum(new_lam) > energy_cap:
                 continue
-            piece = series * weights.exp(mid)
+            piece = series * _exp_weight(z, mid)
             out.add_term(new_lam, piece if sign == 1 else -piece)
     return out
 
@@ -364,7 +351,6 @@ def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
     """
     if a.vars != b.vars or a.vars != state.vars:
         raise VariableMismatchError("operator parameters must share the state's variables")
-    weights = _ExpWeights(b)
     prefactor = (a * s_of(b).log()).exp()  # S(b)^a
     sig = sigma_of(b)
     out = FockState(state.vars, guard=state.guard)
@@ -387,19 +373,19 @@ def _a_family(a: MultiSeries, b: MultiSeries, state: FockState, energy_cap: int,
                 out.updated_guard(sig_pow.order)
                 break
         factor = sig_pow * next(inv_pochs) if k else sig_pow
-        moved = apply_calE(-k if adjoint else k, b, state, energy_cap, weights)
+        moved = apply_calE(-k if adjoint else k, b, state, energy_cap)
         out = out + moved.scaled(factor)
         k += 1
 
     # k < 0 branch: 1/(a+1)_k = a(a-1)..(a+k+1) is polynomial, sigma(b)^k polar
-    inv_sig = weights.inv_sigma()
+    inv_sig = _inv_sigma(b)
     reach = state.max_energy() if adjoint else energy_cap
     sig_pow = MultiSeries.constant(1, state.vars)
     numer = MultiSeries.constant(1, state.vars)
     for kk in range(1, reach + 1):
         sig_pow = sig_pow * inv_sig
         numer = numer * (a - (kk - 1))
-        moved = apply_calE(kk if adjoint else -kk, b, state, energy_cap, weights)
+        moved = apply_calE(kk if adjoint else -kk, b, state, energy_cap)
         out = out + moved.scaled(sig_pow * numer)
     return out.scaled(prefactor)
 

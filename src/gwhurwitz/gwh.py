@@ -10,8 +10,8 @@ counts through linear Hodge integrals.
 
 Only `partitions` and the series core `qseries` are imported at module
 level, so each function loads only the layers its route runs.  The wedge
-engine `fock` is imported by `_evaluate_i_correlator` and `hodge_H_series`,
-so by the I-coefficients and the Hodge series; `characters` by
+engine `fock` is imported by `_boundary_bra` (the I-coefficients and the
+Hodge series) and by `_evaluate_i_correlator` (its ket); `characters` by
 `tau_via_wallcrossing` and `elsv_check`; `hurwitz` by `stationary_gw` and
 `elsv_check`.  The closed formula `completed_cycle` loads none of them.
 """
@@ -79,27 +79,31 @@ IFunctionCoefficient = namedtuple("IFunctionCoefficient", "g eta k value z_degre
 _I_WORD_LOSS = 2
 
 
+def _boundary_bra(eta: tuple, vars: tuple, order: tuple):
+    """The bra e^(alpha_1) e^(uF2) |eta>, e^(uF2) cut at `order`; energies stay <= |eta|."""
+    from .fock import apply_exp_alpha, apply_expUF2, boson_state
+
+    return apply_exp_alpha(1, apply_expUF2(boson_state(eta, vars), "u", 1, order), sum(eta))
+
+
 def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
     """Raw boundary pairing <eta| e^(uF2) e^(alpha_-1) A*(w, uw) |0>, bra first.
 
     The adjoint of the left word is e^(alpha_1) e^(uF2) applied to |eta>, so
     the bra carries u only and is paired once with the ket A*|0>.  Both are
     evaluated _I_WORD_LOSS orders deeper than requested, so the result
-    carries exactly the orders (u_order, w_order).  Energies are capped at
-    |eta|: A* raises energy at unit series cost and e^(alpha_1) only lowers
-    it, so states above the boundary energy can never pair.
+    carries exactly the orders (u_order, w_order).  The ket's energies are
+    capped at |eta|: A* raises energy at unit series cost, so states above
+    the boundary energy can never pair.
     """
-    from .fock import FockState, apply_Astar, apply_exp_alpha, apply_expUF2, \
-        boson_state, inner_product
+    from .fock import FockState, apply_Astar, inner_product
 
     vars = ("u", "w")
     order = (u_order + _I_WORD_LOSS, w_order + _I_WORD_LOSS)
-    cap = sum(eta)
-    bra = apply_exp_alpha(1, apply_expUF2(boson_state(eta, vars), "u", 1, order), cap)
     a = MultiSeries.monomial(vars, (0, 1), 1, order)
     b = MultiSeries.monomial(vars, (1, 1), 1, order)
-    ket = apply_Astar(a, b, FockState.vacuum(vars), cap)
-    return inner_product(bra, ket).truncated((u_order, w_order))
+    ket = apply_Astar(a, b, FockState.vacuum(vars), sum(eta))
+    return inner_product(_boundary_bra(eta, vars, order), ket).truncated((u_order, w_order))
 
 
 # eta -> the pairing at the largest orders requested so far (its `.order`)
@@ -161,19 +165,16 @@ def _hodge_prefactor(eta) -> Fraction:
 def hodge_H_series(eta, u_order: int) -> MultiSeries:
     """Disconnected linear-Hodge generating series for integer arguments.
 
-    Computed as the vacuum expectation of exp(alpha_1) exp(u F2) times
-    energy-raising alphas, shifted by u^(-len(eta)-|eta|) and the
+    The vacuum coefficient of the boundary bra e^(alpha_1) e^(uF2) |eta>,
+    which loses no order, shifted by u^(-len(eta)-|eta|) and the
     prod(eta_j!/eta_j^eta_j) prefactor.
     """
-    from .fock import Alpha, ExpAlpha, ExpUF2, correlator
-
     eta = check_partition(eta)
     if not eta:
         raise ValueError("eta must be nonempty")
-    d = sum(eta)
-    shift = len(eta) + d
-    word = [ExpAlpha(1), ExpUF2(1)] + [Alpha(-p) for p in eta]
-    series = correlator(word, None, ("u",), (u_order + shift,), energy_cap=d)
+    shift = len(eta) + sum(eta)
+    order = (u_order + shift,)
+    series = _boundary_bra(eta, ("u",), order).coefficient(()).truncated(order)
     return series * MultiSeries.monomial(("u",), (-shift,), 1 / _hodge_prefactor(eta))
 
 

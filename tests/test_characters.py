@@ -264,11 +264,14 @@ class TestMaskKernel:
     def test_public_chi_matches_table(self):
         d = 16
         table = CharacterTable.build(d)
-        characters._chi.cache_clear()
         rng = random.Random(16)
         for _ in range(200):
             lam, mu = rng.choice(table.partitions), rng.choice(table.partitions)
             assert chi(lam, mu) == table.chi(lam, mu)
+
+    def test_table_cache_is_bounded(self):
+        # a d = 24 table holds 1575^2 values
+        assert characters._build_table.cache_info().maxsize is not None
 
     def test_ceiling_raises_before_enumerating(self, monkeypatch):
         def no_enumeration(d):

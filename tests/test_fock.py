@@ -144,6 +144,17 @@ class TestExpUF2:
         with pytest.raises(VariableMismatchError):
             apply_expUF2(FockState.vacuum(("z",)), order=(6,))
 
+    def test_each_term_keeps_its_own_order(self):
+        # (3,1) and (3,2) share f2 = 2; without an explicit order each term's
+        # exponential is cut at that term's order, whichever comes first
+        low = MultiSeries.constant(1, UV, (3,))
+        high = MultiSeries.constant(1, UV, (8,))
+        expected = MultiSeries.monomial(UV, (1,), 2, (8,)).exp()
+        for terms in ({(3, 1): low, (3, 2): high}, {(3, 2): high, (3, 1): low}):
+            out = apply_expUF2(FockState(UV, terms))
+            assert out.coefficient((3, 2)) == expected
+            assert out.coefficient((3, 1)) == expected.truncated((3,))
+
 
 class TestCalE:
     def test_vacuum_expectation_is_inverse_sigma(self):
@@ -155,6 +166,30 @@ class TestCalE:
         z = MultiSeries.monomial(("z",), (1,), 1, (6,))
         out = apply_calE(1, z, FockState.vacuum(("z",)), energy_cap=6)
         assert not out.terms
+
+    def test_weights_are_computed_once_across_calls(self, monkeypatch):
+        # a z no other test uses, so none of its weights is memoized yet
+        z = MultiSeries.monomial(("z",), (1,), F(3, 7), (7,))
+        state = FockState(("z",), {lam: MultiSeries.constant(1, ("z",))
+                                   for d in range(4) for lam in enumerate_partitions(d)})
+        calls = []
+        exp = MultiSeries.exp
+
+        def counted(self, order=None):
+            calls.append(self)
+            return exp(self, order)
+
+        monkeypatch.setattr(MultiSeries, "exp", counted)
+        first = [apply_calE(r, z, state, energy_cap=6) for r in (0, -1, 2)]
+        computed = len(calls)
+        assert computed == len(set(calls)) > 0
+        again = [apply_calE(r, z, state, energy_cap=6) for r in (0, -1, 2)]
+        assert len(calls) == computed
+        assert [s.terms for s in again] == [s.terms for s in first]
+
+    def test_weight_memos_are_bounded(self):
+        assert fock._exp_weight.cache_info().maxsize is not None
+        assert fock._inv_sigma.cache_info().maxsize is not None
 
     def test_zero_argument_limit_is_alpha(self):
         zero = MultiSeries.zero(("u",), (5,))

@@ -254,16 +254,17 @@ class TestHodgeSeries:
         assert all(series.coefficient(n) == 0 for n in range(-1, 5))
 
     def test_series_has_exactly_the_requested_order(self, monkeypatch):
-        # the Hodge word loses no order, so its correlator is asked for the
-        # request plus the pole shift and nothing more
-        import gwhurwitz.fock as fock_module
+        # the boundary bra loses no order, so it is asked for the request
+        # plus the pole shift and nothing more
+        import gwhurwitz.gwh as gwh_module
         asked = []
+        boundary_bra = gwh_module._boundary_bra
 
-        def recorded(word, mu_left, vars, order, energy_cap=None):
+        def recorded(eta, vars, order):
             asked.append(order)
-            return correlator(word, mu_left, vars, order, energy_cap)
+            return boundary_bra(eta, vars, order)
 
-        monkeypatch.setattr(fock_module, "correlator", recorded)
+        monkeypatch.setattr(gwh_module, "_boundary_bra", recorded)
         for d in range(1, 5):
             for eta in enumerate_partitions(d):
                 for u_order in range(-4, 7):

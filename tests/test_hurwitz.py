@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.hurwitz import (BranchData, _carvings, _GroupContext, branching_sums,
-                               hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
-                               monodromy_oracle)
+from gwhurwitz.hurwitz import (BranchData, _carvings, _group_context, _GroupContext,
+                               branching_sums, hurwitz_classsum, hurwitz_connected,
+                               hurwitz_disconnected, monodromy_oracle)
 from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
                                   z_factor)
 
@@ -305,6 +305,11 @@ def test_carvings_match_brute_force_over_index_subsets():
                 # a memoized answer is shared between callers: it must be immutable
                 assert isinstance(got, tuple), (eta, d1)
     assert _carvings.cache_info().maxsize is not None
+
+
+def test_group_contexts_are_bounded():
+    # the d = 7 product table alone holds 5040^2 entries
+    assert _group_context.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
