@@ -4,10 +4,12 @@ of target curves.
 
 Public names are imported on first use (PEP 562), so a process loads only
 the layers it touches: a character-table or Hurwitz count never loads the
-series core or the wedge engine.
+series core or the wedge engine.  `clear_caches()` empties every in-process
+cache, for long-running callers and in-process benchmarks.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -37,7 +39,23 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_HOME])
+__all__ = sorted([*_EXPORTS, *_HOME, "clear_caches"])
+
+# every cache the layers keep across calls, by module; each has `cache_clear`
+_CACHES = {
+    "characters": ("_build_table",),
+    "fock": ("_exp_weight", "_inv_sigma"),
+    "gwh": ("_i_correlator",),
+    "hurwitz": ("_carvings", "_connected_cached", "_disconnected_cached", "_group_context"),
+}
+
+
+def clear_caches() -> None:
+    """Empty every cache of `_CACHES`; a layer not loaded yet holds none and stays unloaded."""
+    for module, names in _CACHES.items():
+        loaded = sys.modules.get(f"{__name__}.{module}")
+        for name in names if loaded else ():
+            getattr(loaded, name).cache_clear()
 
 
 def __getattr__(name: str):

@@ -23,20 +23,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import check_partition, enumerate_partitions, z_factor
-
-
-# full tables stop at p(24) = 1575 rows, a build of a few seconds; column
-# reads stop there too; single values through `chi` are not capped
-MAX_TABLE_DEGREE = 24
-
-
-def check_table_degree(degree: int) -> None:
-    """Refuse a degree above MAX_TABLE_DEGREE; cheap, so callers check first."""
-    if degree > MAX_TABLE_DEGREE:
-        raise ValueError(
-            f"degree {degree} is above the character-table ceiling "
-            f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}")
+# the ceiling lives in `partitions`, so `cycle` refuses without loading this
+# module; callers read it here too
+from .partitions import (MAX_TABLE_DEGREE, check_partition, check_table_degree,
+                         enumerate_partitions, z_factor)
 
 
 def _mask(lam) -> int:
@@ -178,7 +168,7 @@ class CharacterTable:
     def __init__(self, degree: int, partitions, matrix):
         self.degree = degree
         self.partitions = [check_partition(p) for p in partitions]
-        self.matrix = [[int(v) for v in row] for row in matrix]
+        self.matrix = matrix  # both callers hand over fresh lists of ints: no copy
         self._index = {p: i for i, p in enumerate(self.partitions)}
         identity = (1,) * degree if degree else ()
         self.dims = {lam: self.matrix[i][self._index[identity]]

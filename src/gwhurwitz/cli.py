@@ -2,10 +2,14 @@
 
 Every subcommand emits one self-describing JSON document (request
 parameters, library version, result) with exact "p/q" scalars and
-deterministic ordering, to stdout or to `--out`.  Character tables are
-persisted per degree under the directory named by GWHURWITZ_CACHE_DIR
-(default ~/.cache/gwhurwitz); the cache is an optimization only and is
-rebuilt on any version or checksum mismatch.
+deterministic ordering, to stdout or to `--out`.  The bytes are exactly
+`json.dumps(doc, indent=2)` and a newline, written row by row: each list or
+object of scalars (one table row) is one call of the C encoder, written as
+soon as it is made.  Character tables are persisted per degree under the
+directory named by GWHURWITZ_CACHE_DIR (default ~/.cache/gwhurwitz); the
+cache is an optimization only and is rebuilt on any version or checksum
+mismatch.  A table that passes every check is used as read: the validated
+matrix is not copied.
 
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by the table-cache
@@ -27,14 +31,14 @@ Scalars are `int`s or `Fraction`s, printed by `str`.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from contextlib import nullcontext
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING, __version__
-from .partitions import enumerate_partitions, format_partition, parse_partition
+from .partitions import (check_table_degree, enumerate_partitions, format_partition,
+                         parse_partition)
 
 CACHE_ENV = "GWHURWITZ_CACHE_DIR"
 CACHE_VERSION = 1
@@ -79,7 +83,7 @@ def load_cached_table(degree: int):
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict):
         return None
@@ -164,14 +168,46 @@ def _parse_ks(text: str | None):
         raise ValueError(f"--ks: {exc}") from exc
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _write_json(write, value, outer: str = "") -> None:
+    """Write the bytes of `json.dumps(value, indent=2)`, one piece at a time.
+
+    A container holding containers is laid out here and recurses; a container
+    of scalars, such as one matrix row, is one call of the C encoder, which
+    `indent` would bypass: its item separator carries the newline and the
+    indentation instead.  So no piece is larger than one such container."""
+    is_dict = isinstance(value, dict)
+    if not value or not (is_dict or isinstance(value, (list, tuple))):
+        write(json.dumps(value))
+        return
+    inner = outer + "  "
+    opening, closing = "{}" if is_dict else "[]"
+    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+        flat = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+        write(f"{opening}\n{inner}{flat[1:-1]}\n{outer}{closing}")
+        return
+    write(opening)
+    separator = "\n"
+    for key, item in value.items() if is_dict else enumerate(value):
+        if is_dict:
+            # json.dumps names a non-string key by its own encoding: 1 -> "1"
+            name = key if isinstance(key, str) else json.dumps(key)
+            write(f"{separator}{inner}{json.dumps(name)}: ")
+        else:
+            write(separator + inner)
+        _write_json(write, item, inner)
+        separator = ",\n"
+    write(f"\n{outer}{closing}")
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    """Write `json.dumps(doc, indent=2)` and a newline, joined in batches of
-    encoder chunks so that a large table is never one string."""
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    """Write `json.dumps(doc, indent=2)` and a newline, streamed row by row
+    through the C encoder (`_write_json`), so a table is never one string."""
     target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
     with target as handle:
-        while batch := "".join(itertools.islice(chunks, 4096)):
-            handle.write(batch)
+        _write_json(handle.write, doc)
         handle.write("\n")
 
 
@@ -260,7 +296,6 @@ def _cmd_elsv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .characters import check_table_degree
     from .gwh import gwh_crosscheck
     from .hurwitz import BranchData, hurwitz_disconnected, monodromy_oracle
 

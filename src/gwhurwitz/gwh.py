@@ -22,7 +22,7 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .partitions import (ClassSum, check_partition, enumerate_partitions,
+from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
                          format_partition, set_partitions, subpartitions_by_removing_ones,
                          z_factor)
 from .qseries import MultiSeries, s_series
@@ -56,7 +56,9 @@ CompletedCycle = namedtuple("CompletedCycle", "k d value")
 
 
 def completed_cycle(k: int, d: int) -> CompletedCycle:
-    """Class sum of the k-th completed cycle in degree d."""
+    """Class sum of the k-th completed cycle in degree d, refused above
+    MAX_TABLE_DEGREE before any partition is enumerated."""
+    check_table_degree(d)
     if d < 1:
         raise ValueError("degree must be >= 1")
     terms = {}

@@ -355,11 +355,14 @@ def _carvings(eta, d1: int) -> tuple:
     return tuple(out)
 
 
-# the recursion's sub-profiles are canonical by construction: no BranchData
-_disconnected_cached = lru_cache(maxsize=None)(_disconnected)
+# The recursion's sub-profiles are canonical by construction: no BranchData.
+# Its whole state fits both bounds with room to spare: the connected degree-8
+# count with fifteen profiles keeps 78 entries in each, degree 12 with 23 keeps 210.
+_RECURSION_CACHE = 4096
+_disconnected_cached = lru_cache(maxsize=_RECURSION_CACHE)(_disconnected)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RECURSION_CACHE)
 def _connected_cached(h: int, d: int, profiles: tuple) -> Fraction:
     """Connected count by removing splittings with a marked-sheet recursion.
 

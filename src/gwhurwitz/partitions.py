@@ -34,6 +34,20 @@ def multiplicity_of_one(mu) -> int:
     return sum(1 for p in mu if p == 1)
 
 
+# full passes over the partitions of one degree (character tables and their
+# column reads, completed cycles) stop at p(24) = 1575 classes, a table build
+# of a few seconds; single values through `characters.chi` are not capped
+MAX_TABLE_DEGREE = 24
+
+
+def check_table_degree(degree: int) -> None:
+    """Refuse a degree above MAX_TABLE_DEGREE; cheap, so callers check first."""
+    if degree > MAX_TABLE_DEGREE:
+        raise ValueError(
+            f"degree {degree} is above the character-table ceiling "
+            f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}")
+
+
 def enumerate_partitions(d: int) -> list:
     """All partitions of d, exactly once, in reverse-lexicographic order."""
     if d < 0:

@@ -309,3 +309,14 @@ class TestMaskKernel:
         monkeypatch.setattr(gwh_module, "gwh_crosscheck", no_work)
         assert main(["verify", "--d-max", str(MAX_TABLE_DEGREE + 1)]) == 2
         assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err
+
+    def test_cycle_refuses_above_the_ceiling_before_enumerating(self, monkeypatch, capsys):
+        # p(60) is nearly a million classes: the closed formula ran for minutes
+        import gwhurwitz.gwh as gwh_module
+
+        def no_enumeration(d):
+            raise AssertionError(f"partitions of {d} enumerated")
+
+        monkeypatch.setattr(gwh_module, "enumerate_partitions", no_enumeration)
+        assert main(["cycle", "--d", "60", "--k", "2"]) == 2
+        assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err

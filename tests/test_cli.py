@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from gwhurwitz import __version__
 from gwhurwitz.characters import CharacterTable
 from gwhurwitz.cli import (CACHE_ENV, _checksum, _emit, _parse_ks, _parse_profiles,
-                           _table_payload, character_table, load_cached_table, main,
-                           store_table)
+                           _table_payload, _write_json, character_table, load_cached_table,
+                           main, store_table)
 from gwhurwitz.partitions import parse_partition
 
 
@@ -191,19 +191,100 @@ class TestDeterminism:
         assert len(outputs) == 2
 
 
+# every subcommand's document; `char` runs twice, cold and then from the cache
+_DOCUMENT_ARGVS = {
+    **{f"char_{d}": ["char", "--d", str(d)] for d in (0, 1, 8, 12)},
+    "hur": ["hur", "--target-genus", "0", "--d", "4", "--profiles", "(2,1,1);(3,1);(4)"],
+    "hur_connected": ["hur", "--target-genus", "1", "--d", "3", "--connected"],
+    "hur_oracle": ["hur", "--target-genus", "1", "--d", "3", "--profiles", "(2,1)",
+                   "--connected", "--oracle"],
+    "gw": ["gw", "--target-genus", "1", "--d", "3", "--ks", "1,2"],
+    "cycle": ["cycle", "--d", "5", "--k", "3"],
+    "ifun": ["ifun", "--g", "1", "--eta", "(2,1)", "--k", "2"],
+    "elsv": ["elsv", "--mu", "(2,1)", "--g", "0"],
+    "verify": ["verify", "--d-max", "2", "--k-max", "3"],
+}
+
+# hand-made documents for the layout rules a subcommand's document may miss
+_EDGE_DOCUMENTS = {
+    "empty_list": [],
+    "empty_dict": {},
+    "empties_inside": {"a": [], "b": {}, "c": [[], {}]},
+    "lists_of_lists": [[1, 2], [[3], []], [[[]]]],
+    "lists_of_dicts": [{"a": 1}, {"b": [True, None]}, {}],
+    "mixed_scalars": ["x", 0, -7, True, False, None, 2.5, 1e300, -0.0],
+    "scalar_dict": {"s": "x", "i": 1, "t": True, "f": False, "n": None, "r": 0.1},
+    "non_ascii_and_controls": {"\u00e9\u2603\n\t\x00": ["\u00fc\x1f\"\\", {"\u00ff": "\ud83d\ude00"}],
+                               "\x7f\r": {"\u0000": ["\x08", "\u2028"]}},
+    "non_string_keys": {1: [1], 2.5: {}, False: [None], None: [[]], "k": 3},
+    "scalar": "\u00e9",
+}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
 class TestEmit:
-    @pytest.mark.parametrize("argv", [["char", "--d", "12"],
-                                      ["verify", "--d-max", "2", "--k-max", "3"]])
-    def test_batched_emit_is_one_dumps(self, argv, tmp_path, capsys):
-        _, out = run_cli(capsys, *argv)
-        doc = json.loads(out)
-        expected = json.dumps(doc, indent=2) + "\n"
-        assert out == expected
+    @pytest.mark.parametrize("name", sorted(_DOCUMENT_ARGVS))
+    def test_document_is_one_dumps(self, name, tmp_path, capsys, monkeypatch):
+        import gwhurwitz.cli as cli_module
+
+        argv = _DOCUMENT_ARGVS[name]
+        emit = cli_module._emit
+        docs = []
+        monkeypatch.setattr(cli_module, "_emit",
+                            lambda doc, out: (docs.append(doc), emit(doc, out))[1])
+        outs = [run_cli(capsys, *argv)[1]]
+        if argv[0] == "char":
+            assert load_cached_table(int(argv[2])) is not None
+            outs.append(run_cli(capsys, *argv)[1])
+        assert len(docs) == len(outs)
+        for doc, out in zip(docs, outs):
+            expected = json.dumps(doc, indent=2) + "\n"
+            assert out == expected
+            target = tmp_path / "doc.json"
+            emit(doc, str(target))
+            assert target.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_DOCUMENTS))
+    def test_edge_document_is_one_dumps(self, name, capsys):
+        doc = _EDGE_DOCUMENTS[name]
         _emit(doc, None)
-        assert capsys.readouterr().out == expected
-        target = tmp_path / "doc.json"
-        _emit(doc, str(target))
-        assert target.read_text(encoding="utf-8") == expected
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_any_json_value_is_one_dumps(self, value):
+        writes = _Writes()
+        _write_json(writes.write, value)
+        assert writes.getvalue() == json.dumps(value, indent=2)
+
+    def test_no_write_is_larger_than_one_list_of_scalars(self, monkeypatch):
+        # the largest pieces are one matrix row and the list of partition
+        # labels, each p(d) long: the p(d)^2 matrix is never one string
+        writes = _Writes()
+        monkeypatch.setattr("sys.stdout", writes)
+        assert main(["char", "--d", "12"]) == 0
+        result = json.loads(writes.getvalue())["result"]
+        # both lists sit two levels deep, each row one level deeper
+        pieces = [json.dumps(result["partitions"], indent=2).replace("\n", "\n    ")]
+        pieces += [json.dumps(row, indent=2).replace("\n", "\n      ")
+                   for row in result["matrix"]]
+        assert sorted(writes.sizes)[-len(pieces):] == sorted(map(len, pieces))
 
 
 class TestCache:
@@ -270,6 +351,17 @@ class TestCache:
         assert load_cached_table(5) is None
         code, out = run_cli(capsys, "char", "--d", "5")
         assert code == 0 and out == fresh
+
+    def test_deeply_nested_file_is_rebuilt(self, isolated_cache, capsys):
+        # past the recursion limit the decoder raises RecursionError, not ValueError
+        _, fresh = run_cli(capsys, "char", "--d", "5")
+        path = os.path.join(isolated_cache, "chartable_d5.json")
+        with open(path, "w") as handle:
+            handle.write("[" * 200000 + "]" * 200000)
+        assert load_cached_table(5) is None
+        code, out = run_cli(capsys, "char", "--d", "5")
+        assert code == 0 and out == fresh
+        assert load_cached_table(5) is not None  # rewritten
 
     # each damage keeps a valid checksum, so only the shape check can catch it
     @pytest.mark.parametrize("damage", [

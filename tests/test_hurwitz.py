@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.hurwitz import (BranchData, _carvings, _group_context, _GroupContext,
+from gwhurwitz.hurwitz import (BranchData, _carvings, _connected_cached,
+                               _disconnected_cached, _group_context, _GroupContext,
                                branching_sums, hurwitz_classsum, hurwitz_connected,
                                hurwitz_disconnected, monodromy_oracle)
 from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
@@ -310,6 +311,19 @@ def test_carvings_match_brute_force_over_index_subsets():
 def test_group_contexts_are_bounded():
     # the d = 7 product table alone holds 5040^2 entries
     assert _group_context.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("mu", [(1,) * 8, (2,) + (1,) * 6], ids=["identity", "transposition"])
+def test_recursion_caches_are_bounded_above_a_degree_8_count(mu):
+    # the heaviest connected shape at degree 8: mu plus l(mu) + 6 simple points
+    # fits both bounds, so nothing is evicted and recomputed
+    _connected_cached.cache_clear()
+    _disconnected_cached.cache_clear()
+    parts = (mu,) + (transposition_class(8),) * (len(mu) + 6)
+    assert hurwitz_connected(BranchData(0, 8, parts)) == 70849658880
+    for cache in (_connected_cached, _disconnected_cached):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize < info.maxsize
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

@@ -31,11 +31,12 @@ HOMES = {
                 "VariableMismatchError", "format_rational", "pochhammer_series", "s_of",
                 "s_series", "sigma_of", "sigma_series"],
 }
-NAMES = sorted([*HOMES, *(name for names in HOMES.values() for name in names)])
+NAMES = sorted([*HOMES, *(name for names in HOMES.values() for name in names),
+                "clear_caches"])
 
 
 def test_all_is_the_pinned_list():
-    assert len(NAMES) == 67
+    assert len(NAMES) == 68
     assert sorted(gwhurwitz.__all__) == NAMES
 
 
@@ -96,3 +97,45 @@ def test_counting_layers_load_only_the_layers_below(module):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str(LAYERS[module])
+
+
+def _cache_sizes() -> dict:
+    """Entries in each registered cache; `gwh._i_correlator` keeps a dict."""
+    sizes = {}
+    for module, names in gwhurwitz._CACHES.items():
+        home = importlib.import_module(f"gwhurwitz.{module}")
+        for name in names:
+            sizes[f"{module}.{name}"] = (len(home._i_store) if name == "_i_correlator"
+                                         else getattr(home, name).cache_info().currsize)
+    return sizes
+
+
+def test_clear_caches_empties_every_cache():
+    from gwhurwitz import gwh, hurwitz
+
+    gwh.gwh_crosscheck(3, 2)
+    gwh.i_function_numeric(0, (1,), 2)
+    hurwitz.hurwitz_connected(hurwitz.BranchData(0, 3, ((2, 1),) * 4))
+    hurwitz.monodromy_oracle(hurwitz.BranchData(0, 3, ((3,),) * 3))
+    filled = _cache_sizes()
+    assert all(filled.values()), filled
+    gwhurwitz.clear_caches()
+    assert not any(_cache_sizes().values())
+
+
+@pytest.mark.parametrize("module", sorted(HOMES))
+def test_every_cache_is_registered(module):
+    home = importlib.import_module(f"gwhurwitz.{module}")
+    found = {name for name, obj in vars(home).items() if hasattr(obj, "cache_clear")}
+    assert found == set(gwhurwitz._CACHES.get(module, ()))
+
+
+def test_clear_caches_loads_no_layer():
+    script = ("import sys, gwhurwitz\n"
+              "gwhurwitz.clear_caches()\n"
+              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
