@@ -246,8 +246,12 @@ class TestEmit:
         argv = _DOCUMENT_ARGVS[name]
         emit = cli_module._emit
         docs = []
-        monkeypatch.setattr(cli_module, "_emit",
-                            lambda doc, out: (docs.append(doc), emit(doc, out))[1])
+
+        def spy(doc, out_path):
+            docs.append(doc)
+            emit(doc, out_path)
+
+        monkeypatch.setattr(cli_module, "_emit", spy)
         outs = [run_cli(capsys, *argv)[1]]
         if argv[0] == "char":
             assert load_cached_table(int(argv[2])) is not None
