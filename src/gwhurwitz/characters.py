@@ -8,9 +8,9 @@ mask, with the largest part of the class stripped first.
 `character_columns` reads only the columns it is asked for: one row of each
 conjugate pair {lam, lam'} by the recursion and the other by the sign
 character, with a memo that ends with the call.  The character sums of
-`hurwitz` use it.  `CharacterTable.build` is the same read over every class;
-the last few whole tables are cached in memory, and `char` and the
-wall-crossing route use them.
+`hurwitz` use it.  `CharacterTable.build` is the same read over every class,
+made afresh by each call: `char` and the wall-crossing route use it, and no
+table is kept in memory past its caller.
 
 Both refuse degrees above MAX_TABLE_DEGREE before enumerating anything.  The
 transposition eigenvalue f2 is computed from shifted coordinates without
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 # the ceiling lives in `partitions`, so `cycle` refuses without loading this
 # module; callers read it here too
@@ -185,10 +184,8 @@ class CharacterTable:
         return self.dims[check_partition(lam)]
 
 
-# a d = 24 table holds 1575^2 values, and callers read one degree at a time
-@lru_cache(maxsize=4)
 def _build_table(degree: int) -> CharacterTable:
-    """Every column, read by `character_columns`; the last few are kept."""
+    """Every column, read by `character_columns`."""
     check_table_degree(degree)
     parts = enumerate_partitions(degree)
     return CharacterTable(degree, parts, character_columns(degree, parts))

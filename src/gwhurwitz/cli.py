@@ -6,8 +6,10 @@ deterministic ordering, to stdout or to `--out`.  The bytes are exactly
 `json.dumps(doc, indent=2)` and a newline, written row by row: each list or
 object of scalars (one table row) is one call of the C encoder, written as
 soon as it is made.  Character tables are persisted per degree under the
-directory named by GWHURWITZ_CACHE_DIR (default ~/.cache/gwhurwitz); the
-cache is an optimization only and is rebuilt on any version or checksum
+directory named by GWHURWITZ_CACHE_DIR (default ~/.cache/gwhurwitz), each
+file the SHA-256 of its body on one line and then the body, compact JSON.
+The cache is an optimization only: the stored bytes are checked before they
+are parsed, and a table is rebuilt on any checksum, version or shape
 mismatch.  A table that passes every check is used as read: the validated
 matrix is not copied.
 
@@ -60,11 +62,10 @@ def _table_payload(degree: int, table) -> dict:
     }
 
 
-def _checksum(payload: dict) -> str:
+def _checksum(body: bytes) -> bytes:
     import hashlib  # loads OpenSSL: only commands that touch the cache pay for it
 
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(body).hexdigest().encode()
 
 
 def _cache_path(degree: int) -> str:
@@ -74,28 +75,29 @@ def _cache_path(degree: int) -> str:
 def load_cached_table(degree: int):
     """Validated load; any mismatch means rebuild, never silent reuse.
 
-    Returns a `CharacterTable` or None.  Whatever the file holds, a malformed
+    The file is the SHA-256 of its body on one line, then the body: the
+    bytes are checked before they are parsed.  Returns a `CharacterTable` or
+    None.  Whatever the file holds, a checksum mismatch, a malformed
     document, a wrong shape or a non-integer entry reads as a miss and never
     raises."""
     from .characters import CharacterTable
 
-    path = _cache_path(degree)
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(_cache_path(degree), "rb") as handle:
+            digest, _, body = handle.read().partition(b"\n")
+        if digest != _checksum(body):
+            return None
+        doc = json.loads(body)
     except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict):
         return None
-    payload = {k: doc.get(k) for k in ("version", "d", "partitions", "matrix")}
-    if payload["version"] != CACHE_VERSION or payload["d"] != degree:
-        return None
-    if doc.get("checksum") != _checksum(payload):
+    if doc.get("version") != CACHE_VERSION or doc.get("d") != degree:
         return None
     partitions = enumerate_partitions(degree)
-    if payload["partitions"] != [format_partition(p) for p in partitions]:
+    if doc.get("partitions") != [format_partition(p) for p in partitions]:
         return None
-    matrix = payload["matrix"]
+    matrix = doc.get("matrix")
     if not (isinstance(matrix, list) and len(matrix) == len(partitions)
             and all(isinstance(row, list) and len(row) == len(partitions)
                     and set(map(type, row)) <= {int} for row in matrix)):
@@ -108,14 +110,12 @@ def store_table(degree: int, table) -> str:
     import tempfile
 
     os.makedirs(cache_dir(), exist_ok=True)
-    payload = _table_payload(degree, table)
-    payload["checksum"] = _checksum({k: payload[k]
-                                     for k in ("version", "d", "partitions", "matrix")})
+    body = json.dumps(_table_payload(degree, table), separators=(",", ":")).encode() + b"\n"
     path = _cache_path(degree)
     fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_checksum(body) + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,61 +14,41 @@ are memoized per pair of set partitions, and a count that does not ask for
 transitivity keeps every partition discrete.  Only the character sums import
 `characters`, so the oracle, their independent check, runs without it.  No
 count here builds a series, so the series core `qseries` is never loaded.
+No memo outlives a call: the connected recursion keeps its sub-problems for
+one count, and the oracle builds its group context for one count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
 from .partitions import ClassSum, check_partition, set_partitions, z_factor
 
 
-class BranchData:
-    """A target genus, a degree, and an ordered list of branch profiles.
+class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
+    """A target genus, a degree, and an ordered list of branch profiles,
+    validated on construction."""
 
-    Immutable; equal and hashed by (target_genus, degree, profiles).
-    """
+    __slots__ = ()
 
-    __slots__ = ("target_genus", "degree", "profiles")
-
-    def __init__(self, target_genus: int, degree: int, profiles: tuple = ()):
+    def __new__(cls, target_genus: int, degree: int, profiles: tuple = ()):
         if target_genus < 0 or degree < 1:
             raise ValueError("need target_genus >= 0 and degree >= 1")
         profiles = tuple(check_partition(p) for p in profiles)
         for p in profiles:
             if sum(p) != degree:
                 raise ValueError(f"profile {p} is not a partition of {degree}")
-        for name, value in zip(self.__slots__, (target_genus, degree, profiles)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, target_genus, degree, profiles)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.target_genus, self.degree, self.profiles)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (BranchData, self._fields())
-
-    def __repr__(self):
-        return (f"BranchData(target_genus={self.target_genus!r}, degree={self.degree!r}, "
-                f"profiles={self.profiles!r})")
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
 
 # ----------------------------------------------------------- character side
@@ -170,7 +150,7 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
 
 
 class _GroupContext:
-    """Cached multiplication and orbit data for one symmetric group."""
+    """Multiplication and orbit data for one symmetric group."""
 
     def __init__(self, d: int):
         self.d = d
@@ -290,12 +270,6 @@ class _GroupContext:
         return dist
 
 
-# the d = 7 product table alone holds 5040^2 entries; a count reads one degree
-@lru_cache(maxsize=2)
-def _group_context(d: int) -> _GroupContext:
-    return _GroupContext(d)
-
-
 def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
                      degree_bound: int = DEFAULT_ORACLE_BOUND) -> Fraction:
     """Count monodromy tuples by direct enumeration, divided by d!.
@@ -313,7 +287,7 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
             f"{math.factorial(d) ** 2:.1e} entries")
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
-    ctx = _group_context(d)
+    ctx = _GroupContext(d)
     # each step multiplies in one group element with its orbit partition;
     # only transitivity reads the joins, so other counts keep them discrete
     steps = [ctx.commutator_distribution(transitive_only).items()
@@ -338,13 +312,11 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
 # ------------------------------------------------- connected from splittings
 
 
-@lru_cache(maxsize=4096)
 def _carvings(eta, d1: int) -> tuple:
     """Each distinct sub-multiset of eta's parts with total d1, paired with the
     rest; the largest carved part is taken at its value's first occurrence.
 
-    Memoized, since the connected recursion carves the same profiles at every
-    level; the answer is a tuple, so callers can share it."""
+    A tuple, so the connected recursion's memo can share it between callers."""
     if d1 == 0:
         return (((), eta),)
     out = []
@@ -355,51 +327,47 @@ def _carvings(eta, d1: int) -> tuple:
     return tuple(out)
 
 
-# The recursion's sub-profiles are canonical by construction: no BranchData.
-# Its whole state fits both bounds with room to spare: the connected degree-8
-# count with fifteen profiles keeps 78 entries in each, degree 12 with 23 keeps 210.
-_RECURSION_CACHE = 4096
-_disconnected_cached = lru_cache(maxsize=_RECURSION_CACHE)(_disconnected)
+def hurwitz_connected(branch: BranchData) -> Fraction:
+    """Weighted count of connected covers with the prescribed profiles.
 
-
-@lru_cache(maxsize=_RECURSION_CACHE)
-def _connected_cached(h: int, d: int, profiles: tuple) -> Fraction:
-    """Connected count by removing splittings with a marked-sheet recursion.
-
-    The component containing a marked sheet has degree d1 and is connected;
-    summing over d1 < d with weight d1/d and over all distributions of each
-    profile's parts removes every disconnected configuration exactly once.
+    Splittings are removed by a marked-sheet recursion: the component
+    containing a marked sheet has degree d1 and is connected; summing over
+    d1 < d with weight d1/d and over all distributions of each profile's
+    parts removes every disconnected configuration exactly once.  Its
+    sub-profiles are canonical by construction, and the recursion, the
+    disconnected counts and the carvings are memoized for this call only.
     The whole recursion is validated against the transitive oracle.
     """
-    total = _disconnected_cached(h, d, profiles)
-    repeats = Counter(profiles)
-    for d1 in range(1, d):
-        weight = Fraction(d1, d)
-        # fold each distinct profile in once: m copies of it are carved by a
-        # multiset of m carvings, counted by its number of orderings, since
-        # distributions with the same sorted outcome contribute the same term
-        folds = {((), ()): 1}
-        for eta, m in repeats.items():
-            choices = []
-            for combo in itertools.combinations_with_replacement(_carvings(eta, d1), m):
-                ways = math.factorial(m)
-                for k in Counter(combo).values():
-                    ways //= math.factorial(k)
-                choices.append((tuple(carved for carved, _ in combo),
-                                tuple(rest for _, rest in combo), ways))
-            new = {}
+    disconnected = cache(_disconnected)
+    carvings = cache(_carvings)
+
+    @cache
+    def connected(h: int, d: int, profiles: tuple) -> Fraction:
+        total = disconnected(h, d, profiles)
+        repeats = Counter(profiles)
+        for d1 in range(1, d):
+            weight = Fraction(d1, d)
+            # fold each distinct profile in once: m copies of it are carved by a
+            # multiset of m carvings, counted by its number of orderings, since
+            # distributions with the same sorted outcome contribute the same term
+            folds = {((), ()): 1}
+            for eta, m in repeats.items():
+                choices = []
+                for combo in itertools.combinations_with_replacement(carvings(eta, d1), m):
+                    ways = math.factorial(m)
+                    for k in Counter(combo).values():
+                        ways //= math.factorial(k)
+                    choices.append((tuple(carved for carved, _ in combo),
+                                    tuple(rest for _, rest in combo), ways))
+                new = {}
+                for (left, right), count in folds.items():
+                    for carved, rest, ways in choices:
+                        key = (tuple(sorted(left + carved)), tuple(sorted(right + rest)))
+                        new[key] = new.get(key, 0) + count * ways
+                folds = new
             for (left, right), count in folds.items():
-                for carved, rest, ways in choices:
-                    key = (tuple(sorted(left + carved)), tuple(sorted(right + rest)))
-                    new[key] = new.get(key, 0) + count * ways
-            folds = new
-        for (left, right), count in folds.items():
-            total -= (count * weight * _connected_cached(h, d1, left)
-                      * _disconnected_cached(h, d - d1, right))
-    return total
+                total -= (count * weight * connected(h, d1, left)
+                          * disconnected(h, d - d1, right))
+        return total
 
-
-def hurwitz_connected(branch: BranchData) -> Fraction:
-    """Weighted count of connected covers with the prescribed profiles."""
-    profiles = tuple(sorted(branch.profiles))
-    return _connected_cached(branch.target_genus, branch.degree, profiles)
+    return connected(branch.target_genus, branch.degree, tuple(sorted(branch.profiles)))

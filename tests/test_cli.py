@@ -1,6 +1,7 @@
 """Command-line documents, determinism, and the character-table cache."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -119,7 +120,7 @@ class TestDocuments:
         def no_context(d):
             raise AssertionError(f"group context built for degree {d}")
 
-        monkeypatch.setattr(hurwitz_module, "_group_context", no_context)
+        monkeypatch.setattr(hurwitz_module, "_GroupContext", no_context)
         code = main(["hur", "--d", "8", "--oracle", "--oracle-bound", "8",
                      "--target-genus", "0"])
         err = capsys.readouterr().err
@@ -291,6 +292,26 @@ class TestEmit:
         assert sorted(writes.sizes)[-len(pieces):] == sorted(map(len, pieces))
 
 
+def _body(doc) -> bytes:
+    """A cache file's body: compact JSON and a newline, as `store_table` writes it."""
+    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+
+
+def _write_cache(cache, d: int, body: bytes, digest: bytes = None) -> str:
+    """Write a degree-d cache file: `digest` (by default the body's checksum),
+    a newline, then the body."""
+    os.makedirs(cache, exist_ok=True)
+    path = os.path.join(cache, f"chartable_d{d}.json")
+    with open(path, "wb") as handle:
+        handle.write((_checksum(body) if digest is None else digest) + b"\n" + body)
+    return path
+
+
+def _is_current_format(path) -> bool:
+    digest, _, body = open(path, "rb").read().partition(b"\n")
+    return digest == hashlib.sha256(body).hexdigest().encode()
+
+
 class TestCache:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_round_trip(self, d):
@@ -302,24 +323,12 @@ class TestCache:
         assert loaded.partitions == table.partitions
 
     def test_compact_file(self, isolated_cache):
+        # the SHA-256 of the body on one line, then the body: compact JSON
         path = store_table(5, CharacterTable.build(5))
-        text = open(path, encoding="utf-8").read()
-        assert "\n" not in text.rstrip("\n") and ", " not in text
-
-    def test_indented_file_still_loads(self, isolated_cache, capsys):
-        d = 9
-        _, fresh = run_cli(capsys, "char", "--d", str(d))
-        payload = _table_payload(d, CharacterTable.build(d))
-        payload["checksum"] = _checksum(payload)
-        path = os.path.join(isolated_cache, f"chartable_d{d}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-        written = open(path, encoding="utf-8").read()
-        assert load_cached_table(d) is not None
-        _, out = run_cli(capsys, "char", "--d", str(d))
-        assert out == fresh
-        assert open(path, encoding="utf-8").read() == written  # read, not rebuilt
+        assert _is_current_format(path)
+        digest, body = open(path, "rb").read().split(b"\n", 1)
+        assert len(digest) == 64 and body == _body(_table_payload(5, CharacterTable.build(5)))
+        assert b"\n" not in body.rstrip(b"\n") and b", " not in body
 
     def test_delete_changes_nothing(self, isolated_cache, capsys):
         _, first = run_cli(capsys, "char", "--d", "6")
@@ -329,29 +338,51 @@ class TestCache:
         assert first == second
 
     def test_corrupted_cache_is_rebuilt(self, isolated_cache):
-        character_table(4)
-        path = os.path.join(isolated_cache, "chartable_d4.json")
-        doc = json.loads(open(path).read())
+        path = store_table(4, CharacterTable.build(4))
+        digest, _, body = open(path, "rb").read().partition(b"\n")
+        doc = json.loads(body)
         doc["matrix"][0][0] = 999
-        with open(path, "w") as handle:
-            json.dump(doc, handle)
+        _write_cache(isolated_cache, 4, _body(doc), digest)
         assert load_cached_table(4) is None  # checksum mismatch
         assert character_table(4).matrix[0][0] != 999
 
+    def test_whitespace_change_is_rebuilt(self, isolated_cache, capsys):
+        # the checksum covers the stored bytes, not the parsed document
+        _, fresh = run_cli(capsys, "char", "--d", "5")
+        path = os.path.join(isolated_cache, "chartable_d5.json")
+        digest, _, body = open(path, "rb").read().partition(b"\n")
+        _write_cache(isolated_cache, 5, body.replace(b",", b", ", 1), digest)
+        assert load_cached_table(5) is None
+        code, out = run_cli(capsys, "char", "--d", "5")
+        assert code == 0 and out == fresh
+        assert open(path, "rb").read() == digest + b"\n" + body  # rewritten
+
+    def test_old_format_file_is_rewritten(self, isolated_cache, capsys):
+        # a file of an older release: one line, its checksum a field of the
+        # object over the sorted-key dump of the other four
+        d = 5
+        _, fresh = run_cli(capsys, "char", "--d", str(d))
+        payload = _table_payload(d, CharacterTable.build(d))
+        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["checksum"] = hashlib.sha256(canon.encode()).hexdigest()
+        path = os.path.join(isolated_cache, f"chartable_d{d}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        assert load_cached_table(d) is None
+        code, out = run_cli(capsys, "char", "--d", str(d))
+        assert code == 0 and out == fresh
+        assert _is_current_format(path) and load_cached_table(d) is not None
+
     def test_version_mismatch_is_rebuilt(self, isolated_cache):
-        character_table(3)
-        path = os.path.join(isolated_cache, "chartable_d3.json")
-        doc = json.loads(open(path).read())
-        doc["version"] = -1
-        with open(path, "w") as handle:
-            json.dump(doc, handle)
+        payload = _table_payload(3, CharacterTable.build(3))
+        payload["version"] = -1
+        _write_cache(isolated_cache, 3, _body(payload))
         assert load_cached_table(3) is None
 
     @pytest.mark.parametrize("doc", [[1, 2], "x", None], ids=["list", "string", "null"])
     def test_non_object_file_is_rebuilt(self, isolated_cache, capsys, doc):
         _, fresh = run_cli(capsys, "char", "--d", "5")
-        with open(os.path.join(isolated_cache, "chartable_d5.json"), "w") as handle:
-            json.dump(doc, handle)
+        _write_cache(isolated_cache, 5, _body(doc))
         assert load_cached_table(5) is None
         code, out = run_cli(capsys, "char", "--d", "5")
         assert code == 0 and out == fresh
@@ -359,9 +390,7 @@ class TestCache:
     def test_deeply_nested_file_is_rebuilt(self, isolated_cache, capsys):
         # past the recursion limit the decoder raises RecursionError, not ValueError
         _, fresh = run_cli(capsys, "char", "--d", "5")
-        path = os.path.join(isolated_cache, "chartable_d5.json")
-        with open(path, "w") as handle:
-            handle.write("[" * 200000 + "]" * 200000)
+        _write_cache(isolated_cache, 5, b"[" * 200000 + b"]" * 200000)
         assert load_cached_table(5) is None
         code, out = run_cli(capsys, "char", "--d", "5")
         assert code == 0 and out == fresh
@@ -384,9 +413,7 @@ class TestCache:
         _, fresh = run_cli(capsys, "char", "--d", str(d))
         payload = _table_payload(d, CharacterTable.build(d))
         damage(payload)
-        payload["checksum"] = _checksum(payload)
-        with open(os.path.join(isolated_cache, f"chartable_d{d}.json"), "w") as handle:
-            json.dump(payload, handle)
+        _write_cache(isolated_cache, d, _body(payload))
         assert load_cached_table(d) is None
         code, out = run_cli(capsys, "char", "--d", str(d))
         assert code == 0 and out == fresh

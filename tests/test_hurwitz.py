@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.hurwitz import (BranchData, _carvings, _connected_cached,
-                               _disconnected_cached, _group_context, _GroupContext,
-                               branching_sums, hurwitz_classsum, hurwitz_connected,
-                               hurwitz_disconnected, monodromy_oracle)
+from gwhurwitz.hurwitz import (BranchData, _carvings, _GroupContext, branching_sums,
+                               hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
+                               monodromy_oracle)
 from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
                                   z_factor)
 
@@ -44,6 +43,11 @@ class TestBranchData:
         for bad in [(-1, 3, ()), (0, 0, ()), (0, 3, ((2, 2),))]:
             with pytest.raises(ValueError):
                 BranchData(*bad)
+            with pytest.raises(ValueError):
+                BranchData._make(bad)
+        with pytest.raises(ValueError):
+            b._replace(degree=4)
+        assert b._replace(profiles=[(3,)]) == BranchData(1, 3, ((3,),))
 
 
 class TestSpotValues:
@@ -83,7 +87,7 @@ class TestSpotValues:
         def no_context(d):
             raise AssertionError(f"group context built for degree {d}")
 
-        monkeypatch.setattr(hurwitz_module, "_group_context", no_context)
+        monkeypatch.setattr(hurwitz_module, "_GroupContext", no_context)
         with pytest.raises(ValueError, match=r"8!x8! .* 1\.6e\+09 entries"):
             monodromy_oracle(BranchData(0, 8, ((2,) + (1,) * 6,)), degree_bound=8)
 
@@ -305,25 +309,28 @@ def test_carvings_match_brute_force_over_index_subsets():
                     assert tuple(sorted(carved + rest, reverse=True)) == eta
                 # a memoized answer is shared between callers: it must be immutable
                 assert isinstance(got, tuple), (eta, d1)
-    assert _carvings.cache_info().maxsize is not None
 
 
-def test_group_contexts_are_bounded():
-    # the d = 7 product table alone holds 5040^2 entries
-    assert _group_context.cache_info().maxsize is not None
+def test_connected_count_computes_each_sub_problem_once_per_call(monkeypatch):
+    # the heaviest connected `covers` shape at degree 8: (1^8) plus 14 simple
+    # points; its recursion reaches 78 disconnected sub-problems, each counted
+    # once, and a repeat call counts them again instead of reading a
+    # process-wide cache
+    import gwhurwitz.hurwitz as hurwitz_module
 
+    calls = []
+    inner = hurwitz_module._disconnected
 
-@pytest.mark.parametrize("mu", [(1,) * 8, (2,) + (1,) * 6], ids=["identity", "transposition"])
-def test_recursion_caches_are_bounded_above_a_degree_8_count(mu):
-    # the heaviest connected shape at degree 8: mu plus l(mu) + 6 simple points
-    # fits both bounds, so nothing is evicted and recomputed
-    _connected_cached.cache_clear()
-    _disconnected_cached.cache_clear()
-    parts = (mu,) + (transposition_class(8),) * (len(mu) + 6)
-    assert hurwitz_connected(BranchData(0, 8, parts)) == 70849658880
-    for cache in (_connected_cached, _disconnected_cached):
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize < info.maxsize
+    def spy(h, d, profiles):
+        calls.append((h, d, profiles))
+        return inner(h, d, profiles)
+
+    monkeypatch.setattr(hurwitz_module, "_disconnected", spy)
+    branch = BranchData(0, 8, ((1,) * 8,) + (transposition_class(8),) * 14)
+    for _ in range(2):
+        calls.clear()
+        assert hurwitz_connected(branch) == 70849658880
+        assert len(calls) == len(set(calls)) == 78
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

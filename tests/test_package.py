@@ -111,12 +111,10 @@ def _cache_sizes() -> dict:
 
 
 def test_clear_caches_empties_every_cache():
-    from gwhurwitz import gwh, hurwitz
+    from gwhurwitz import gwh
 
     gwh.gwh_crosscheck(3, 2)
     gwh.i_function_numeric(0, (1,), 2)
-    hurwitz.hurwitz_connected(hurwitz.BranchData(0, 3, ((2, 1),) * 4))
-    hurwitz.monodromy_oracle(hurwitz.BranchData(0, 3, ((3,),) * 3))
     filled = _cache_sizes()
     assert all(filled.values()), filled
     gwhurwitz.clear_caches()
