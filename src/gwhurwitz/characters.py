@@ -1,26 +1,34 @@
 """Symmetric-group characters and central character values.
 
-Characters are computed by the Murnaghan-Nakayama border-strip recursion on
+Characters are computed by the Murnaghan-Nakayama border-strip rule on
 beta-sets stored as integer bit masks: removing a strip of m cells moves a
 bead from b to an empty b - m, and its height is the number of beads in
-between.  Values are memoized in one dict per remaining class, keyed by
-mask, with the largest part of the class stripped first.
+between.  The requested classes form a tree by first part, in which equal
+sets of rests share one node.  The kernel `_row` reads a shape's row over a
+node's classes: for each first part m it removes the m-strips once and adds
+the smaller shapes' rows over the rests with their signs.  A row is one
+integer with a signed 64-bit field per class, so that sum is one integer
+addition, and each node keeps one memo of rows keyed by mask.
 `character_columns` reads only the columns it is asked for: one row of each
-conjugate pair {lam, lam'} by the recursion and the other by the sign
-character, with a memo that ends with the call.  The character sums of
+conjugate pair {lam, lam'} by the kernel and the other by the sign
+character, with memos that end with the call.  The character sums of
 `hurwitz` use it.  `CharacterTable.build` is the same read over every class,
 made afresh by each call: `char` and the wall-crossing route use it, and no
-table is kept in memory past its caller.
+table is kept in memory past its caller.  `chi` reads one class the same way
+and is not capped.
 
-Both refuse degrees above MAX_TABLE_DEGREE before enumerating anything.  The
-transposition eigenvalue f2 is computed from shifted coordinates without
-touching characters, so the two can be compared as independent routes.
+Tables and column reads refuse degrees above MAX_TABLE_DEGREE before
+enumerating anything.  The transposition eigenvalue f2 is computed from
+shifted coordinates without touching characters, so the two can be compared
+as independent routes.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
+from operator import mul
 
 # the ceiling lives in `partitions`, so `cycle` refuses without loading this
 # module; callers read it here too
@@ -39,50 +47,77 @@ def _mask(lam) -> int:
 
 def _conjugate(lam) -> tuple:
     """Transposed shape: column lengths of lam."""
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0])) if lam else ()
+    # a list, not a generator: a generator expression nested in another one
+    # is left to the cycle collector
+    return tuple([sum(1 for p in lam if p > j) for j in range(lam[0])]) if lam else ()
 
 
-def _mn(mask: int, mu: tuple, memo: dict) -> int:
-    """Character of the shape with beta-set `mask` at the class mu.
+def _node(classes: list, nodes: dict) -> tuple:
+    """(groups, memo) of the node that reads `classes`, distinct partitions of
+    one size in descending order.
 
-    Strips a border strip of mu[0] cells, that is, moves a bead from b to an
-    empty b - mu[0], with sign (-1)^(beads strictly between); empty rows
-    (bead 0) are shifted away so every shape has one mask.  Values of the
-    smaller shapes are kept in memo[mu[1:]][mask].
+    The classes of first part m form one group (m, bead mask of the m - 1
+    cells between, field offset of its first class, the child's groups and
+    memo), whose rests are the child's classes in order.  `nodes` shares one
+    node among equal sets of rests while the tree is built; the kernel never
+    hashes a class.
     """
-    if not mu:
-        return 1
-    m = mu[0]
-    rest = mu[1:]
-    sub = memo.get(rest)
-    if sub is None:
-        sub = memo[rest] = {}
-    between = (1 << (m - 1)) - 1
-    total = 0
-    moves = (mask >> m) & ~mask  # bit j: a bead at j + m and none at j
-    while moves:
-        bit = moves & -moves
-        moves ^= bit
-        new = mask ^ bit ^ (bit << m)
-        while new & 1:
-            new >>= 1
-        value = sub.get(new)
-        if value is None:
-            value = sub[new] = _mn(new, rest, memo)
-        if ((mask >> bit.bit_length()) & between).bit_count() & 1:
-            total -= value
-        else:
-            total += value
-    return total
+    if classes == [()]:
+        return (), {0: 1}  # the empty shape at the empty class
+    key = tuple(classes)
+    if key not in nodes:
+        by_first: dict = {}
+        for mu in classes:
+            by_first.setdefault(mu[0], []).append(mu[1:])
+        groups, shift = [], 0
+        for m, rests in by_first.items():
+            groups.append((m, (1 << (m - 1)) - 1, shift, *_node(rests, nodes)))
+            shift += 64 * len(rests)
+        nodes[key] = tuple(groups), {}
+    return nodes[key]
+
+
+def _row(mask: int, groups: tuple) -> int:
+    """Packed characters of the shape with beta-set `mask` at a node's classes.
+
+    For each first part m, strips of m cells are removed once: a bead moves
+    from b to an empty b - m, with sign (-1)^(beads strictly between), and
+    empty rows (bead 0) are shifted away so every shape has one mask.  The
+    smaller shape's packed row over the rests, kept in the child's memo, is
+    added with that sign, which serves every class (m, rest) at once.
+    """
+    row = 0
+    for m, between, shift, child, memo in groups:
+        total = 0
+        moves = (mask >> m) & ~mask  # bit j: a bead at j + m and none at j
+        while moves:
+            bit = moves & -moves
+            moves ^= bit
+            new = mask ^ bit ^ (bit << m)
+            while new & 1:
+                new >>= 1
+            value = memo.get(new)
+            if value is None:
+                value = memo[new] = _row(new, child)
+            if ((mask >> bit.bit_length()) & between).bit_count() & 1:
+                total -= value
+            else:
+                total += value
+        row += total << shift
+    return row
 
 
 def chi(lam, mu) -> int:
-    """Irreducible character value at the class mu; the recursion's memo ends with the call."""
+    """Irreducible character value at the class mu; the kernel's memos end with the call.
+
+    One class packs into one field at offset 0, so the value is read whole,
+    with no bound on its size.
+    """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn(_mask(lam), mu, {})
+    return _row(_mask(lam), _node([mu], {})[0]) if mu else 1
 
 
 def dim_hook(lam) -> int:
@@ -134,27 +169,39 @@ def character_columns(degree: int, classes) -> list:
 
     Rows come in `enumerate_partitions` order, as in a `CharacterTable`, but
     only the requested columns are computed; a caller that needs dim lam asks
-    for the identity class (1^d).  One row of each conjugate pair is read by
-    the recursion and the other by chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu),
-    and the memo ends with the call.
+    for the identity class (1^d).  Repeated classes are read once.  One row of
+    each conjugate pair is read by the kernel and the other by
+    chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu), and the memos end with the
+    call.
     """
     check_table_degree(degree)
     classes = [check_partition(mu) for mu in classes]
     for mu in classes:
         if sum(mu) != degree:
             raise ValueError(f"class {mu} is not a partition of {degree}")
+    order = sorted(set(classes), reverse=True)
+    groups, memo = _node(order, {})
+    # |chi^lam(mu)| <= dim lam < 2^40 at MAX_TABLE_DEGREE, so every field fits
+    # a signed 64-bit item; adding the top bit of every field carries nothing
+    # across fields, and xor with it leaves each field in two's complement
+    width = len(order)
+    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * width, "little")
+    unpack = struct.Struct(f"<{width}q").unpack
+    pick = list(map(dict(zip(order, range(width))).__getitem__, classes))
     parts = enumerate_partitions(degree)
     index = {lam: i for i, lam in enumerate(parts)}
     signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in classes]
-    memo: dict = {}
     rows = []
     for lam in parts:
         twin = index[_conjugate(lam)]
         if twin < len(rows):
-            rows.append([s * v for s, v in zip(signs, rows[twin])])
+            rows.append(list(map(mul, signs, rows[twin])))
         else:
+            # only a leaf's memo is filled before the kernel runs: at degree 0
+            # the root is the leaf
             mask = _mask(lam)
-            rows.append([_mn(mask, mu, memo) for mu in classes])
+            packed = ((memo.get(mask) or _row(mask, groups)) + bias) ^ bias
+            rows.append(list(map(unpack(packed.to_bytes(8 * width, "little")).__getitem__, pick)))
     return rows
 
 

@@ -264,12 +264,22 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     order.  An I-coefficient is fetched only when some chi^lam(eta)(-f2)^b
     is nonzero.
     """
-    from .characters import CharacterTable, f2_shifted
-
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
+    return _tau_from_table(k, *_crossing_table(d))
+
+
+def _crossing_table(d: int) -> tuple:
+    """The degree-d character table and the eigenvalues -f2(lam) in its row order."""
+    from .characters import CharacterTable, f2_shifted
+
     table = CharacterTable.build(d)
-    evs = [-int(f2_shifted(lam)) for lam in table.partitions]  # an integer: a content sum
+    return table, [-int(f2_shifted(lam)) for lam in table.partitions]  # integers: content sums
+
+
+def _tau_from_table(k: int, table, evs: list) -> ClassSum:
+    """`tau_via_wallcrossing` for one k, from a table and eigenvalues built once per degree."""
+    d = table.degree
     c = [Fraction(0)] * len(evs)
     for col, eta in enumerate(table.partitions):
         ell = len(eta)
@@ -325,13 +335,15 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
     """Termwise comparison of the two completed-cycle routes.
 
     k runs down from k_max, whose I-coefficients need the largest orders;
-    the report lists the rows in ascending (d, k) order.
+    each degree's table and eigenvalues are built once for every k.  The
+    report lists the rows in ascending (d, k) order.
     """
     rows = []
     for d in range(1, d_max + 1):
+        crossing = _crossing_table(d)
         for k in range(k_max, -1, -1):
             lhs = completed_cycle(k, d).value
-            rhs = tau_via_wallcrossing(k, d)
+            rhs = _tau_from_table(k, *crossing)
             rows.append(CrosscheckRow(d, k, lhs == rhs, lhs, rhs))
     rows.sort(key=lambda row: (row.d, row.k))
     return CrosscheckReport(d_max, k_max, tuple(rows))

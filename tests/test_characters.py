@@ -1,9 +1,11 @@
 """Character values against representation traces, orthogonality, and the
 class-algebra structure constants obtained by brute-force group enumeration."""
 
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -66,6 +68,18 @@ def _cycle_type(p):
             n += 1
         out.append(n)
     return tuple(sorted(out, reverse=True))
+
+
+def _assert_table_invariants(d):
+    """Sum of dim^2 is d!, the identity column holds the hook dimensions, and
+    the sign and trivial rows hold."""
+    table = CharacterTable.build(d)
+    parts = table.partitions
+    assert sum(table.dim(lam) ** 2 for lam in parts) == math.factorial(d)
+    identity = (1,) * d
+    assert all(table.chi(lam, identity) == dim_hook(lam) for lam in parts)
+    assert all(table.chi(identity, mu) == (-1) ** (d - len(mu)) for mu in parts)
+    assert all(table.chi((d,), mu) == 1 for mu in parts)
 
 
 class TestSpotValues:
@@ -205,19 +219,45 @@ class TestColumns:
                             for lam in table.partitions], classes
 
     def test_rows_of_conjugates_are_read_once(self, monkeypatch):
-        # one row of each conjugate pair goes through the recursion
-        calls = []
-        kernel = characters._mn
+        # one row of each conjugate pair goes through the kernel, the first of
+        # the pair in table order; each such read takes the shape's mask once
+        read = []
+        mask = characters._mask
 
-        def counting(mask, mu, memo):
-            calls.append(mu)
-            return kernel(mask, mu, memo)
+        def counting(lam):
+            read.append(lam)
+            return mask(lam)
 
-        monkeypatch.setattr(characters, "_mn", counting)
+        monkeypatch.setattr(characters, "_mask", counting)
         parts = enumerate_partitions(8)
         character_columns(8, [(4, 4)])
-        # the recursion's own calls strip a part first
-        assert calls.count((4, 4)) == len({min(lam, _conjugate(lam)) for lam in parts})
+        assert read == [lam for lam in parts if lam >= _conjugate(lam)]
+
+    @pytest.mark.parametrize("d", [16, 20])
+    def test_narrow_reads_above_degree_12(self, d):
+        table = CharacterTable.build(d)
+        a, b = random.Random(d).sample(table.partitions, 2)
+        for classes in ([transposition_class(d), (1,) * d, transposition_class(d)], [a, b, a], [b, b]):
+            assert character_columns(d, classes) == [[table.chi(lam, mu) for mu in classes]
+                                                     for lam in table.partitions], classes
+
+    def test_memos_end_with_the_call_without_the_collector(self):
+        # reference counting alone frees the memos, about 0.3 MB at this read;
+        # a few KB of small tuples stay in the interpreter's free lists
+        parts = enumerate_partitions(16)
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            character_columns(16, parts)  # fills those free lists
+            base = tracemalloc.get_traced_memory()[0]
+            character_columns(16, parts)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert grown < 32_000
 
     def test_classes_must_be_partitions_of_the_degree(self):
         with pytest.raises(ValueError, match="not a partition of 4"):
@@ -240,9 +280,9 @@ class TestMaskKernel:
         seen, filled = set(), 0
         for lam in table.partitions:
             if _conjugate(lam) in seen:
-                # this row was filled by sign from its conjugate's row
-                direct = [characters._mn(characters._mask(lam), mu, {})
-                          for mu in table.partitions]
+                # this row was filled by sign from its conjugate's row;
+                # `chi` reads each cell through the kernel itself
+                direct = [chi(lam, mu) for mu in table.partitions]
                 assert table.matrix[table.partitions.index(lam)] == direct
                 filled += 1
             seen.add(lam)
@@ -250,14 +290,11 @@ class TestMaskKernel:
                                                        for l in table.partitions)) // 2
 
     def test_degree_18_invariants(self):
-        d = 18
-        table = CharacterTable.build(d)
-        parts = table.partitions
-        assert sum(table.dim(lam) ** 2 for lam in parts) == math.factorial(d)
-        identity = (1,) * d
-        assert all(table.chi(lam, identity) == dim_hook(lam) for lam in parts)
-        assert all(table.chi(identity, mu) == (-1) ** (d - len(mu)) for mu in parts)
-        assert all(table.chi((d,), mu) == 1 for mu in parts)
+        _assert_table_invariants(18)
+
+    def test_degree_24_invariants(self):
+        # the ceiling MAX_TABLE_DEGREE
+        _assert_table_invariants(24)
 
     def test_public_chi_matches_table(self):
         d = 16

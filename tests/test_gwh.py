@@ -246,6 +246,20 @@ class TestRouteEquivalence:
     def test_crosscheck_vacuous(self):
         assert gwh_crosscheck(0, 3).passed
 
+    def test_crosscheck_builds_each_degree_once(self, monkeypatch):
+        # every k of one degree reads the same table
+        import gwhurwitz.characters as characters
+        builds = []
+        build = characters._build_table
+
+        def counting(degree):
+            builds.append(degree)
+            return build(degree)
+
+        monkeypatch.setattr(characters, "_build_table", counting)
+        assert gwh_crosscheck(4, 6).passed
+        assert builds == [1, 2, 3, 4]
+
 
 class TestHodgeSeries:
     def test_degree_one_tower_is_trivial(self):
