@@ -7,8 +7,8 @@ between.  The requested classes form a tree by first part, in which equal
 sets of rests share one node.  The kernel `_row` reads a shape's row over a
 node's classes: for each first part m it removes the m-strips once and adds
 the smaller shapes' rows over the rests with their signs.  A row is one
-integer with a signed 64-bit field per class, so that sum is one integer
-addition, and each node keeps one memo of rows keyed by mask.
+integer with a signed 64-bit field per class, so adding a whole row is one
+integer addition, and each node keeps one memo of rows keyed by mask.
 `character_columns` reads only the columns it is asked for: one row of each
 conjugate pair {lam, lam'} by the kernel and the other by the sign
 character, with memos that end with the call.  The character sums of

@@ -12,8 +12,9 @@ Only `partitions` and the series core `qseries` are imported at module
 level, so each function loads only the layers its route runs.  The wedge
 engine `fock` is imported by `_boundary_bra` (the I-coefficients and the
 Hodge series) and by `_evaluate_i_correlator` (its ket); `characters` by
-`tau_via_wallcrossing` and `elsv_check`; `hurwitz` by `stationary_gw` and
-`elsv_check`.  The closed formula `completed_cycle` loads none of them.
+`_crossing_table` (the wall-crossing route's table) and `elsv_check`;
+`hurwitz` by `stationary_gw` and `elsv_check`.  The closed formula
+`completed_cycle` loads none of them.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def multiplicity_of_one(mu) -> int:
 
 # full passes over the partitions of one degree (character tables and their
 # column reads, completed cycles) stop at p(24) = 1575 classes; the d = 24
-# table builds in 0.36-0.42 s in-process (2-core Xeon, CPython 3.11).  Single
+# table builds in 0.32-0.42 s in-process (2-core Xeon, CPython 3.11).  Single
 # values through `characters.chi` are not capped
 MAX_TABLE_DEGREE = 24
 

@@ -237,7 +237,8 @@ class TestColumns:
     def test_narrow_reads_above_degree_12(self, d):
         table = CharacterTable.build(d)
         a, b = random.Random(d).sample(table.partitions, 2)
-        for classes in ([transposition_class(d), (1,) * d, transposition_class(d)], [a, b, a], [b, b]):
+        simple = transposition_class(d)
+        for classes in ([simple, (1,) * d, simple], [a, b, a], [b, b]):
             assert character_columns(d, classes) == [[table.chi(lam, mu) for mu in classes]
                                                      for lam in table.partitions], classes
 
