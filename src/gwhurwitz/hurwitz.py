@@ -11,20 +11,26 @@ Transitivity is tracked through the join of the generators' orbit
 partitions, which turns the transitive count into the same dynamic
 programming sweep over (partial product, partial orbit join) pairs; joins
 are memoized per pair of set partitions, and a count that does not ask for
-transitivity keeps every partition discrete.  Only the character sums import
-`characters`, so the oracle, their independent check, runs without it.  No
-count here builds a series, so the series core `qseries` is never loaded.
-No memo outlives a call: the connected recursion keeps its sub-problems for
-one count, and the oracle builds its group context for one count.
+transitivity keeps every partition discrete.  The product table's rows are
+2-byte arrays built on first read, and the sweep's last step looks up an
+inverse instead of multiplying, so a genus-0 count builds only the rows of
+its partial products; genus >= 1 reads the whole table.  Only the character
+sums import `characters`, so the oracle, their independent check, runs
+without it.  No count here builds a series, so the series core `qseries` is
+never loaded.  No memo outlives a call: the connected recursion keeps its
+sub-problems for one count, and the oracle builds its group context for one
+count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
 from .partitions import ClassSum, check_partition, set_partitions, z_factor
@@ -150,21 +156,49 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
 
 
 class _GroupContext:
-    """Multiplication and orbit data for one symmetric group."""
+    """Multiplication and orbit data for one symmetric group.
+
+    Row p of the product table holds index(p o q) for every q.  Rows are
+    2-byte arrays (d! <= 5040 below the oracle's ceiling) built on demand:
+    a BFS tree over left multiplication by the adjacent transpositions links
+    each element s o p to its parent p, and `row` builds a row the first
+    time it is read, from its parent's row (row(s o p) is row(s) read at
+    row(p)'s entries).  A count reads only the rows of its partial products;
+    `table` builds every row once, in BFS order, for the counts that read
+    them all.
+    """
 
     def __init__(self, d: int):
         self.d = d
         self.perms = list(itertools.permutations(range(d)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.index = index = {p: i for i, p in enumerate(self.perms)}
         n = len(self.perms)
-        self.identity = self.index[tuple(range(d))]
-        self.mult = self._product_table()
+        self.identity = index[tuple(range(d))]
         self.inv = [0] * n
         for i, p in enumerate(self.perms):
             q = [0] * d
             for x in range(d):
                 q[p[x]] = x
-            self.inv[i] = self.index[tuple(q)]
+            self.inv[i] = index[tuple(q)]
+        # the adjacent transpositions' rows, kept as lists for fast reads
+        gens = []
+        for i in range(d - 1):
+            s = list(range(d))
+            s[i], s[i + 1] = i + 1, i
+            gens.append([index[itemgetter(*q)(s)] for q in self.perms])  # s o q
+        self._gens = gens
+        self._parent = [-1] * n  # -1: not reached yet
+        self._gen = [0] * n  # element = gens[_gen] o _parent
+        self._parent[self.identity] = self.identity
+        self._order = [self.identity]
+        for p in self._order:
+            for k, gen in enumerate(gens):
+                sp = gen[p]
+                if self._parent[sp] < 0:
+                    self._parent[sp], self._gen[sp] = p, k
+                    self._order.append(sp)
+        self._rows = [None] * n
+        self._rows[self.identity] = array("H", range(n))
 
         self.partitions = set_partitions(d)
         self.part_index = {p: i for i, p in enumerate(self.partitions)}
@@ -179,26 +213,20 @@ class _GroupContext:
         self._join = {}
         self._comm = {}
 
-    def _product_table(self) -> list:
-        """Rows of p -> index(p o q), built by composing rows with adjacent
-        transpositions: row(s o p) is row(s) read at row(p)'s entries."""
-        d, index = self.d, self.index
-        rows = [None] * len(self.perms)
-        rows[self.identity] = list(range(len(self.perms)))
-        adjacent = []
-        for i in range(d - 1):
-            s = list(range(d))
-            s[i], s[i + 1] = i + 1, i
-            adjacent.append([index[tuple(s[x] for x in q)] for q in self.perms])
-        queue = [self.identity]
-        for p in queue:
-            row_p = rows[p]
-            for row_s in adjacent:
-                sp = row_s[p]
-                if rows[sp] is None:
-                    rows[sp] = [row_s[x] for x in row_p]
-                    queue.append(sp)
-        return rows
+    def row(self, p: int) -> array:
+        """Row p of the product table, built with its missing ancestors."""
+        got = self._rows[p]
+        if got is None:
+            parent = self.row(self._parent[p])
+            got = self._rows[p] = array("H", itemgetter(*parent)(self._gens[self._gen[p]]))
+        return got
+
+    def table(self) -> list:
+        """Every row of the product table, each built once, in BFS order so
+        that a parent's row is there before its children's."""
+        for p in self._order:
+            self.row(p)
+        return self._rows
 
     def _orbit_partition(self, p) -> int:
         seen = [False] * self.d
@@ -250,12 +278,14 @@ class _GroupContext:
         """Counts of ([a,b], orbit-join(a,b)) over all pairs (a, b); not
         joined, every join reads as the discrete partition.
 
-        Each a takes one Counter update: its commutators with every b,
-        zipped with the joins of a's orbit partition with b's."""
+        It reads every row, so it builds the whole table first.  Each a takes
+        one Counter update: its commutators with every b, zipped with the
+        joins of a's orbit partition with b's; not joined, the commutators
+        alone, paired with the discrete partition at the end."""
         dist = self._comm.get(joined)
         if dist is None:
-            mult, inv, orbit_of, join = self.mult, self.inv, self.orbit_of, self.join
-            dist = self._comm[joined] = Counter()
+            mult, inv, orbit_of, join = self.table(), self.inv, self.orbit_of, self.join
+            dist = Counter()
             for a, arow in enumerate(mult):
                 # [a, b] = a b a^-1 b^-1: right multiplication by a^-1 is a column
                 ainv = inv[a]
@@ -263,10 +293,12 @@ class _GroupContext:
                 comms = [mult[right[ab]][binv] for ab, binv in zip(arow, inv)]
                 if joined:
                     oa = orbit_of[a]
-                    joins = [join(oa, ob) for ob in orbit_of]
+                    dist.update(zip(comms, [join(oa, ob) for ob in orbit_of]))
                 else:
-                    joins = itertools.repeat(self.discrete)
-                dist.update(zip(comms, joins))
+                    dist.update(comms)
+            if not joined:
+                dist = Counter({(g, self.discrete): c for g, c in dist.items()})
+            self._comm[joined] = dist
         return dist
 
 
@@ -278,6 +310,16 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     commutators times the s_j equal to the identity and each s_j in the
     conjugacy class of the j-th profile; with `transitive_only` the group
     generated by all entries must act transitively.
+
+    A sweep over (partial product, partial orbit join) pairs multiplies in
+    every step but the last, reading the product rows of its partial
+    products only.  The last step multiplies nothing: the product is the
+    identity exactly when the last element is the inverse of the partial
+    product, so the count sums each state times the weights of that inverse
+    whose join reaches the target partition.  A genus-0 count thus reads the
+    rows of the states before its last step; a genus >= 1 count reads every
+    row through the commutator distribution, which is why the ceiling on d
+    stays where the full table would not fit in memory.
     """
     d = branch.degree
     if d >= ORACLE_CEILING:
@@ -288,24 +330,38 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
     ctx = _GroupContext(d)
+    discrete = ctx.discrete
+    target = ctx.top if transitive_only else discrete
     # each step multiplies in one group element with its orbit partition;
     # only transitivity reads the joins, so other counts keep them discrete
     steps = [ctx.commutator_distribution(transitive_only).items()
              for _ in range(branch.target_genus)]
     for eta in branch.profiles:
-        steps.append([((g, ctx.orbit_of[g] if transitive_only else ctx.discrete), 1)
+        steps.append([((g, ctx.orbit_of[g] if transitive_only else discrete), 1)
                       for g in ctx.class_elements[eta]])
-    join = ctx.join
-    state = {(ctx.identity, ctx.discrete): 1}
+    # an empty tuple is closed by the identity
+    *steps, last = steps or [[((ctx.identity, discrete), 1)]]
+    join, row = ctx.join, ctx.row
+    state = {(ctx.identity, discrete): 1}
     for dist in steps:
         new = {}
         for (g1, p1), c1 in state.items():
-            row = ctx.mult[g1]
+            row_g1 = row(g1)
             for (g2, p2), c2 in dist:
-                key = (row[g2], join(p1, p2))
+                key = (row_g1[g2], join(p1, p2))
                 new[key] = new.get(key, 0) + c1 * c2
         state = new
-    count = state.get((ctx.identity, ctx.top if transitive_only else ctx.discrete), 0)
+    # the last step multiplies nothing: the product is the identity exactly
+    # when the last element is the inverse of the partial product
+    closing = {}
+    for (g2, p2), c2 in last:
+        closing.setdefault(g2, []).append((p2, c2))
+    inv = ctx.inv
+    count = 0
+    for (g1, p1), c1 in state.items():
+        for p2, c2 in closing.get(inv[g1], ()):
+            if join(p1, p2) == target:
+                count += c1 * c2
     return Fraction(count, math.factorial(d))
 
 
@@ -357,8 +413,8 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
                     ways = math.factorial(m)
                     for k in Counter(combo).values():
                         ways //= math.factorial(k)
-                    choices.append((tuple(carved for carved, _ in combo),
-                                    tuple(rest for _, rest in combo), ways))
+                    carved, rest = zip(*combo)
+                    choices.append((carved, rest, ways))
                 new = {}
                 for (left, right), count in folds.items():
                     for carved, rest, ways in choices:
@@ -370,4 +426,9 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
                           * disconnected(h, d - d1, right))
         return total
 
-    return connected(branch.target_genus, branch.degree, tuple(sorted(branch.profiles)))
+    try:
+        return connected(branch.target_genus, branch.degree, tuple(sorted(branch.profiles)))
+    finally:
+        # `connected` calls itself through this closure cell, a reference
+        # cycle; emptying the cell lets reference counting free the memos
+        connected = None

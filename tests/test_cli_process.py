@@ -133,3 +133,27 @@ def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"0 {[f'gwhurwitz.{m}' for m in layers]}"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_degree_seven_oracle_count_stays_small(tmp_path):
+    # two simple points close with one inverse lookup and build no product
+    # row: about 17 MB, where the full 5040 x 5040 table took 218 MB
+    simple = "(2,1,1,1,1,1)"
+    argv = ["hur", "--target-genus", "0", "--d", "7", "--oracle", "--oracle-bound", "7",
+            "--profiles", f"{simple};{simple}"]
+    # a child's ru_maxrss counts the pages of the process it was spawned from
+    # until it calls exec, so a bare interpreter, not this test run, spawns it
+    script = ("import os, subprocess, sys\n"
+              "child = subprocess.Popen([sys.executable, '-m', 'gwhurwitz.cli', "
+              f"*{argv!r}], stdout=subprocess.PIPE)\n"
+              "out = child.stdout.read()\n"
+              "_pid, status, usage = os.wait4(child.pid, 0)\n"
+              "child.returncode = os.waitstatus_to_exitcode(status)\n"
+              "print(child.returncode, b'\"value\": \"1/240\"' in out, usage.ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, found, maxrss_kib = done.stdout.split()
+    assert (code, found) == ("0", "True")
+    assert int(maxrss_kib) < 40 * 1024

@@ -1,8 +1,11 @@
 """Character sums against honest enumeration, and the connected recursion."""
 
+import gc
 import itertools
 import math
 import pickle
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -128,7 +131,18 @@ class TestOracleAgreement:
         # reference: compose the tuples and look the product up, one entry at a time
         reference = [[ctx.index[tuple(p[q[x]] for x in range(d))] for q in ctx.perms]
                      for p in ctx.perms]
-        assert ctx.mult == reference
+        # rows read last-first, so each is built on demand with its ancestors
+        assert [list(ctx.row(p)) for p in reversed(range(len(ctx.perms)))] == reference[::-1]
+        assert [list(r) for r in ctx.table()] == reference
+
+    def test_spot_rows_at_degree_six(self):
+        ctx = _GroupContext(6)
+        rng = random.Random(6)
+        for p in rng.sample(range(720), 12) + [719]:
+            perm = ctx.perms[p]
+            assert list(ctx.row(p)) == [ctx.index[tuple(perm[q[x]] for x in range(6))]
+                                        for q in ctx.perms]
+        assert ctx.row(p).typecode == "H"
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_classes_are_the_cycle_types(self, d):
@@ -277,10 +291,11 @@ def _union_find_join(ctx, i, j):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_commutator_distribution_matches_the_double_loop(d):
     ctx = _GroupContext(d)
+    mult = ctx.table()
     want = {}
     for a in range(len(ctx.perms)):
         for b in range(len(ctx.perms)):
-            c = ctx.mult[ctx.mult[ctx.mult[a][b]][ctx.inv[a]]][ctx.inv[b]]
+            c = mult[mult[mult[a][b]][ctx.inv[a]]][ctx.inv[b]]
             key = (c, _union_find_join(ctx, ctx.orbit_of[a], ctx.orbit_of[b]))
             want[key] = want.get(key, 0) + 1
     assert dict(ctx.commutator_distribution(joined=True)) == want
@@ -331,6 +346,80 @@ def test_connected_count_computes_each_sub_problem_once_per_call(monkeypatch):
         calls.clear()
         assert hurwitz_connected(branch) == 70849658880
         assert len(calls) == len(set(calls)) == 78
+
+
+def test_connected_memos_end_with_the_call_without_the_collector():
+    # the `covers` shape at degree 7: (1^7) plus 12 simple points; its memos
+    # hold about 30 KB, and the first call fills the interpreter's free lists
+    branch = BranchData(0, 7, ((1,) * 7,) + (transposition_class(7),) * 12)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        hurwitz_connected(branch)
+        base = tracemalloc.get_traced_memory()[0]
+        hurwitz_connected(branch)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert grown < 8_000
+
+
+def _oracle_rows_built(monkeypatch, branch, transitive_only=False):
+    """The oracle's count, and how many product rows its group context built."""
+    import gwhurwitz.hurwitz as hurwitz_module
+
+    contexts = []
+
+    class Recorded(_GroupContext):
+        def __init__(self, d):
+            super().__init__(d)
+            contexts.append(self)
+
+    monkeypatch.setattr(hurwitz_module, "_GroupContext", Recorded)
+    value = monodromy_oracle(branch, transitive_only, degree_bound=branch.degree)
+    (ctx,) = contexts
+    return value, sum(row is not None for row in ctx._rows)
+
+
+def test_genus_zero_count_builds_only_the_rows_it_reads(monkeypatch):
+    # the rows of the 15 transpositions and their BFS ancestors; the last
+    # step is closed by the inverse and reads no row
+    branch = BranchData(0, 6, ((2, 1, 1, 1, 1), (3, 2, 1), (4, 2)))
+    for transitive_only in (False, True):
+        value, built = _oracle_rows_built(monkeypatch, branch, transitive_only)
+        assert built < 360
+        want = hurwitz_connected(branch) if transitive_only else hurwitz_disconnected(branch)
+        assert value == want
+    # two profiles: one multiplication by the identity, whose row is prebuilt
+    two = BranchData(0, 6, ((2, 1, 1, 1, 1),) * 2)
+    assert _oracle_rows_built(monkeypatch, two) == (F(1, 48), 1)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_genus_one_count_builds_every_row(monkeypatch, d):
+    branch = BranchData(1, d, ((2,) + (1,) * (d - 2),))
+    value, built = _oracle_rows_built(monkeypatch, branch)
+    assert value == hurwitz_disconnected(branch)
+    assert built == math.factorial(d)
+
+
+@pytest.mark.parametrize("d, profiles", [
+    (6, ((6,), (6,), (3, 2, 1))),
+    (6, ((5, 1), (3, 3), (4, 2))),
+    (6, ((2, 2, 2), (3, 3), (2, 1, 1, 1, 1), (4, 1, 1))),
+    (6, ((4, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (2, 1, 1, 1, 1))),
+    (7, ((2,) + (1,) * 5,) * 2),
+    (7, ((2,) + (1,) * 5, (6, 1), (7,))),
+    (7, ((3,) + (1,) * 4, (2, 2, 1, 1, 1), (4, 3))),
+])
+def test_genus_zero_oracle_matches_character_sums(d, profiles):
+    branch = BranchData(0, d, profiles)
+    assert monodromy_oracle(branch, degree_bound=7) == hurwitz_disconnected(branch)
+    assert monodromy_oracle(branch, transitive_only=True, degree_bound=7) == \
+        hurwitz_connected(branch)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
