@@ -4,9 +4,10 @@ of target curves.
 
 Public names are imported on first use (PEP 562), so a process loads only
 the layers it touches: a character-table or Hurwitz count never loads the
-series core or the wedge engine.  The counting layers keep no memo past a
-call; `clear_caches()` empties the few caches the wedge route keeps across
-calls, for long-running callers and in-process benchmarks.
+series core or the wedge engine.  The counting layers and the wall-crossing
+route keep no memo past a call; `clear_caches()` empties the two weight
+memos the wedge engine keeps across calls, for long-running callers and
+in-process benchmarks.
 """
 
 import importlib
@@ -43,11 +44,9 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_HOME, "clear_caches"])
 
 # every cache the layers keep across calls, by module; each has `cache_clear`.
-# `fock`'s weights are read again across `apply_calE` calls, and `gwh`'s
-# I-correlators across the k of one `verify`.
+# `fock`'s weights are read again across `apply_calE` calls.
 _CACHES = {
     "fock": ("_exp_weight", "_inv_sigma"),
-    "gwh": ("_i_correlator",),
 }
 
 

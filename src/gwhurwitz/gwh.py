@@ -11,7 +11,7 @@ counts through linear Hodge integrals.
 Only `partitions` and the series core `qseries` are imported at module
 level, so each function loads only the layers its route runs.  The wedge
 engine `fock` is imported by `_boundary_bra` (the I-coefficients and the
-Hodge series) and by `_evaluate_i_correlator` (its ket); `characters` by
+Hodge series) and by `_i_pairings` (their ket); `characters` by
 `_crossing_table` (the wall-crossing route's table) and `elsv_check`;
 `hurwitz` by `stationary_gw` and `elsv_check`.  The closed formula
 `completed_cycle` loads none of them.
@@ -89,15 +89,21 @@ def _boundary_bra(eta: tuple, vars: tuple, order: tuple):
     return apply_exp_alpha(1, apply_expUF2(boson_state(eta, vars), "u", 1, order), sum(eta))
 
 
-def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
-    """Raw boundary pairing <eta| e^(uF2) e^(alpha_-1) A*(w, uw) |0>, bra first.
+def _i_monomial(g: int, eta: tuple, k: int) -> tuple:
+    """Where I(g, eta, k) sits in the raw pairing of eta: the exponents of u and w."""
+    return 2 * g - 1 + sum(eta) + len(eta), k + 1
+
+
+def _i_pairings(etas, u_order: int, w_order: int) -> dict:
+    """Raw boundary pairings <eta| e^(uF2) e^(alpha_-1) A*(w, uw) |0>, bra first, by eta.
 
     The adjoint of the left word is e^(alpha_1) e^(uF2) applied to |eta>, so
-    the bra carries u only and is paired once with the ket A*|0>.  Both are
-    evaluated _I_WORD_LOSS orders deeper than requested, so the result
-    carries exactly the orders (u_order, w_order).  The ket's energies are
-    capped at |eta|: A* raises energy at unit series cost, so states above
-    the boundary energy can never pair.
+    each bra carries u only.  The ket A*|0> depends on eta only through its
+    energy cap, the largest |eta|: A* raises energy at unit series cost, so
+    states above the boundary energy can never pair.  One ket serves every
+    eta, and each bra is paired with it once.  Both are evaluated
+    _I_WORD_LOSS orders deeper than requested, so each pairing carries
+    exactly the orders (u_order, w_order).  Nothing is kept past the call.
     """
     from .fock import FockState, apply_Astar, inner_product
 
@@ -105,33 +111,9 @@ def _evaluate_i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSerie
     order = (u_order + _I_WORD_LOSS, w_order + _I_WORD_LOSS)
     a = MultiSeries.monomial(vars, (0, 1), 1, order)
     b = MultiSeries.monomial(vars, (1, 1), 1, order)
-    ket = apply_Astar(a, b, FockState.vacuum(vars), sum(eta))
-    return inner_product(_boundary_bra(eta, vars, order), ket).truncated((u_order, w_order))
-
-
-# eta -> the pairing at the largest orders requested so far (its `.order`)
-_i_store: dict = {}
-
-
-def _i_correlator(eta: tuple, u_order: int, w_order: int) -> MultiSeries:
-    """The raw pairing of eta at exactly the orders (u_order, w_order).
-
-    One evaluation per boundary profile: the store keeps the series at the
-    largest orders requested so far, and a request inside them is answered
-    by truncation: its coefficients agree with a fresh evaluation at the
-    requested orders, and it claims no order beyond them.  A request outside
-    them is evaluated at the componentwise maximum, which replaces the entry.
-    `_i_correlator.cache_clear()` empties the store.
-    """
-    want = (u_order, w_order)
-    series = _i_store.get(eta)
-    if series is None or u_order > series.order[0] or w_order > series.order[1]:
-        have = want if series is None else tuple(map(max, want, series.order))
-        series = _i_store[eta] = _evaluate_i_correlator(eta, *have)
-    return series.truncated(want)
-
-
-_i_correlator.cache_clear = _i_store.clear
+    ket = apply_Astar(a, b, FockState.vacuum(vars), max(map(sum, etas)))
+    return {eta: inner_product(_boundary_bra(eta, vars, order), ket).truncated((u_order, w_order))
+            for eta in etas}
 
 
 def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
@@ -139,11 +121,8 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
 
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
-    normalization.  Truncation orders are derived here, and only here, from
-    the degree count: exactly the orders that coefficient needs.  The pairing
-    comes from the per-profile store of `_i_correlator`, so callers that
-    loop over g or k should ask for the largest orders (top g, top k) first:
-    the first request of a profile is then the only evaluation.
+    normalization.  The pairing is evaluated at exactly the orders that
+    coefficient needs.
     """
     eta = check_partition(eta)
     if k < 0:
@@ -151,10 +130,10 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
-    vd = 2 * g - 1 + d + len(eta)
+    at = _i_monomial(g, eta, k)
     z_degree = k + 2 - 2 * g - d - len(eta)
-    series = _i_correlator(eta, max(vd + 1, 1), k + 2)
-    return IFunctionCoefficient(g, eta, k, series.coefficient((vd, k + 1)), z_degree)
+    series = _i_pairings([eta], max(at[0] + 1, 1), k + 2)[eta]
+    return IFunctionCoefficient(g, eta, k, series.coefficient(at), z_degree)
 
 
 def _hodge_prefactor(eta) -> Fraction:
@@ -259,15 +238,15 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     the coefficient of mu is sum_lam chi^lam(mu) c_lam with
     c_lam = sum_eta chi^lam(eta)/z(eta) sum_g (-f2(lam))^b/b! I(g, eta, k),
     where b = k+2-2g-d-len(eta) counts the simple branch points.  For each
-    profile eta the genus runs down from the bound where b stays nonnegative
-    to -len(eta) (the marking may sit on its own component), so the first
-    I-coefficient asked of a profile is the one with the largest truncation
-    order.  An I-coefficient is fetched only when some chi^lam(eta)(-f2)^b
-    is nonzero.
+    profile eta the genus runs from -len(eta) (the marking may sit on its
+    own component) up to the bound where b stays nonnegative.  Every
+    I-coefficient is read from one pairing per profile, evaluated at the
+    orders (k+2, k+2) that the top genus needs.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    return _tau_from_table(k, *_crossing_table(d))
+    table, evs = _crossing_table(d)
+    return _tau_from_table(k, table, evs, _i_pairings(table.partitions, k + 2, k + 2))
 
 
 def _crossing_table(d: int) -> tuple:
@@ -278,20 +257,24 @@ def _crossing_table(d: int) -> tuple:
     return table, [-int(f2_shifted(lam)) for lam in table.partitions]  # integers: content sums
 
 
-def _tau_from_table(k: int, table, evs: list) -> ClassSum:
-    """`tau_via_wallcrossing` for one k, from a table and eigenvalues built once per degree."""
+def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
+    """`tau_via_wallcrossing` for one k, from a table, its eigenvalues and the
+    raw pairings of its profiles at orders of at least (k+2, k+2).
+
+    An I-coefficient is read only when some chi^lam(eta)(-f2)^b is nonzero.
+    """
     d = table.degree
     c = [Fraction(0)] * len(evs)
     for col, eta in enumerate(table.partitions):
         ell = len(eta)
         chis = [row[col] for row in table.matrix]
-        g_hi = (k + 2 - d - ell) // 2
-        for g in range(g_hi, -ell - 1, -1):
+        for g in range(-ell, (k + 2 - d - ell) // 2 + 1):
             b = k + 2 - 2 * g - d - ell
             weights = [chi * ev ** b for chi, ev in zip(chis, evs)]
             if not any(weights):
                 continue
-            value = i_function_numeric(g, eta, k).value / (z_factor(eta) * math.factorial(b))
+            value = pairings[eta].coefficient(_i_monomial(g, eta, k))
+            value /= z_factor(eta) * math.factorial(b)
             c = [c_lam + weight * value for c_lam, weight in zip(c, weights)]
     return ClassSum(d, {mu: sum(row[col] * c_lam for row, c_lam in zip(table.matrix, c))
                         for col, mu in enumerate(table.partitions)})
@@ -333,20 +316,22 @@ class CrosscheckReport(namedtuple("CrosscheckReport", "d_max k_max rows")):
 
 
 def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
-    """Termwise comparison of the two completed-cycle routes.
+    """Termwise comparison of the two completed-cycle routes, in ascending (d, k).
 
-    k runs down from k_max, whose I-coefficients need the largest orders;
-    each degree's table and eigenvalues are built once for every k.  The
-    report lists the rows in ascending (d, k) order.
+    Each degree's table, eigenvalues and pairings are built once for every k:
+    the top genus of k_max needs the orders (k_max+2, k_max+2), and every
+    smaller k reads inside them.
     """
+    if k_max < 0:
+        raise ValueError("descendent index must be >= 0")
     rows = []
     for d in range(1, d_max + 1):
-        crossing = _crossing_table(d)
-        for k in range(k_max, -1, -1):
+        table, evs = _crossing_table(d)
+        pairings = _i_pairings(table.partitions, k_max + 2, k_max + 2)
+        for k in range(k_max + 1):
             lhs = completed_cycle(k, d).value
-            rhs = _tau_from_table(k, *crossing)
+            rhs = _tau_from_table(k, table, evs, pairings)
             rows.append(CrosscheckRow(d, k, lhs == rhs, lhs, rhs))
-    rows.sort(key=lambda row: (row.d, row.k))
     return CrosscheckReport(d_max, k_max, tuple(rows))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from gwhurwitz.characters import CharacterTable, f2_shifted, f_eta, transposition_class
 from gwhurwitz.cli import CACHE_ENV, main
 from gwhurwitz.fock import CalE, FockState, apply_alpha, apply_calE, correlator
-from gwhurwitz.gwh import completed_cycle, elsv_check, i_function_empty, \
+from gwhurwitz.gwh import completed_cycle, elsv_check, gwh_crosscheck, i_function_empty, \
     stationary_gw, tau_via_wallcrossing
 from gwhurwitz.hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, \
     monodromy_oracle
@@ -41,9 +41,9 @@ def test_criterion_1_route_equivalence():
 
 def test_criterion_1_route_equivalence_to_degree_8():
     start = time.time()
-    # k runs down, so the first I-coefficient asked of a profile is its largest
-    ok = all(completed_cycle(k, d).value == tau_via_wallcrossing(k, d)
-             for d in range(1, 9) for k in range(10, -1, -1))
+    # the same 88 comparisons through `_tau_from_table`, one ket per degree
+    crosscheck = gwh_crosscheck(8, 10)
+    ok = crosscheck.passed and len(crosscheck.rows) == 88
     elapsed = time.time() - start
     report(f"criterion 1: route equivalence d<=8 k<=10 ({elapsed:.1f}s)", ok and elapsed < 300)
 

@@ -86,6 +86,14 @@ class TestDocuments:
         assert doc["version"] == __version__
         assert doc["request"] == {"d_max": 2, "k_max": 4}
 
+    @pytest.mark.parametrize("k_max", ["-1", "-3"])
+    def test_verify_negative_k_max_exits_2(self, capsys, k_max):
+        # as `cycle` and `ifun` do for a negative k; no empty grid is printed
+        code = main(["verify", "--d-max", "4", "--k-max", k_max])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "descendent index must be >= 0" in captured.err
+
     def test_verify_rows_ascend(self, capsys):
         _, out = run_cli(capsys, "verify", "--d-max", "3", "--k-max", "3")
         rows = [(row["d"], row["k"]) for row in json.loads(out)["rows"]]

@@ -79,8 +79,12 @@ class TestIFunctionNumeric:
         # computed past the request, and none the request needs is missing
         import gwhurwitz.gwh as gwh_module
         for d in range(1, 5):
-            for eta in enumerate_partitions(d):
-                assert gwh_module._evaluate_i_correlator(eta, *orders).order == orders, eta
+            etas = enumerate_partitions(d)
+            pairings = gwh_module._i_pairings(etas, *orders)
+            assert list(pairings) == list(etas)
+            for eta in etas:
+                assert pairings[eta].order == orders, eta
+                assert gwh_module._i_pairings([eta], *orders)[eta].order == orders, eta
 
     def test_bra_first_pairing_equals_the_operator_word(self):
         # reference: the word <eta| e^(uF2) e^(alpha_-1) A* |0> applied to the
@@ -101,12 +105,13 @@ class TestIFunctionNumeric:
             return series.vars, series.floor, series.order, series.den, series.num
 
         for d in range(1, 6):
-            for eta in enumerate_partitions(d):
-                g = (12 - d - len(eta)) // 2  # the top genus of a k = 10 request
-                vd = 2 * g - 1 + d + len(eta)
-                for orders in [(2, 2), (3, 2), (6, 6), (10, 4), (4, 10), (max(vd + 1, 1), 12)]:
-                    assert form(gwh_module._evaluate_i_correlator(eta, *orders)) == \
-                        form(word_pairing(eta, *orders)), (eta, orders)
+            etas = enumerate_partitions(d)
+            # (12, 12): the orders a k = 10 crosscheck evaluates for every degree
+            for orders in [(2, 2), (3, 2), (6, 6), (10, 4), (4, 10), (12, 12)]:
+                pairings = gwh_module._i_pairings(etas, *orders)
+                for eta in etas:
+                    assert form(pairings[eta]) == form(word_pairing(eta, *orders)), \
+                        (eta, orders)
 
     def test_boundary_cap_matches_default_cap(self):
         vars = ("u", "w")
@@ -120,89 +125,94 @@ class TestIFunctionNumeric:
             assert tight.agrees_with(loose)
 
 
-class TestCorrelatorStore:
-    @pytest.fixture(autouse=True)
-    def empty_store(self):
-        import gwhurwitz.gwh as gwh_module
-        gwh_module._i_correlator.cache_clear()
-        yield gwh_module
-        gwh_module._i_correlator.cache_clear()
-
-    def _count_evaluations(self, gwh_module, monkeypatch):
+class TestPairings:
+    def _spy(self, monkeypatch, module, name):
         calls = []
-        evaluate = gwh_module._evaluate_i_correlator
+        inner = getattr(module, name)
 
-        def counted(eta, u_order, w_order):
-            calls.append((eta, u_order, w_order))
-            return evaluate(eta, u_order, w_order)
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
 
-        monkeypatch.setattr(gwh_module, "_evaluate_i_correlator", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_one_evaluation_per_profile(self, empty_store, monkeypatch):
-        calls = self._count_evaluations(empty_store, monkeypatch)
+    def test_crosscheck_builds_one_ket_per_degree(self, monkeypatch):
+        import gwhurwitz.fock as fock_module
+        import gwhurwitz.gwh as gwh_module
+        kets = self._spy(monkeypatch, fock_module, "apply_Astar")
+        bras = self._spy(monkeypatch, gwh_module, "_boundary_bra")
         assert gwh_crosscheck(4, 6).passed
-        assert len(calls) == 11
-        assert sorted(eta for eta, _, _ in calls) == \
+        assert len(kets) == 4
+        assert [cap for *_, cap in kets] == [1, 2, 3, 4]
+        assert len(bras) == 11
+        assert sorted(eta for eta, _, _ in bras) == \
             sorted(eta for d in range(1, 5) for eta in enumerate_partitions(d))
 
-    def test_one_i_coefficient_per_genus_and_profile(self, empty_store, monkeypatch):
-        calls = []
-        fetch = empty_store.i_function_numeric
-
-        def counted(g, eta, k):
-            calls.append((g, eta, k))
-            return fetch(g, eta, k)
-
-        monkeypatch.setattr(empty_store, "i_function_numeric", counted)
-        evaluations = self._count_evaluations(empty_store, monkeypatch)
+    def test_crosscheck_evaluates_each_degree_once_at_the_orders_read(self, monkeypatch):
+        # one evaluation per degree at (k_max+2, k_max+2), and the top genus of
+        # k_max reads its last u-order and w-order; no I-coefficient goes
+        # through `i_function_numeric`, and none is read twice
+        import gwhurwitz.gwh as gwh_module
+        monomial = gwh_module._i_monomial
+        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
+        reads = self._spy(monkeypatch, gwh_module, "_i_monomial")
+        numeric = self._spy(monkeypatch, gwh_module, "i_function_numeric")
         assert gwh_crosscheck(4, 6).passed
-        assert len(calls) == len(set(calls)) == 190
-        assert len(evaluations) == 11
+        assert evaluations == [(enumerate_partitions(d), 8, 8) for d in range(1, 5)]
+        assert len(reads) == len(set(reads)) == 190
+        assert numeric == []
+        for d in range(1, 5):
+            top = [monomial(*read) for read in reads if sum(read[1]) == d]
+            assert max(u for u, _ in top) + 1 == 8 and max(w for _, w in top) + 1 == 8, d
 
-    def test_first_request_evaluates_exactly_the_orders_read(self, empty_store, monkeypatch):
-        first = {}
-        fetch = empty_store.i_function_numeric
+    @pytest.mark.parametrize("g,eta,k", [(0, (1,), 0), (1, (2, 1), 3), (-3, (1, 1), 4),
+                                         (2, (3,), 1)])
+    def test_one_coefficient_evaluates_exactly_its_orders(self, monkeypatch, g, eta, k):
+        import gwhurwitz.gwh as gwh_module
+        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
+        i_function_numeric(g, eta, k)
+        vd = 2 * g - 1 + sum(eta) + len(eta)
+        assert evaluations == [([eta], max(vd + 1, 1), k + 2)]
 
-        def counted(g, eta, k):
-            first.setdefault(eta, (g, k))
-            return fetch(g, eta, k)
-
-        monkeypatch.setattr(empty_store, "i_function_numeric", counted)
-        evaluations = self._count_evaluations(empty_store, monkeypatch)
-        assert gwh_crosscheck(4, 6).passed
-        assert len(evaluations) == len(first) == 11
-        for eta, u_order, w_order in evaluations:
-            g, k = first[eta]
-            vd = 2 * g - 1 + sum(eta) + len(eta)
-            assert (u_order, w_order) == (max(vd + 1, 1), k + 2), eta
-
-    def test_larger_request_replaces_entry(self, empty_store, monkeypatch):
-        calls = self._count_evaluations(empty_store, monkeypatch)
-        store = empty_store._i_correlator
-        store((2, 1), 4, 6)
-        store((2, 1), 6, 3)
-        store((2, 1), 5, 5)
-        assert calls == [((2, 1), 4, 6), ((2, 1), 6, 6)]
-
-    @pytest.mark.parametrize("orders", [(3, 2), (5, 4), (7, 7), (8, 3)])
-    def test_truncation_agrees_with_fresh_evaluation(self, empty_store, orders):
-        u_order, w_order = orders
+    @pytest.mark.parametrize("k_max", [0, 2, 5, 6])
+    def test_per_degree_reads_agree_with_fresh_evaluations(self, k_max):
+        # every (g, k) a crosscheck reads from the per-degree evaluation
+        # matches a fresh single-eta evaluation at exactly the orders it needs,
+        # and the per-degree series still refuses coefficients past its orders
+        import gwhurwitz.gwh as gwh_module
         for d in (1, 2, 3):
-            for eta in enumerate_partitions(d):
-                empty_store._i_correlator(eta, 9, 8)
-                got = empty_store._i_correlator(eta, u_order, w_order)
-                fresh = empty_store._evaluate_i_correlator(eta, u_order, w_order)
-                assert got.agrees_with(fresh), (eta, orders)
-                assert all(o <= r for o, r in zip(got.order, orders))
+            etas = enumerate_partitions(d)
+            pairings = gwh_module._i_pairings(etas, k_max + 2, k_max + 2)
+            for eta in etas:
+                for k in range(k_max + 1):
+                    for g in range(-len(eta), (k + 2 - d - len(eta)) // 2 + 1):
+                        got = pairings[eta].coefficient(gwh_module._i_monomial(g, eta, k))
+                        assert got == i_function_numeric(g, eta, k).value, (g, eta, k)
+                with pytest.raises(PrecisionError):
+                    pairings[eta].coefficient((k_max + 2, 0))
+                with pytest.raises(PrecisionError):
+                    pairings[eta].coefficient((0, k_max + 2))
 
-    def test_precision_beyond_request_still_raises(self, empty_store):
-        empty_store._i_correlator((2,), 9, 8)
-        got = empty_store._i_correlator((2,), 4, 3)
+    def test_precision_beyond_request_still_raises(self):
+        import gwhurwitz.gwh as gwh_module
+        got = gwh_module._i_pairings([(2,)], 4, 3)[(2,)]
         with pytest.raises(PrecisionError):
             got.coefficient((4, 0))
         with pytest.raises(PrecisionError):
             got.coefficient((0, 3))
+
+    def test_negative_k_max_raises_before_any_work(self, monkeypatch):
+        import gwhurwitz.gwh as gwh_module
+
+        def bomb(*_args):
+            raise AssertionError("work done for a negative k_max")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        for k_max in (-1, -3):
+            with pytest.raises(ValueError, match="descendent index must be >= 0"):
+                gwh_crosscheck(4, k_max)
 
 
 class TestSpecialization:
@@ -245,6 +255,10 @@ class TestRouteEquivalence:
 
     def test_crosscheck_vacuous(self):
         assert gwh_crosscheck(0, 3).passed
+
+    def test_crosscheck_to_degree_ten(self):
+        report = gwh_crosscheck(10, 10)
+        assert report.passed and len(report.rows) == 110
 
     def test_crosscheck_builds_each_degree_once(self, monkeypatch):
         # every k of one degree reads the same table

@@ -100,13 +100,12 @@ def test_counting_layers_load_only_the_layers_below(module):
 
 
 def _cache_sizes() -> dict:
-    """Entries in each registered cache; `gwh._i_correlator` keeps a dict."""
+    """Entries in each registered cache."""
     sizes = {}
     for module, names in gwhurwitz._CACHES.items():
         home = importlib.import_module(f"gwhurwitz.{module}")
         for name in names:
-            sizes[f"{module}.{name}"] = (len(home._i_store) if name == "_i_correlator"
-                                         else getattr(home, name).cache_info().currsize)
+            sizes[f"{module}.{name}"] = getattr(home, name).cache_info().currsize
     return sizes
 
 
