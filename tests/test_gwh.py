@@ -149,23 +149,6 @@ class TestPairings:
         assert sorted(eta for eta, _, _ in bras) == \
             sorted(eta for d in range(1, 5) for eta in enumerate_partitions(d))
 
-    def test_crosscheck_evaluates_each_degree_once_at_the_orders_read(self, monkeypatch):
-        # one evaluation per degree at (k_max+2, k_max+2), and the top genus of
-        # k_max reads its last u-order and w-order; no I-coefficient goes
-        # through `i_function_numeric`, and none is read twice
-        import gwhurwitz.gwh as gwh_module
-        monomial = gwh_module._i_monomial
-        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
-        reads = self._spy(monkeypatch, gwh_module, "_i_monomial")
-        numeric = self._spy(monkeypatch, gwh_module, "i_function_numeric")
-        assert gwh_crosscheck(4, 6).passed
-        assert evaluations == [(enumerate_partitions(d), 8, 8) for d in range(1, 5)]
-        assert len(reads) == len(set(reads)) == 190
-        assert numeric == []
-        for d in range(1, 5):
-            top = [monomial(*read) for read in reads if sum(read[1]) == d]
-            assert max(u for u, _ in top) + 1 == 8 and max(w for _, w in top) + 1 == 8, d
-
     @pytest.mark.parametrize("g,eta,k", [(0, (1,), 0), (1, (2, 1), 3), (-3, (1, 1), 4),
                                          (2, (3,), 1)])
     def test_one_coefficient_evaluates_exactly_its_orders(self, monkeypatch, g, eta, k):
@@ -213,6 +196,38 @@ class TestPairings:
         for k_max in (-1, -3):
             with pytest.raises(ValueError, match="descendent index must be >= 0"):
                 gwh_crosscheck(4, k_max)
+
+
+class TestCorrelatorStore:
+    # the I-correlators a crosscheck holds: one `_i_pairings` evaluation per
+    # degree, built inside the call and read once per (g, eta, k)
+    _spy = TestPairings._spy
+
+    def test_one_i_coefficient_per_genus_and_profile(self, monkeypatch):
+        # no I-coefficient goes through `i_function_numeric`, and none is read twice
+        import gwhurwitz.gwh as gwh_module
+        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
+        reads = self._spy(monkeypatch, gwh_module, "_i_monomial")
+        numeric = self._spy(monkeypatch, gwh_module, "i_function_numeric")
+        assert gwh_crosscheck(4, 6).passed
+        assert len(reads) == len(set(reads)) == 190
+        assert sorted({eta for _, eta, _ in reads}) == \
+            sorted(eta for d in range(1, 5) for eta in enumerate_partitions(d))
+        assert numeric == []
+        assert len(evaluations) == 4
+
+    def test_first_request_evaluates_exactly_the_orders_read(self, monkeypatch):
+        # one evaluation per degree at (k_max+2, k_max+2), and the top genus of
+        # k_max reads its last u-order and w-order
+        import gwhurwitz.gwh as gwh_module
+        monomial = gwh_module._i_monomial
+        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
+        reads = self._spy(monkeypatch, gwh_module, "_i_monomial")
+        assert gwh_crosscheck(4, 6).passed
+        assert evaluations == [(enumerate_partitions(d), 8, 8) for d in range(1, 5)]
+        for d in range(1, 5):
+            top = [monomial(*read) for read in reads if sum(read[1]) == d]
+            assert max(u for u, _ in top) + 1 == 8 and max(w for _, w in top) + 1 == 8, d
 
 
 class TestSpecialization:
