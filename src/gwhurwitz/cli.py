@@ -15,17 +15,18 @@ matrix is not copied.
 
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by the table-cache
-functions, `hurwitz` by `hur` and `verify`, and the GW layer `gwh` by the
-subcommands that use it.  The package modules each command loads:
+functions, `hurwitz` by `hur` and `verify`, the completed cycles `cycles`
+by `cycle` and `gw`, and the wall-crossing layer `gwh` by the subcommands
+that use it.  The package modules each command loads:
 
     --help          cli, partitions
     char            cli, partitions, characters
     hur --oracle    cli, partitions, hurwitz
     hur             cli, partitions, characters, hurwitz
-    cycle           cli, partitions, qseries, gwh
-    ifun            cli, partitions, qseries, fock, gwh
-    gw              cli, partitions, qseries, gwh, characters, hurwitz
-    elsv, verify    all seven
+    cycle           cli, partitions, cycles
+    ifun            cli, partitions, cycles, qseries, fock, gwh
+    gw              cli, partitions, cycles, characters, hurwitz
+    elsv, verify    all eight
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
 """
@@ -243,7 +244,7 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    from .gwh import completed_cycle
+    from .cycles import completed_cycle
 
     cycle = completed_cycle(args.k, args.d)
     _emit(_document("cycle", {"d": args.d, "k": args.k}, cycle.value.to_dict()),
@@ -252,7 +253,7 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_gw(args) -> int:
-    from .gwh import stationary_gw
+    from .cycles import stationary_gw
 
     ks = _parse_ks(args.ks)
     got = stationary_gw(args.target_genus, args.d, ks)

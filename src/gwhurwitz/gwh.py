@@ -1,20 +1,18 @@
-"""Completed cycles, numerical I-coefficients, and stationary invariants.
+"""Numerical I-coefficients, the wall-crossing route, and the Hodge series.
 
-Two independent routes to the same class sums are implemented: a closed
-formula through even-kernel series coefficients (`completed_cycle`) and the
-wall-crossing assembly, whose double Hurwitz factors are summed through the
-irreducible characters, against infinite-wedge correlators
-(`tau_via_wallcrossing`).  `gwh_crosscheck` certifies their termwise
+The wall-crossing route (`tau_via_wallcrossing`) assembles completed cycles
+from double Hurwitz factors, summed through the irreducible characters, and
+infinite-wedge correlators, independently of the closed formula
+`cycles.completed_cycle`.  `gwh_crosscheck` certifies their termwise
 agreement; `elsv_check` ties the correlator route to brute-force cover
 counts through linear Hodge integrals.
 
-Only `partitions` and the series core `qseries` are imported at module
-level, so each function loads only the layers its route runs.  The wedge
-engine `fock` is imported by `_boundary_bra` (the I-coefficients and the
-Hodge series) and by `_i_pairings` (their ket); `characters` by
+Only `partitions`, `cycles` and the series core `qseries` are imported at
+module level, so each function loads only the layers its route runs.  The
+wedge engine `fock` is imported by `_boundary_bra` (the I-coefficients and
+the Hodge series) and by `_i_pairings` (their ket); `characters` by
 `_crossing_table` (the wall-crossing route's table) and `elsv_check`;
-`hurwitz` by `stationary_gw` and `elsv_check`.  The closed formula
-`completed_cycle` loads none of them.
+`hurwitz` by `elsv_check`.
 """
 
 from __future__ import annotations
@@ -23,53 +21,10 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
-                         format_partition, set_partitions, subpartitions_by_removing_ones,
-                         z_factor)
-from .qseries import MultiSeries, s_series
-
-
-def rho(k: int, mu) -> Fraction:
-    """Series coefficient attached to a stripped profile in a completed cycle.
-
-    For a nonempty mu this is (prod mu_j / |mu|!) times the coefficient of
-    x^(k+2-|mu|-len(mu)) in S(x)^(|mu|-1) * prod S(mu_j x); for the empty
-    partition the bracket degenerates to the x^(k+2) coefficient of 1/S(x).
-    Vanishes when the target exponent is negative or odd.
-    """
-    if k < 0:
-        raise ValueError("descendent index must be >= 0")
-    mu = check_partition(mu)
-    weight = sum(mu)
-    exponent = k + 2 - weight - len(mu)
-    if exponent < 0:
-        return Fraction(0)
-    order = exponent + 1
-    series = s_series("x", order) ** (weight - 1)
-    scale = Fraction(1, math.factorial(weight))
-    for part in mu:
-        series = series * s_series("x", order).scale_var("x", part)
-        scale *= part
-    return scale * series.coefficient((exponent,))
-
-
-CompletedCycle = namedtuple("CompletedCycle", "k d value")
-
-
-def completed_cycle(k: int, d: int) -> CompletedCycle:
-    """Class sum of the k-th completed cycle in degree d, refused above
-    MAX_TABLE_DEGREE before any partition is enumerated."""
-    check_table_degree(d)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    terms = {}
-    for mu in enumerate_partitions(d):
-        total = Fraction(0)
-        for sub, binom in subpartitions_by_removing_ones(mu):
-            total += binom * rho(k, sub)
-        if total:
-            terms[mu] = total
-    return CompletedCycle(k, d, ClassSum(d, terms))
+from .cycles import check_cycle_index, completed_cycle
+from .partitions import (ClassSum, check_partition, enumerate_partitions, format_partition,
+                         set_partitions, z_factor)
+from .qseries import MultiSeries
 
 
 # ----------------------------------------------------------- I-coefficients
@@ -320,10 +275,10 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
 
     Each degree's table, eigenvalues and pairings are built once for every k:
     the top genus of k_max needs the orders (k_max+2, k_max+2), and every
-    smaller k reads inside them.
+    smaller k reads inside them.  A k_max outside the completed cycles'
+    range is refused before any work.
     """
-    if k_max < 0:
-        raise ValueError("descendent index must be >= 0")
+    check_cycle_index(k_max)
     rows = []
     for d in range(1, d_max + 1):
         table, evs = _crossing_table(d)
@@ -333,33 +288,6 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
             rhs = _tau_from_table(k, table, evs, pairings)
             rows.append(CrosscheckRow(d, k, lhs == rhs, lhs, rhs))
     return CrosscheckReport(d_max, k_max, tuple(rows))
-
-
-# ------------------------------------------------------- stationary theory
-
-
-StationaryGW = namedtuple("StationaryGW", "total by_genus")
-
-
-def stationary_gw(h: int, d: int, ks) -> StationaryGW:
-    """Stationary invariants of a genus-h target through completed cycles.
-
-    Grade b of the cycles' character sum (total branching b) is booked under
-    the source genus (d(2h-2) + b)/2 + 1.  An odd grade holds only monomials
-    that vanish by the sign symmetry lam <-> lam', so a nonzero one raises.
-    """
-    from .hurwitz import branching_sums
-
-    cycles = [completed_cycle(k, d).value.terms.items() for k in ks]
-    by_genus: dict[int, Fraction] = {}
-    for b, value in sorted(branching_sums(h, d, cycles).items()):
-        if not value:
-            continue
-        euler = d * (2 * h - 2) + b
-        if euler % 2:
-            raise ArithmeticError(f"nonzero cover count {value} with odd total branching {b}")
-        by_genus[euler // 2 + 1] = value
-    return StationaryGW(sum(by_genus.values(), Fraction(0)), by_genus)
 
 
 # ------------------------------------------------------------------- ELSV

@@ -316,8 +316,9 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     products only.  The last step multiplies nothing: the product is the
     identity exactly when the last element is the inverse of the partial
     product, so the count sums each state times the weights of that inverse
-    whose join reaches the target partition.  A genus-0 count thus reads the
-    rows of the states before its last step; a genus >= 1 count reads every
+    whose join reaches the target partition.  The profiles are swept in
+    ascending class size, so a genus-0 count reads the rows of the partial
+    products of all but its largest class; a genus >= 1 count reads every
     row through the commutator distribution, which is why the ceiling on d
     stays where the full table would not fit in memory.
     """
@@ -336,7 +337,11 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     # only transitivity reads the joins, so other counts keep them discrete
     steps = [ctx.commutator_distribution(transitive_only).items()
              for _ in range(branch.target_genus)]
-    for eta in branch.profiles:
+    # ascending class size keeps the partial products few and leaves the
+    # largest class to the last step, which builds no row; the count does not
+    # depend on the order: Hurwitz moves swap neighbouring profiles and keep
+    # both the product and the generated group
+    for eta in sorted(branch.profiles, key=lambda eta: len(ctx.class_elements[eta])):
         steps.append([((g, ctx.orbit_of[g] if transitive_only else discrete), 1)
                       for g in ctx.class_elements[eta]])
     # an empty tuple is closed by the identity

@@ -240,15 +240,6 @@ class MultiSeries:
 
     # -------------------------------------------------------- transformations
 
-    def scale_var(self, var: str, c) -> "MultiSeries":
-        """Substitute var -> c*var for a nonzero rational c."""
-        c = _as_rational(c)
-        if not c:
-            raise SeriesError("scale_var requires a nonzero scalar")
-        i = self.vars.index(var)
-        return MultiSeries(self.vars, self.floor, self.order,
-                           {e: val * c ** e[i] for e, val in self.coeffs.items()})
-
     def _effective_order(self, order):
         if isinstance(order, (int, float)):
             order = (order,) * len(self.order)

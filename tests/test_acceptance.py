@@ -13,9 +13,9 @@ from fractions import Fraction as F
 
 from gwhurwitz.characters import CharacterTable, f2_shifted, f_eta, transposition_class
 from gwhurwitz.cli import CACHE_ENV, main
+from gwhurwitz.cycles import completed_cycle, stationary_gw
 from gwhurwitz.fock import CalE, FockState, apply_alpha, apply_calE, correlator
-from gwhurwitz.gwh import completed_cycle, elsv_check, gwh_crosscheck, i_function_empty, \
-    stationary_gw, tau_via_wallcrossing
+from gwhurwitz.gwh import elsv_check, gwh_crosscheck, i_function_empty, tau_via_wallcrossing
 from gwhurwitz.hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, \
     monodromy_oracle
 from gwhurwitz.partitions import ClassSum, enumerate_partitions, z_factor

@@ -344,11 +344,11 @@ class TestMaskKernel:
 
     def test_cycle_refuses_above_the_ceiling_before_enumerating(self, monkeypatch, capsys):
         # p(60) is nearly a million classes: the closed formula ran for minutes
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.cycles as cycles_module
 
         def no_enumeration(d):
             raise AssertionError(f"partitions of {d} enumerated")
 
-        monkeypatch.setattr(gwh_module, "enumerate_partitions", no_enumeration)
+        monkeypatch.setattr(cycles_module, "enumerate_partitions", no_enumeration)
         assert main(["cycle", "--d", "60", "--k", "2"]) == 2
         assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err

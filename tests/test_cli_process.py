@@ -99,7 +99,7 @@ def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
 
 
 # each subcommand with exactly the package modules its route runs
-ALL_LAYERS = ["characters", "cli", "fock", "gwh", "hurwitz", "partitions", "qseries"]
+ALL_LAYERS = ["characters", "cli", "cycles", "fock", "gwh", "hurwitz", "partitions", "qseries"]
 MODULE_SETS = {
     "help": (COMMANDS["help"], ["cli", "partitions"]),
     "char": (COMMANDS["char"], ["characters", "cli", "partitions"]),
@@ -108,13 +108,13 @@ MODULE_SETS = {
                       ["characters", "cli", "hurwitz", "partitions"]),
     # the oracle, which checks the character sums, shares no code with them
     "hur_oracle": (COMMANDS["hur_oracle"], ["cli", "hurwitz", "partitions"]),
-    # the closed-formula route loads neither the wedge engine nor the characters
-    "cycle": (["cycle", "--d", "3", "--k", "2"], ["cli", "gwh", "partitions", "qseries"]),
-    "ifun": (COMMANDS["ifun"], ["cli", "fock", "gwh", "partitions", "qseries"]),
+    # the closed-formula route loads neither the series core nor the wedge engine
+    "cycle": (["cycle", "--d", "3", "--k", "2"], ["cli", "cycles", "partitions"]),
+    "ifun": (COMMANDS["ifun"], ["cli", "cycles", "fock", "gwh", "partitions", "qseries"]),
     "ifun_empty": (["ifun", "--g", "0", "--eta", "(2,1)", "--empty"],
-                   ["cli", "fock", "gwh", "partitions", "qseries"]),
+                   ["cli", "cycles", "fock", "gwh", "partitions", "qseries"]),
     "gw": (["gw", "--target-genus", "1", "--d", "2", "--ks", "1,1"],
-           ["characters", "cli", "gwh", "hurwitz", "partitions", "qseries"]),
+           ["characters", "cli", "cycles", "hurwitz", "partitions"]),
     "elsv": (["elsv", "--mu", "(2,1)", "--g", "0"], ALL_LAYERS),
     "verify": (["verify", "--d-max", "2", "--k-max", "2"], ALL_LAYERS),
 }

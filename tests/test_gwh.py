@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from gwhurwitz.cycles import CompletedCycle, completed_cycle, rho, stationary_gw
 from gwhurwitz.fock import AStarOp, ExpAlpha, ExpUF2, correlator
-from gwhurwitz.gwh import (CompletedCycle, UnsupportedUnstableCase, completed_cycle,
-                           elsv_check, gwh_crosscheck, hodge_H_connected,
-                           hodge_H_series, i_function_empty, i_function_numeric,
-                           i_function_unstable_connected, rho, stationary_gw,
+from gwhurwitz.gwh import (UnsupportedUnstableCase, elsv_check, gwh_crosscheck,
+                           hodge_H_connected, hodge_H_series, i_function_empty,
+                           i_function_numeric, i_function_unstable_connected,
                            tau_via_wallcrossing)
 from gwhurwitz.hurwitz import hurwitz_classsum
 from gwhurwitz.partitions import ClassSum, enumerate_partitions, \
@@ -196,6 +196,18 @@ class TestPairings:
         for k_max in (-1, -3):
             with pytest.raises(ValueError, match="descendent index must be >= 0"):
                 gwh_crosscheck(4, k_max)
+
+    def test_k_max_above_the_cycle_ceiling_raises_before_any_work(self, monkeypatch):
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.cycles import MAX_CYCLE_INDEX
+
+        def bomb(*_args):
+            raise AssertionError("work done for a k_max above the ceiling")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        with pytest.raises(ValueError, match=f"MAX_CYCLE_INDEX = {MAX_CYCLE_INDEX}"):
+            gwh_crosscheck(1, MAX_CYCLE_INDEX + 1)
 
 
 class TestCorrelatorStore:
@@ -539,13 +551,14 @@ class TestStationary:
     def test_point_insertions_need_no_correlator_data(self, monkeypatch):
         # point insertions factor through single-marking data only; the
         # stationary path is entirely independent of the correlator route
+        import gwhurwitz.cycles as cycles_module
         import gwhurwitz.gwh as gwh_module
 
         def bomb(*_args, **_kwargs):
             raise AssertionError("multi-point route requested")
 
         monkeypatch.setattr(gwh_module, "i_function_numeric", bomb)
-        got = gwh_module.stationary_gw(1, 2, [1, 1])
+        got = cycles_module.stationary_gw(1, 2, [1, 1])
         assert got.total == 2
 
     def test_odd_branching_with_nonzero_count_raises(self, monkeypatch):

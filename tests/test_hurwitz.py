@@ -398,6 +398,52 @@ def test_genus_zero_count_builds_only_the_rows_it_reads(monkeypatch):
     assert _oracle_rows_built(monkeypatch, two) == (F(1, 48), 1)
 
 
+def _sweep_in(monkeypatch, order) -> list:
+    """Make the oracle sweep its profiles in `order`, not by class size; the
+    returned list records each sweep that took the order."""
+    import builtins
+
+    import gwhurwitz.hurwitz as hurwitz_module
+
+    used = []
+
+    def fixed(items, key=None, reverse=False):
+        if key is None:
+            return builtins.sorted(items, reverse=reverse)
+        used.append(order)
+        return list(order)
+
+    monkeypatch.setattr(hurwitz_module, "sorted", fixed, raising=False)
+    return used
+
+
+@pytest.mark.parametrize("h, d, profiles", [
+    (0, 4, ((2, 1, 1), (3, 1), (2, 2), (2, 1, 1))),
+    (0, 5, ((4, 1), (3, 2), (2, 2, 1))),
+    (1, 4, ((2, 1, 1), (3, 1), (2, 1, 1))),
+])
+def test_oracle_count_does_not_depend_on_the_sweep_order(monkeypatch, h, d, profiles):
+    # Hurwitz moves swap neighbouring profiles and keep the product and the
+    # generated group, so every order counts the same tuples
+    branch = BranchData(h, d, profiles)
+    for transitive_only in (False, True):
+        want = hurwitz_connected(branch) if transitive_only else hurwitz_disconnected(branch)
+        assert want
+        for order in sorted(set(itertools.permutations(profiles))):
+            used = _sweep_in(monkeypatch, order)
+            assert monodromy_oracle(branch, transitive_only, degree_bound=d) == want, order
+            assert used == [order]
+
+
+def test_profiles_are_swept_in_ascending_class_size(monkeypatch):
+    # class sizes 144, 45 and 40: the given order builds 422 of the 720 rows
+    profiles = ((5, 1), (2, 2, 1, 1), (3, 3))
+    branch = BranchData(0, 6, profiles)
+    assert _oracle_rows_built(monkeypatch, branch) == (1, 219)
+    _sweep_in(monkeypatch, profiles)
+    assert _oracle_rows_built(monkeypatch, branch) == (1, 422)
+
+
 @pytest.mark.parametrize("d", [2, 4, 5])
 def test_genus_one_count_builds_every_row(monkeypatch, d):
     branch = BranchData(1, d, ((2,) + (1,) * (d - 2),))

@@ -16,13 +16,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 HOMES = {
     "characters": ["CharacterTable", "chi", "dim_hook", "f2_shifted", "f_eta",
                    "transposition_class"],
+    "cycles": ["CompletedCycle", "StationaryGW", "completed_cycle", "rho", "stationary_gw"],
     "fock": ["Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "FockState", "apply_A",
              "apply_Astar", "apply_alpha", "apply_calE", "apply_expUF2", "apply_exp_alpha",
              "boson_state", "correlator", "inner_product"],
-    "gwh": ["CompletedCycle", "CrosscheckReport", "ElsvReport", "IFunctionCoefficient",
-            "StationaryGW", "completed_cycle", "elsv_check", "gwh_crosscheck",
-            "hodge_H_connected", "hodge_H_series", "i_function_empty", "i_function_numeric",
-            "i_function_unstable_connected", "rho", "stationary_gw", "tau_via_wallcrossing"],
+    "gwh": ["CrosscheckReport", "ElsvReport", "IFunctionCoefficient", "elsv_check",
+            "gwh_crosscheck", "hodge_H_connected", "hodge_H_series", "i_function_empty",
+            "i_function_numeric", "i_function_unstable_connected", "tau_via_wallcrossing"],
     "hurwitz": ["BranchData", "hurwitz_classsum", "hurwitz_connected",
                 "hurwitz_disconnected", "monodromy_oracle"],
     "partitions": ["ClassSum", "as_partition", "enumerate_partitions", "format_partition",
@@ -36,7 +36,7 @@ NAMES = sorted([*HOMES, *(name for names in HOMES.values() for name in names),
 
 
 def test_all_is_the_pinned_list():
-    assert len(NAMES) == 68
+    assert len(NAMES) == 69
     assert sorted(gwhurwitz.__all__) == NAMES
 
 
@@ -84,6 +84,8 @@ def test_import_loads_only_what_is_touched():
 LAYERS = {
     "partitions": ["gwhurwitz.partitions"],
     "characters": ["gwhurwitz.characters", "gwhurwitz.partitions"],
+    # completed cycles need neither the series core nor the wall-crossing route
+    "cycles": ["gwhurwitz.cycles", "gwhurwitz.partitions"],
     "hurwitz": ["gwhurwitz.hurwitz", "gwhurwitz.partitions"],
 }
 
