@@ -214,7 +214,7 @@ class CharacterTable:
     def __init__(self, degree: int, partitions, matrix):
         self.degree = degree
         self.partitions = [check_partition(p) for p in partitions]
-        self.matrix = matrix  # both callers hand over fresh lists of ints: no copy
+        self.matrix = matrix  # `_build_table` hands over fresh lists of ints: no copy
         self._index = {p: i for i, p in enumerate(self.partitions)}
         identity = (1,) * degree if degree else ()
         self.dims = {lam: self.matrix[i][self._index[identity]]

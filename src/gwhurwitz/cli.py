@@ -1,23 +1,18 @@
-"""Command-line front end, result documents, and the character-table cache.
+"""Command-line front end and its result documents.
 
 Every subcommand emits one self-describing JSON document (request
 parameters, library version, result) with exact "p/q" scalars and
 deterministic ordering, to stdout or to `--out`.  The bytes are exactly
 `json.dumps(doc, indent=2)` and a newline, written row by row: each list or
 object of scalars (one table row) is one call of the C encoder, written as
-soon as it is made.  Character tables are persisted per degree under the
-directory named by GWHURWITZ_CACHE_DIR (default ~/.cache/gwhurwitz), each
-file the SHA-256 of its body on one line and then the body, compact JSON.
-The cache is an optimization only: the stored bytes are checked before they
-are parsed, and a table is rebuilt on any checksum, version or shape
-mismatch.  A table that passes every check is used as read: the validated
-matrix is not copied.
+soon as it is made.  `char` builds its table in every process and keeps
+nothing on disk.
 
 Each process loads only the layers its subcommand runs.  Only `partitions`
-is imported at module level; `characters` is imported by the table-cache
-functions, `hurwitz` by `hur` and `verify`, the completed cycles `cycles`
-by `cycle` and `gw`, and the wall-crossing layer `gwh` by the subcommands
-that use it.  The package modules each command loads:
+is imported at module level; `characters` is imported by `char`, `hurwitz`
+by `hur` and `verify`, the completed cycles `cycles` by `cycle` and `gw`,
+and the wall-crossing layer `gwh` by the subcommands that use it.  The
+package modules each command loads:
 
     --help          cli, partitions
     char            cli, partitions, characters
@@ -35,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -43,102 +37,17 @@ from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING, __version__
 from .partitions import (check_table_degree, enumerate_partitions, format_partition,
                          parse_partition)
 
-CACHE_ENV = "GWHURWITZ_CACHE_DIR"
-CACHE_VERSION = 1
-
-
-def cache_dir() -> str:
-    got = os.environ.get(CACHE_ENV)
-    if got:
-        return got
-    return os.path.join(os.path.expanduser("~"), ".cache", "gwhurwitz")
+# the "version" field of the `char` document
+TABLE_FORMAT_VERSION = 1
 
 
 def _table_payload(degree: int, table) -> dict:
     return {
-        "version": CACHE_VERSION,
+        "version": TABLE_FORMAT_VERSION,
         "d": degree,
         "partitions": [format_partition(p) for p in table.partitions],
         "matrix": table.matrix,
     }
-
-
-def _checksum(body: bytes) -> bytes:
-    import hashlib  # loads OpenSSL: only commands that touch the cache pay for it
-
-    return hashlib.sha256(body).hexdigest().encode()
-
-
-def _cache_path(degree: int) -> str:
-    return os.path.join(cache_dir(), f"chartable_d{degree}.json")
-
-
-def load_cached_table(degree: int):
-    """Validated load; any mismatch means rebuild, never silent reuse.
-
-    The file is the SHA-256 of its body on one line, then the body: the
-    bytes are checked before they are parsed.  Returns a `CharacterTable` or
-    None.  Whatever the file holds, a checksum mismatch, a malformed
-    document, a wrong shape or a non-integer entry reads as a miss and never
-    raises."""
-    from .characters import CharacterTable
-
-    try:
-        with open(_cache_path(degree), "rb") as handle:
-            digest, _, body = handle.read().partition(b"\n")
-        if digest != _checksum(body):
-            return None
-        doc = json.loads(body)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(doc, dict):
-        return None
-    if doc.get("version") != CACHE_VERSION or doc.get("d") != degree:
-        return None
-    partitions = enumerate_partitions(degree)
-    if doc.get("partitions") != [format_partition(p) for p in partitions]:
-        return None
-    matrix = doc.get("matrix")
-    if not (isinstance(matrix, list) and len(matrix) == len(partitions)
-            and all(isinstance(row, list) and len(row) == len(partitions)
-                    and set(map(type, row)) <= {int} for row in matrix)):
-        return None
-    return CharacterTable(degree, partitions, matrix)
-
-
-def store_table(degree: int, table) -> str:
-    """Atomic write: temp file in the cache directory, then rename."""
-    import tempfile
-
-    os.makedirs(cache_dir(), exist_ok=True)
-    body = json.dumps(_table_payload(degree, table), separators=(",", ":")).encode() + b"\n"
-    path = _cache_path(degree)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir(), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_checksum(body) + b"\n" + body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def character_table(degree: int):
-    """Cached `CharacterTable` of the given degree; a cache that cannot be
-    written (say, a regular file named as its directory) leaves the table
-    uncached."""
-    from .characters import CharacterTable
-
-    table = load_cached_table(degree)
-    if table is None:
-        table = CharacterTable.build(degree)
-        try:
-            store_table(degree, table)
-        except OSError:
-            pass
-    return table
 
 
 # ------------------------------------------------------------- subcommands
@@ -237,7 +146,9 @@ def _cmd_hur(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    table = character_table(args.d)
+    from .characters import CharacterTable
+
+    table = CharacterTable.build(args.d)
     payload = _table_payload(args.d, table)
     _emit(_document("char", {"d": args.d}, payload), args.out)
     return 0

@@ -235,6 +235,13 @@ def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
                         for col, mu in enumerate(table.partitions)})
 
 
+# `gwh_crosscheck` roughly doubles in time per degree: in-process (d_max,
+# k_max) = (8, 4) takes 0.42 s, (8, 10) 0.99 s, (10, 10) 1.96 s, (11, 10)
+# 3.53 s, (12, 4) 3.64 s and (12, 10) 7.64 s (2-core Xeon, CPython 3.11), so
+# `verify --d-max 24` would run for hours
+MAX_CROSSCHECK_DEGREE = 12
+
+
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
     __slots__ = ()
 
@@ -276,9 +283,14 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
     Each degree's table, eigenvalues and pairings are built once for every k:
     the top genus of k_max needs the orders (k_max+2, k_max+2), and every
     smaller k reads inside them.  A k_max outside the completed cycles'
-    range is refused before any work.
+    range, or a d_max above MAX_CROSSCHECK_DEGREE, is refused before any
+    work.
     """
     check_cycle_index(k_max)
+    if d_max > MAX_CROSSCHECK_DEGREE:
+        raise ValueError(
+            f"degree {d_max} is above the crosscheck ceiling "
+            f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}")
     rows = []
     for d in range(1, d_max + 1):
         table, evs = _crossing_table(d)

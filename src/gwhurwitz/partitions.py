@@ -75,22 +75,25 @@ def set_partitions(n: int) -> list:
     if n == 0:
         return [()]
     out = []
-
-    def grow(i, blocks):
-        if i == n:
-            # each block opens at its least element and grows upward: sorted already
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(0, [])
+    _grow(0, n, [], out)
     return out
+
+
+def _grow(i: int, n: int, blocks: list, out: list) -> None:
+    # module-level for the reason `_descend` is
+    if i == n:
+        # each block opens at its least element and grows upward: sorted
+        # already.  A list, not a generator: `tuple` trims a generator's
+        # result from a guessed size, which keeps refilling its free lists
+        out.append(tuple([tuple(b) for b in blocks]))
+        return
+    for b in blocks:
+        b.append(i)
+        _grow(i + 1, n, blocks, out)
+        b.pop()
+    blocks.append([i])
+    _grow(i + 1, n, blocks, out)
+    blocks.pop()
 
 
 def aut_size(mu) -> int:

@@ -14,7 +14,7 @@ import pytest
 from gwhurwitz import characters
 from gwhurwitz.characters import (MAX_TABLE_DEGREE, CharacterTable, character_columns, chi,
                                   dim_hook, f2_shifted, f_eta, transposition_class)
-from gwhurwitz.cli import CACHE_ENV, main
+from gwhurwitz.cli import main
 from gwhurwitz.partitions import enumerate_partitions, z_factor
 
 
@@ -326,8 +326,7 @@ class TestMaskKernel:
         ["hur", "--target-genus", "0", "--d", "25"],
         ["gw", "--target-genus", "1", "--d", "25", "--ks", "1"],
     ])
-    def test_cli_exits_2_above_the_ceiling(self, argv, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+    def test_cli_exits_2_above_the_ceiling(self, argv, capsys):
         assert main(argv) == 2
         assert "MAX_TABLE_DEGREE = 24" in capsys.readouterr().err
 

@@ -1,27 +1,16 @@
-"""Command-line documents, determinism, and the character-table cache."""
+"""Command-line documents and their determinism."""
 
 import contextlib
-import hashlib
 import io
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gwhurwitz import __version__
-from gwhurwitz.characters import CharacterTable
-from gwhurwitz.cli import (CACHE_ENV, _checksum, _emit, _parse_ks, _parse_profiles,
-                           _table_payload, _write_json, character_table, load_cached_table,
-                           main, store_table)
+from gwhurwitz.cli import _emit, _parse_ks, _parse_profiles, _write_json, main
 from gwhurwitz.partitions import parse_partition
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
-    yield tmp_path / "cache"
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +82,20 @@ class TestDocuments:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "descendent index must be >= 0" in captured.err
+
+    def test_verify_refuses_above_the_crosscheck_ceiling_before_any_table(
+            self, capsys, monkeypatch):
+        import gwhurwitz.characters as characters_module
+        from gwhurwitz.gwh import MAX_CROSSCHECK_DEGREE
+
+        def no_table(d):
+            raise AssertionError(f"table of degree {d} built")
+
+        monkeypatch.setattr(characters_module, "_build_table", no_table)
+        code = main(["verify", "--d-max", "24"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}" in captured.err
 
     def test_verify_rows_ascend(self, capsys):
         _, out = run_cli(capsys, "verify", "--d-max", "3", "--k-max", "3")
@@ -263,7 +266,6 @@ class TestEmit:
         monkeypatch.setattr(cli_module, "_emit", spy)
         outs = [run_cli(capsys, *argv)[1]]
         if argv[0] == "char":
-            assert load_cached_table(int(argv[2])) is not None
             outs.append(run_cli(capsys, *argv)[1])
         assert len(docs) == len(outs)
         for doc, out in zip(docs, outs):
@@ -298,143 +300,3 @@ class TestEmit:
         pieces += [json.dumps(row, indent=2).replace("\n", "\n      ")
                    for row in result["matrix"]]
         assert sorted(writes.sizes)[-len(pieces):] == sorted(map(len, pieces))
-
-
-def _body(doc) -> bytes:
-    """A cache file's body: compact JSON and a newline, as `store_table` writes it."""
-    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
-
-
-def _write_cache(cache, d: int, body: bytes, digest: bytes = None) -> str:
-    """Write a degree-d cache file: `digest` (by default the body's checksum),
-    a newline, then the body."""
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, f"chartable_d{d}.json")
-    with open(path, "wb") as handle:
-        handle.write((_checksum(body) if digest is None else digest) + b"\n" + body)
-    return path
-
-
-def _is_current_format(path) -> bool:
-    digest, _, body = open(path, "rb").read().partition(b"\n")
-    return digest == hashlib.sha256(body).hexdigest().encode()
-
-
-class TestCache:
-    @pytest.mark.parametrize("d", range(1, 9))
-    def test_round_trip(self, d):
-        table = CharacterTable.build(d)
-        store_table(d, table)
-        loaded = load_cached_table(d)
-        assert loaded is not None
-        assert loaded.matrix == table.matrix
-        assert loaded.partitions == table.partitions
-
-    def test_compact_file(self, isolated_cache):
-        # the SHA-256 of the body on one line, then the body: compact JSON
-        path = store_table(5, CharacterTable.build(5))
-        assert _is_current_format(path)
-        digest, body = open(path, "rb").read().split(b"\n", 1)
-        assert len(digest) == 64 and body == _body(_table_payload(5, CharacterTable.build(5)))
-        assert b"\n" not in body.rstrip(b"\n") and b", " not in body
-
-    def test_delete_changes_nothing(self, isolated_cache, capsys):
-        _, first = run_cli(capsys, "char", "--d", "6")
-        for name in os.listdir(isolated_cache):
-            os.unlink(os.path.join(isolated_cache, name))
-        _, second = run_cli(capsys, "char", "--d", "6")
-        assert first == second
-
-    def test_corrupted_cache_is_rebuilt(self, isolated_cache):
-        path = store_table(4, CharacterTable.build(4))
-        digest, _, body = open(path, "rb").read().partition(b"\n")
-        doc = json.loads(body)
-        doc["matrix"][0][0] = 999
-        _write_cache(isolated_cache, 4, _body(doc), digest)
-        assert load_cached_table(4) is None  # checksum mismatch
-        assert character_table(4).matrix[0][0] != 999
-
-    def test_whitespace_change_is_rebuilt(self, isolated_cache, capsys):
-        # the checksum covers the stored bytes, not the parsed document
-        _, fresh = run_cli(capsys, "char", "--d", "5")
-        path = os.path.join(isolated_cache, "chartable_d5.json")
-        digest, _, body = open(path, "rb").read().partition(b"\n")
-        _write_cache(isolated_cache, 5, body.replace(b",", b", ", 1), digest)
-        assert load_cached_table(5) is None
-        code, out = run_cli(capsys, "char", "--d", "5")
-        assert code == 0 and out == fresh
-        assert open(path, "rb").read() == digest + b"\n" + body  # rewritten
-
-    def test_old_format_file_is_rewritten(self, isolated_cache, capsys):
-        # a file of an older release: one line, its checksum a field of the
-        # object over the sorted-key dump of the other four
-        d = 5
-        _, fresh = run_cli(capsys, "char", "--d", str(d))
-        payload = _table_payload(d, CharacterTable.build(d))
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        payload["checksum"] = hashlib.sha256(canon.encode()).hexdigest()
-        path = os.path.join(isolated_cache, f"chartable_d{d}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        assert load_cached_table(d) is None
-        code, out = run_cli(capsys, "char", "--d", str(d))
-        assert code == 0 and out == fresh
-        assert _is_current_format(path) and load_cached_table(d) is not None
-
-    def test_version_mismatch_is_rebuilt(self, isolated_cache):
-        payload = _table_payload(3, CharacterTable.build(3))
-        payload["version"] = -1
-        _write_cache(isolated_cache, 3, _body(payload))
-        assert load_cached_table(3) is None
-
-    @pytest.mark.parametrize("doc", [[1, 2], "x", None], ids=["list", "string", "null"])
-    def test_non_object_file_is_rebuilt(self, isolated_cache, capsys, doc):
-        _, fresh = run_cli(capsys, "char", "--d", "5")
-        _write_cache(isolated_cache, 5, _body(doc))
-        assert load_cached_table(5) is None
-        code, out = run_cli(capsys, "char", "--d", "5")
-        assert code == 0 and out == fresh
-
-    def test_deeply_nested_file_is_rebuilt(self, isolated_cache, capsys):
-        # past the recursion limit the decoder raises RecursionError, not ValueError
-        _, fresh = run_cli(capsys, "char", "--d", "5")
-        _write_cache(isolated_cache, 5, b"[" * 200000 + b"]" * 200000)
-        assert load_cached_table(5) is None
-        code, out = run_cli(capsys, "char", "--d", "5")
-        assert code == 0 and out == fresh
-        assert load_cached_table(5) is not None  # rewritten
-
-    # each damage keeps a valid checksum, so only the shape check can catch it
-    @pytest.mark.parametrize("damage", [
-        lambda p: p.update(matrix=None),
-        lambda p: p.update(matrix=p["matrix"][:-1]),
-        lambda p: p.update(matrix=[p["matrix"][0][:-1]] + p["matrix"][1:]),
-        lambda p: p.update(matrix=[7] + p["matrix"][1:]),
-        lambda p: p.update(matrix=[["x"] + p["matrix"][0][1:]] + p["matrix"][1:]),
-        lambda p: p.update(matrix=[[2.5] + p["matrix"][0][1:]] + p["matrix"][1:]),
-        lambda p: p.update(matrix=[[None] + p["matrix"][0][1:]] + p["matrix"][1:]),
-        lambda p: p.update(partitions=None),
-    ], ids=["matrix_null", "row_missing", "row_short", "row_not_a_list",
-            "string_entry", "float_entry", "null_entry", "partitions_null"])
-    def test_checksummed_malformed_table_is_rebuilt(self, isolated_cache, capsys, damage):
-        d = 5
-        _, fresh = run_cli(capsys, "char", "--d", str(d))
-        payload = _table_payload(d, CharacterTable.build(d))
-        damage(payload)
-        _write_cache(isolated_cache, d, _body(payload))
-        assert load_cached_table(d) is None
-        code, out = run_cli(capsys, "char", "--d", str(d))
-        assert code == 0 and out == fresh
-
-    def test_regular_file_as_cache_dir(self, tmp_path, monkeypatch, capsys):
-        # the cache is an optimization only: a regular file in place of the
-        # directory means "not cached", never an error
-        code, normal = run_cli(capsys, "char", "--d", "6")
-        assert code == 0
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("x")
-        monkeypatch.setenv(CACHE_ENV, str(blocker))
-        code, out = run_cli(capsys, "char", "--d", "6")
-        assert code == 0
-        assert out == normal
-        assert blocker.read_text() == "x"

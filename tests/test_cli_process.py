@@ -1,6 +1,7 @@
 """The command line as a process, the way the console script and the
 benchmark start it: `python -m gwhurwitz.cli` with `PYTHONPATH=src`."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from gwhurwitz.cli import CACHE_ENV, main
+from gwhurwitz.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -23,9 +24,9 @@ COMMANDS = {
 
 
 def _process_env(tmp_path):
-    # a private HOME and cache, and a fixed width for argparse's help text
+    # a private HOME, and a fixed width for argparse's help text
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"), HOME=str(tmp_path / "home"),
-                COLUMNS="80", **{CACHE_ENV: str(tmp_path / "cache")})
+                COLUMNS="80")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -35,9 +36,23 @@ def test_process_stdout_is_main_stdout(name, tmp_path, monkeypatch, capsys):
                           env=_process_env(tmp_path), capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "in_process_cache"))
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out.encode()
+
+
+def test_char_writes_no_file(tmp_path):
+    # `char` keeps nothing on disk: neither under HOME, nor in the working
+    # directory, nor where the GWHURWITZ_CACHE_DIR of older releases points
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    env = dict(_process_env(tmp_path), GWHURWITZ_CACHE_DIR=str(work / "cache"))
+    done = subprocess.run([sys.executable, "-m", "gwhurwitz.cli", *COMMANDS["char"]],
+                          env=env, cwd=work, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["d"] == 6
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+    assert sorted(tmp_path.rglob("*")) == [home, work]
 
 
 def test_light_commands_never_load_the_wedge_layer(tmp_path):

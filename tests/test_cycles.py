@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import gwhurwitz.cycles as cycles_module
-from gwhurwitz.cli import CACHE_ENV, main
+from gwhurwitz.cli import main
 from gwhurwitz.cycles import MAX_CYCLE_INDEX, bernoulli_numbers, completed_cycle, rho
 from gwhurwitz.partitions import ClassSum, enumerate_partitions, subpartitions_by_removing_ones
 from gwhurwitz.qseries import MultiSeries, s_of, s_series
@@ -80,9 +80,7 @@ def test_completed_cycle_refuses_above_the_ceiling_before_enumerating(no_enumera
     ["gw", "--target-genus", "1", "--d", "6", "--ks", f"2,{MAX_CYCLE_INDEX + 1}"],
     ["gw", "--target-genus", "1", "--d", "6", "--ks", f"{MAX_CYCLE_INDEX + 1},2"],
 ])
-def test_cli_exits_2_above_the_ceiling_before_enumerating(argv, no_enumeration, tmp_path,
-                                                          monkeypatch, capsys):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+def test_cli_exits_2_above_the_ceiling_before_enumerating(argv, no_enumeration, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,8 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-               GWHURWITZ_CACHE_DIR=str(tmp_path / "cache"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -209,6 +209,18 @@ class TestPairings:
         with pytest.raises(ValueError, match=f"MAX_CYCLE_INDEX = {MAX_CYCLE_INDEX}"):
             gwh_crosscheck(1, MAX_CYCLE_INDEX + 1)
 
+    def test_d_max_above_the_crosscheck_ceiling_raises_before_any_work(self, monkeypatch):
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_CROSSCHECK_DEGREE
+
+        def bomb(*_args):
+            raise AssertionError("work done for a d_max above the ceiling")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        with pytest.raises(ValueError, match=f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}"):
+            gwh_crosscheck(MAX_CROSSCHECK_DEGREE + 1, 4)
+
 
 class TestCorrelatorStore:
     # the I-correlators a crosscheck holds: one `_i_pairings` evaluation per

@@ -1,5 +1,6 @@
 """The package namespace: pinned public names, each resolved on first use."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -138,3 +139,14 @@ def test_clear_caches_loads_no_layer():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_uses_assert():
+    # `python -O` drops assert statements, and every internal check must
+    # still raise there
+    paths = sorted((ROOT / "src" / "gwhurwitz").glob("*.py"))
+    assert len(paths) == len(HOMES) + 2  # the layers, `cli` and `__init__`
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

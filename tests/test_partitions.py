@@ -1,6 +1,8 @@
 """Partition enumeration, centralizer orders, class-sum algebra."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -107,6 +109,24 @@ class TestSetPartitions:
             assert blocks == tuple(sorted(blocks))
             assert sorted(x for b in blocks for x in b) == list(range(4))
             assert all(b == tuple(sorted(b)) for b in blocks)
+
+    def test_result_ends_with_the_call_without_the_collector(self):
+        # the 877 set partitions of range(7) take about 250 KB; the first
+        # call fills the interpreter's free lists
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            set_partitions(7)
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                set_partitions(7)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert grown < 8_000
 
 
 class TestClassSum:
