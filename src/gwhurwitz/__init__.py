@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # the monodromy oracle's degree limits, here so the command-line parser can
 # read them without loading `hurwitz`, which binds them from here
 DEFAULT_ORACLE_BOUND = 5
-# the group context's d! x d! table has 1.6e9 entries at d = 8: never build it
+# at genus >= 2 the oracle sweeps all d! x d! pairs, 1.6e9 of them at d = 8
 ORACLE_CEILING = 8
 
 _EXPORTS = {

@@ -32,6 +32,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from itertools import combinations_with_replacement
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING, __version__
 from .partitions import (check_table_degree, enumerate_partitions, format_partition,
@@ -239,10 +240,7 @@ def _cmd_verify(args) -> int:
 
 def _oracle_profiles(d: int):
     parts = enumerate_partitions(d)
-    out = [()]
-    out += [(p,) for p in parts]
-    out += [(p, q) for i, p in enumerate(parts) for q in parts[i:]]
-    return out
+    return [profiles for n in range(3) for profiles in combinations_with_replacement(parts, n)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,33 +7,30 @@ weight per dimension and one constant at the end.  The monodromy oracle
 counts permutation tuples directly (product of h commutators times one
 permutation per branch profile equals the identity), so every
 normalization in the package can be pinned against honest enumeration.
-Transitivity is tracked through the join of the generators' orbit
-partitions, which turns the transitive count into the same dynamic
-programming sweep over (partial product, partial orbit join) pairs; joins
-are memoized per pair of set partitions, and a count that does not ask for
-transitivity keeps every partition discrete.  The product table's rows are
-2-byte arrays built on first read, and the sweep's last step looks up an
-inverse instead of multiplying, so a genus-0 count builds only the rows of
-its partial products; genus >= 1 reads the whole table.  Only the character
-sums import `characters`, so the oracle, their independent check, runs
-without it.  No count here builds a series, so the series core `qseries` is
-never loaded.  No memo outlives a call: the connected recursion keeps its
-sub-problems for one count, and the oracle builds its group context for one
-count.
+Simultaneous conjugation keeps every condition on a tuple, so the oracle
+fixes one entry to a class representative weighted by the class size, and
+multiplies permutations as tuples in a sweep over (partial product, orbit
+labels) pairs; it builds no product table.  Transitivity is tracked through
+the join of the generators' orbit partitions, each a tuple of every point's
+least orbit-mate, and a count that does not ask for transitivity keeps
+every partition discrete.  Only the character sums import `characters`, so
+the oracle, their independent check, runs without it.  No count here builds
+a series, so the series core `qseries` is never loaded.  No memo outlives a
+call: the connected recursion keeps its sub-problems for one count, and the
+oracle its orbit joins.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
-from .partitions import ClassSum, check_partition, set_partitions, z_factor
+from .partitions import ClassSum, check_partition, z_factor
 
 
 class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
@@ -155,151 +152,42 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
 # ------------------------------------------------------------- brute force
 
 
-class _GroupContext:
-    """Multiplication and orbit data for one symmetric group.
+def _compose(p: tuple):
+    """The map x -> x o p on permutation tuples; a one-item `itemgetter` would
+    return a scalar, and the only permutation of one point is the identity."""
+    return itemgetter(*p) if len(p) > 1 else tuple
 
-    Row p of the product table holds index(p o q) for every q.  Rows are
-    2-byte arrays (d! <= 5040 below the oracle's ceiling) built on demand:
-    a BFS tree over left multiplication by the adjacent transpositions links
-    each element s o p to its parent p, and `row` builds a row the first
-    time it is read, from its parent's row (row(s o p) is row(s) read at
-    row(p)'s entries).  A count reads only the rows of its partial products;
-    `table` builds every row once, in BFS order, for the counts that read
-    them all.
-    """
 
-    def __init__(self, d: int):
-        self.d = d
-        self.perms = list(itertools.permutations(range(d)))
-        self.index = index = {p: i for i, p in enumerate(self.perms)}
-        n = len(self.perms)
-        self.identity = index[tuple(range(d))]
-        self.inv = [0] * n
-        for i, p in enumerate(self.perms):
-            q = [0] * d
-            for x in range(d):
-                q[p[x]] = x
-            self.inv[i] = index[tuple(q)]
-        # the adjacent transpositions' rows, kept as lists for fast reads
-        gens = []
-        for i in range(d - 1):
-            s = list(range(d))
-            s[i], s[i + 1] = i + 1, i
-            gens.append([index[itemgetter(*q)(s)] for q in self.perms])  # s o q
-        self._gens = gens
-        self._parent = [-1] * n  # -1: not reached yet
-        self._gen = [0] * n  # element = gens[_gen] o _parent
-        self._parent[self.identity] = self.identity
-        self._order = [self.identity]
-        for p in self._order:
-            for k, gen in enumerate(gens):
-                sp = gen[p]
-                if self._parent[sp] < 0:
-                    self._parent[sp], self._gen[sp] = p, k
-                    self._order.append(sp)
-        self._rows = [None] * n
-        self._rows[self.identity] = array("H", range(n))
+def _orbits(p: tuple) -> tuple:
+    """The orbit labels of p, each point's least orbit-mate, and its cycle type."""
+    labels = [-1] * len(p)
+    lengths = []
+    for x in range(len(p)):
+        y, n = x, 0
+        while labels[y] < 0:
+            labels[y] = x
+            y, n = p[y], n + 1
+        if n:
+            lengths.append(n)
+    return tuple(labels), tuple(sorted(lengths, reverse=True))
 
-        self.partitions = set_partitions(d)
-        self.part_index = {p: i for i, p in enumerate(self.partitions)}
-        self.discrete = self.part_index[tuple((i,) for i in range(d))]
-        self.top = self.part_index[(tuple(range(d)),)]
-        self.orbit_of = [self._orbit_partition(p) for p in self.perms]
-        # a permutation's cycle type is the block sizes of its orbit partition
-        shapes = [tuple(sorted(map(len, part), reverse=True)) for part in self.partitions]
-        self.class_elements = {}
-        for i, orbits in enumerate(self.orbit_of):
-            self.class_elements.setdefault(shapes[orbits], []).append(i)
-        self._join = {}
-        self._comm = {}
 
-    def row(self, p: int) -> array:
-        """Row p of the product table, built with its missing ancestors."""
-        got = self._rows[p]
-        if got is None:
-            parent = self.row(self._parent[p])
-            got = self._rows[p] = array("H", itemgetter(*parent)(self._gens[self._gen[p]]))
-        return got
+def _join(a: tuple, b: tuple) -> tuple:
+    """The orbit labels of the partition generated by two label tuples: a
+    union-find that starts from a's labels and keeps each block's least point
+    as its root."""
+    root = list(a)
 
-    def table(self) -> list:
-        """Every row of the product table, each built once, in BFS order so
-        that a parent's row is there before its children's."""
-        for p in self._order:
-            self.row(p)
-        return self._rows
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
 
-    def _orbit_partition(self, p) -> int:
-        seen = [False] * self.d
-        blocks = []
-        for x in range(self.d):
-            if seen[x]:
-                continue
-            block = []
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                block.append(y)
-                y = p[y]
-            blocks.append(tuple(sorted(block)))
-        return self.part_index[tuple(sorted(blocks))]
-
-    def join(self, i: int, j: int) -> int:
-        # a count without transitivity joins the discrete partition with
-        # itself at every step of its sweep
-        if i == j:
-            return i
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        got = self._join.get(key)
-        if got is not None:
-            return got
-        parent = list(range(self.d))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for part in (self.partitions[i], self.partitions[j]):
-            for block in part:
-                for other in block[1:]:
-                    parent[find(other)] = find(block[0])
-        blocks = {}
-        for x in range(self.d):
-            blocks.setdefault(find(x), []).append(x)
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
-        out = self.part_index[canon]
-        self._join[key] = out
-        return out
-
-    def commutator_distribution(self, joined: bool) -> Counter:
-        """Counts of ([a,b], orbit-join(a,b)) over all pairs (a, b); not
-        joined, every join reads as the discrete partition.
-
-        It reads every row, so it builds the whole table first.  Each a takes
-        one Counter update: its commutators with every b, zipped with the
-        joins of a's orbit partition with b's; not joined, the commutators
-        alone, paired with the discrete partition at the end."""
-        dist = self._comm.get(joined)
-        if dist is None:
-            mult, inv, orbit_of, join = self.table(), self.inv, self.orbit_of, self.join
-            dist = Counter()
-            for a, arow in enumerate(mult):
-                # [a, b] = a b a^-1 b^-1: right multiplication by a^-1 is a column
-                ainv = inv[a]
-                right = [row[ainv] for row in mult]
-                comms = [mult[right[ab]][binv] for ab, binv in zip(arow, inv)]
-                if joined:
-                    oa = orbit_of[a]
-                    dist.update(zip(comms, [join(oa, ob) for ob in orbit_of]))
-                else:
-                    dist.update(comms)
-            if not joined:
-                dist = Counter({(g, self.discrete): c for g, c in dist.items()})
-            self._comm[joined] = dist
-        return dist
+    for x, y in enumerate(b):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            root[max(rx, ry)] = min(rx, ry)
+    return tuple(map(find, range(len(a))))
 
 
 def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
@@ -311,62 +199,86 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
     conjugacy class of the j-th profile; with `transitive_only` the group
     generated by all entries must act transitively.
 
-    A sweep over (partial product, partial orbit join) pairs multiplies in
-    every step but the last, reading the product rows of its partial
-    products only.  The last step multiplies nothing: the product is the
-    identity exactly when the last element is the inverse of the partial
-    product, so the count sums each state times the weights of that inverse
-    whose join reaches the target partition.  The profiles are swept in
-    ascending class size, so a genus-0 count reads the rows of the partial
-    products of all but its largest class; a genus >= 1 count reads every
-    row through the commutator distribution, which is why the ceiling on d
-    stays where the full table would not fit in memory.
+    Simultaneous conjugation keeps the product, every class and
+    transitivity, so one entry runs over class representatives only, each
+    weighted by its class size: at genus 0 the largest profile's entry is
+    fixed, and at genus >= 1 a_1 is, while b_1 runs over S_d.  Later pairs
+    sweep all d!^2 (a, b).  A sweep over (partial product, orbit labels of
+    the partial join) states multiplies the other entries in as tuples.  The
+    last entry must be the inverse of the partial product, which lies in the
+    closing class exactly when the partial product does, and adds no orbit.
+    The profiles are swept in ascending class size and the largest left
+    closes the sweep; the count does not depend on the order, since Hurwitz
+    moves swap neighbouring profiles and keep both the product and the
+    generated group.
     """
-    d = branch.degree
+    d, h = branch.degree, branch.target_genus
     if d >= ORACLE_CEILING:
         raise ValueError(
-            f"degree {d} is at or above the oracle's ceiling {ORACLE_CEILING}: its "
-            f"{d}!x{d}! multiplication table would hold about "
+            f"degree {d} is at or above the oracle's ceiling {ORACLE_CEILING}: a genus >= 2 "
+            f"count would sweep all {d}!x{d}! pairs, about "
             f"{math.factorial(d) ** 2:.1e} entries")
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
-    ctx = _GroupContext(d)
-    discrete = ctx.discrete
-    target = ctx.top if transitive_only else discrete
-    # each step multiplies in one group element with its orbit partition;
-    # only transitivity reads the joins, so other counts keep them discrete
-    steps = [ctx.commutator_distribution(transitive_only).items()
-             for _ in range(branch.target_genus)]
-    # ascending class size keeps the partial products few and leaves the
-    # largest class to the last step, which builds no row; the count does not
-    # depend on the order: Hurwitz moves swap neighbouring profiles and keep
-    # both the product and the generated group
-    for eta in sorted(branch.profiles, key=lambda eta: len(ctx.class_elements[eta])):
-        steps.append([((g, ctx.orbit_of[g] if transitive_only else discrete), 1)
-                      for g in ctx.class_elements[eta]])
+    classes = {}  # cycle type -> [(element, its orbit labels)]
+    for p in itertools.permutations(range(d)):
+        labels, shape = _orbits(p)
+        classes.setdefault(shape, []).append((p, labels))
+    discrete = identity = tuple(range(d))
+    target = (0,) * d if transitive_only else discrete
+    joins = {}  # one call's memo
+
+    def orbits(labels):
+        # only transitivity reads the joins, so other counts keep them discrete
+        return labels if transitive_only else discrete
+
+    def join(a, b):
+        if a == b:
+            return a
+        got = joins.get((a, b))
+        if got is None:
+            got = joins[a, b] = _join(a, b)
+        return got
+
+    def pairs(firsts):
+        """Weighted counts of ([a, b], orbits of <a, b>) over the (a, labels,
+        weight) of `firsts` and every b."""
+        seconds = [(_compose(b), _compose(tuple(map(b.index, identity))), orbits(lb))
+                   for members in classes.values() for b, lb in members]
+        dist = {}
+        for a, la, w in firsts:
+            a_inv, la = _compose(tuple(map(a.index, identity))), orbits(la)
+            for b, b_inv, lb in seconds:
+                key = (b_inv(a_inv(b(a))), join(la, lb))
+                dist[key] = dist.get(key, 0) + w
+        return dist
+
+    profiles = sorted(branch.profiles, key=lambda eta: len(classes[eta]))
+    steps = []
+    if h:
+        state = pairs([(*members[0], len(members)) for members in classes.values()])
+        if h > 1:
+            everything = [(b, lb, 1) for members in classes.values() for b, lb in members]
+            later = [(_compose(g), labels, w) for (g, labels), w in pairs(everything).items()]
+            steps = [later] * (h - 1)
+    elif profiles:
+        members = classes[profiles.pop()]
+        rep, labels = members[0]
+        state = {(rep, orbits(labels)): len(members)}
+    else:
+        state = {(identity, discrete): 1}
     # an empty tuple is closed by the identity
-    *steps, last = steps or [[((ctx.identity, discrete), 1)]]
-    join, row = ctx.join, ctx.row
-    state = {(ctx.identity, discrete): 1}
-    for dist in steps:
+    closing = {p for p, _labels in classes[profiles.pop() if profiles else (1,) * d]}
+    steps += [[(_compose(p), orbits(labels), 1) for p, labels in classes[eta]]
+              for eta in profiles]
+    for step in steps:
         new = {}
-        for (g1, p1), c1 in state.items():
-            row_g1 = row(g1)
-            for (g2, p2), c2 in dist:
-                key = (row_g1[g2], join(p1, p2))
-                new[key] = new.get(key, 0) + c1 * c2
+        for (g, labels), c in state.items():
+            for compose, labels2, w in step:
+                key = (compose(g), join(labels, labels2))
+                new[key] = new.get(key, 0) + c * w
         state = new
-    # the last step multiplies nothing: the product is the identity exactly
-    # when the last element is the inverse of the partial product
-    closing = {}
-    for (g2, p2), c2 in last:
-        closing.setdefault(g2, []).append((p2, c2))
-    inv = ctx.inv
-    count = 0
-    for (g1, p1), c1 in state.items():
-        for p2, c2 in closing.get(inv[g1], ()):
-            if join(p1, p2) == target:
-                count += c1 * c2
+    count = sum(c for (g, labels), c in state.items() if labels == target and g in closing)
     return Fraction(count, math.factorial(d))
 
 

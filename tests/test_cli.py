@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
@@ -126,12 +127,10 @@ class TestDocuments:
         assert main(["cycle", "--d", "2"]) != 0
 
     def test_oracle_ceiling_exits_2(self, capsys, monkeypatch):
-        import gwhurwitz.hurwitz as hurwitz_module
+        def no_permutations(*args):
+            raise AssertionError(f"permutations enumerated: {args}")
 
-        def no_context(d):
-            raise AssertionError(f"group context built for degree {d}")
-
-        monkeypatch.setattr(hurwitz_module, "_GroupContext", no_context)
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
         code = main(["hur", "--d", "8", "--oracle", "--oracle-bound", "8",
                      "--target-genus", "0"])
         err = capsys.readouterr().err

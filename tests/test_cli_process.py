@@ -151,12 +151,15 @@ def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
-def test_degree_seven_oracle_count_stays_small(tmp_path):
-    # two simple points close with one inverse lookup and build no product
-    # row: about 17 MB, where the full 5040 x 5040 table took 218 MB
-    simple = "(2,1,1,1,1,1)"
-    argv = ["hur", "--target-genus", "0", "--d", "7", "--oracle", "--oracle-bound", "7",
-            "--profiles", f"{simple};{simple}"]
+@pytest.mark.parametrize("genus, profiles, value", [
+    # two simple points: one fixed, one closing; about 17 MB
+    ("0", "(2,1,1,1,1,1);(2,1,1,1,1,1)", "1/240"),
+    # 15 class representatives times 5040 commutators: about 18 MB
+    ("1", "(3,2,2)", "381"),
+], ids=["genus0", "genus1"])
+def test_degree_seven_oracle_count_stays_small(tmp_path, genus, profiles, value):
+    argv = ["hur", "--target-genus", genus, "--d", "7", "--oracle", "--oracle-bound", "7",
+            "--profiles", profiles]
     # a child's ru_maxrss counts the pages of the process it was spawned from
     # until it calls exec, so a bare interpreter, not this test run, spawns it
     script = ("import os, subprocess, sys\n"
@@ -165,7 +168,7 @@ def test_degree_seven_oracle_count_stays_small(tmp_path):
               "out = child.stdout.read()\n"
               "_pid, status, usage = os.wait4(child.pid, 0)\n"
               "child.returncode = os.waitstatus_to_exitcode(status)\n"
-              "print(child.returncode, b'\"value\": \"1/240\"' in out, usage.ru_maxrss)\n")
+              f"print(child.returncode, b'\"value\": \"{value}\"' in out, usage.ru_maxrss)\n")
     done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

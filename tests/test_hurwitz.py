@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import pickle
-import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -14,11 +13,11 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.hurwitz import (BranchData, _carvings, _GroupContext, branching_sums,
+from gwhurwitz.hurwitz import (BranchData, _carvings, _join, _orbits, branching_sums,
                                hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
 from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
-                                  z_factor)
+                                  set_partitions, z_factor)
 
 
 def profile_multisets(d, max_n):
@@ -28,6 +27,22 @@ def profile_multisets(d, max_n):
         out += [tuple(sorted(c)) for c in
                 itertools.combinations_with_replacement(parts, n)]
     return out
+
+
+def _cycles(p):
+    """The cycles of the permutation tuple p, walked one by one."""
+    cycles = []
+    for x in range(len(p)):
+        if not any(x in c for c in cycles):
+            cycle = [x]
+            while p[cycle[-1]] != x:
+                cycle.append(p[cycle[-1]])
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_type(p):
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
 
 
 class TestBranchData:
@@ -84,13 +99,12 @@ class TestSpotValues:
             monodromy_oracle(BranchData(0, 6, ()))
 
     def test_oracle_ceiling_ignores_the_bound(self, monkeypatch):
-        # a d! x d! table at d = 8 would exhaust memory: refuse before building
-        import gwhurwitz.hurwitz as hurwitz_module
+        # a genus >= 2 count at d = 8 would sweep 8! x 8! pairs: refuse before
+        # enumerating a single permutation
+        def no_permutations(*args):
+            raise AssertionError(f"permutations enumerated: {args}")
 
-        def no_context(d):
-            raise AssertionError(f"group context built for degree {d}")
-
-        monkeypatch.setattr(hurwitz_module, "_GroupContext", no_context)
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
         with pytest.raises(ValueError, match=r"8!x8! .* 1\.6e\+09 entries"):
             monodromy_oracle(BranchData(0, 8, ((2,) + (1,) * 6,)), degree_bound=8)
 
@@ -126,41 +140,38 @@ class TestOracleAgreement:
                     assert 0 <= conn <= disc, (h, d, profiles)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_product_table_matches_direct_composition(self, d):
-        ctx = _GroupContext(d)
-        # reference: compose the tuples and look the product up, one entry at a time
-        reference = [[ctx.index[tuple(p[q[x]] for x in range(d))] for q in ctx.perms]
-                     for p in ctx.perms]
-        # rows read last-first, so each is built on demand with its ancestors
-        assert [list(ctx.row(p)) for p in reversed(range(len(ctx.perms)))] == reference[::-1]
-        assert [list(r) for r in ctx.table()] == reference
-
-    def test_spot_rows_at_degree_six(self):
-        ctx = _GroupContext(6)
-        rng = random.Random(6)
-        for p in rng.sample(range(720), 12) + [719]:
-            perm = ctx.perms[p]
-            assert list(ctx.row(p)) == [ctx.index[tuple(perm[q[x]] for x in range(6))]
-                                        for q in ctx.perms]
-        assert ctx.row(719).typecode == "H"  # two bytes per entry
+    def test_classes_are_the_cycle_types(self, d):
+        # each permutation's orbit labels (the least point of each point's
+        # cycle) and cycle type, against the cycles walked one by one
+        types = set()
+        for p in itertools.permutations(range(d)):
+            cycles = _cycles(p)
+            labels = tuple(min(c) for x in range(d) for c in cycles if x in c)
+            assert _orbits(p) == (labels, _cycle_type(p)), p
+            types.add(_cycle_type(p))
+        assert sorted(types) == sorted(enumerate_partitions(d))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_classes_are_the_cycle_types(self, d):
-        def cycle_type(p):
-            seen, lengths = set(), []
-            for x in range(d):
-                m = 0
-                while x not in seen:
-                    seen.add(x)
-                    x, m = p[x], m + 1
-                if m:
-                    lengths.append(m)
-            return tuple(sorted(lengths, reverse=True))
+    def test_orbit_joins_match_a_brute_force_union_find(self, d):
+        # every pair of set partitions, as label tuples; the reference merges
+        # any two blocks that share a point until none do
+        partitions = [[set(block) for block in part] for part in set_partitions(d)]
 
-        ctx = _GroupContext(d)
-        assert sorted(ctx.class_elements) == sorted(enumerate_partitions(d))
-        for mu, elements in ctx.class_elements.items():
-            assert elements == [i for i, p in enumerate(ctx.perms) if cycle_type(p) == mu]
+        def labels(blocks):
+            return tuple(min(b) for x in range(d) for b in blocks if x in b)
+
+        for a in partitions:
+            for b in partitions:
+                blocks = [set(x) for x in a + b]
+                merged = True
+                while merged:
+                    merged = False
+                    for i, j in itertools.combinations(range(len(blocks)), 2):
+                        if blocks[i] & blocks[j]:
+                            blocks[i] |= blocks.pop(j)
+                            merged = True
+                            break
+                assert _join(labels(a), labels(b)) == labels(blocks), (a, b)
 
     def test_trivial_profile_is_identity_insertion(self):
         for d in (2, 3, 4):
@@ -270,39 +281,80 @@ def test_counts_match_the_full_table_sums(d):
             assert hurwitz_connected(b) == _folded_connected(h, d, profiles, memo), b
 
 
-def _union_find_join(ctx, i, j):
-    parent = list(range(ctx.d))
+def _multiply(p, q):
+    """p o q, one point at a time."""
+    return tuple(p[q[x]] for x in range(len(q)))
 
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
 
-    for part in (ctx.partitions[i], ctx.partitions[j]):
-        for block in part:
-            for other in block[1:]:
-                parent[find(other)] = find(block[0])
-    blocks = {}
-    for x in range(ctx.d):
-        blocks.setdefault(find(x), []).append(x)
-    return ctx.part_index[tuple(sorted(tuple(b) for b in blocks.values()))]
+def _inverse(p):
+    q = [0] * len(p)
+    for x, y in enumerate(p):
+        q[y] = x
+    return tuple(q)
+
+
+def _transitive(entries, d):
+    """Whether the group generated by `entries` moves 0 to every point."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for p in entries:
+            if p[x] not in reached:
+                reached.add(p[x])
+                frontier.append(p[x])
+    return len(reached) == d
+
+
+def _naive_oracle(branch, transitive_only):
+    """Every tuple of S_d, one per slot, with no entry fixed and no sweep."""
+    d, h = branch.degree, branch.target_genus
+    identity = tuple(range(d))
+    count = 0
+    for entries in itertools.product(itertools.permutations(range(d)),
+                                     repeat=2 * h + len(branch.profiles)):
+        points = entries[2 * h:]
+        if any(_cycle_type(s) != eta for s, eta in zip(points, branch.profiles)):
+            continue
+        product = identity
+        for a, b in zip(entries[:2 * h:2], entries[1:2 * h:2]):
+            product = _multiply(product, _multiply(_multiply(a, b),
+                                                   _multiply(_inverse(a), _inverse(b))))
+        for s in points:
+            product = _multiply(product, s)
+        if product == identity and (not transitive_only or _transitive(entries, d)):
+            count += 1
+    return F(count, math.factorial(d))
+
+
+@pytest.mark.parametrize("h, d, max_n", [(0, 1, 2), (1, 1, 2), (0, 2, 2), (1, 2, 2),
+                                         (0, 3, 2), (1, 3, 2), (0, 4, 2)])
+def test_oracle_matches_the_naive_enumeration(h, d, max_n):
+    for profiles in profile_multisets(d, max_n):
+        branch = BranchData(h, d, profiles)
+        for transitive_only in (False, True):
+            assert monodromy_oracle(branch, transitive_only) == \
+                _naive_oracle(branch, transitive_only), (branch, transitive_only)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_commutator_distribution_matches_the_double_loop(d):
-    ctx = _GroupContext(d)
-    mult = ctx.table()
-    want = {}
-    for a in range(len(ctx.perms)):
-        for b in range(len(ctx.perms)):
-            c = mult[mult[mult[a][b]][ctx.inv[a]]][ctx.inv[b]]
-            key = (c, _union_find_join(ctx, ctx.orbit_of[a], ctx.orbit_of[b]))
-            want[key] = want.get(key, 0) + 1
-    assert dict(ctx.commutator_distribution(joined=True)) == want
-    unjoined = {}
-    for (c, _join), count in want.items():
-        unjoined[c, ctx.discrete] = unjoined.get((c, ctx.discrete), 0) + count
-    assert dict(ctx.commutator_distribution(joined=False)) == unjoined
+    # a genus-1 count with one profile eta reads the pairs (a, b) whose
+    # commutator lies in eta's class: a double loop over S_d x S_d counts them
+    # by class, and by whether <a, b> is transitive
+    perms = list(itertools.permutations(range(d)))
+    plain, transitive = {}, {}
+    for a in perms:
+        for b in perms:
+            shape = _cycle_type(_multiply(_multiply(a, b), _multiply(_inverse(a), _inverse(b))))
+            plain[shape] = plain.get(shape, 0) + 1
+            if _transitive((a, b), d):
+                transitive[shape] = transitive.get(shape, 0) + 1
+    for eta in enumerate_partitions(d):
+        branch = BranchData(1, d, (eta,))
+        assert monodromy_oracle(branch) == F(plain.get(eta, 0), math.factorial(d))
+        assert monodromy_oracle(branch, transitive_only=True) == \
+            F(transitive.get(eta, 0), math.factorial(d))
 
 
 def test_carvings_match_brute_force_over_index_subsets():
@@ -367,37 +419,6 @@ def test_connected_memos_end_with_the_call_without_the_collector():
     assert grown < 8_000
 
 
-def _oracle_rows_built(monkeypatch, branch, transitive_only=False):
-    """The oracle's count, and how many product rows its group context built."""
-    import gwhurwitz.hurwitz as hurwitz_module
-
-    contexts = []
-
-    class Recorded(_GroupContext):
-        def __init__(self, d):
-            super().__init__(d)
-            contexts.append(self)
-
-    monkeypatch.setattr(hurwitz_module, "_GroupContext", Recorded)
-    value = monodromy_oracle(branch, transitive_only, degree_bound=branch.degree)
-    (ctx,) = contexts
-    return value, sum(row is not None for row in ctx._rows)
-
-
-def test_genus_zero_count_builds_only_the_rows_it_reads(monkeypatch):
-    # the rows of the 15 transpositions and their BFS ancestors; the last
-    # step is closed by the inverse and reads no row
-    branch = BranchData(0, 6, ((2, 1, 1, 1, 1), (3, 2, 1), (4, 2)))
-    for transitive_only in (False, True):
-        value, built = _oracle_rows_built(monkeypatch, branch, transitive_only)
-        assert built < 360
-        want = hurwitz_connected(branch) if transitive_only else hurwitz_disconnected(branch)
-        assert value == want
-    # two profiles: one multiplication by the identity, whose row is prebuilt
-    two = BranchData(0, 6, ((2, 1, 1, 1, 1),) * 2)
-    assert _oracle_rows_built(monkeypatch, two) == (F(1, 48), 1)
-
-
 def _sweep_in(monkeypatch, order) -> list:
     """Make the oracle sweep its profiles in `order`, not by class size; the
     returned list records each sweep that took the order."""
@@ -436,20 +457,39 @@ def test_oracle_count_does_not_depend_on_the_sweep_order(monkeypatch, h, d, prof
 
 
 def test_profiles_are_swept_in_ascending_class_size(monkeypatch):
-    # class sizes 144, 45 and 40: the given order builds 422 of the 720 rows
+    # class sizes 144, 45 and 40: the largest, (5, 1), is fixed to one
+    # representative, the next closes the sweep, and only the 40 elements of
+    # (3, 3) are multiplied in; the given order would multiply in 144
+    import gwhurwitz.hurwitz as hurwitz_module
+
+    composed = []
+    inner = hurwitz_module._compose
+
+    def spy(p):
+        composed.append(_cycle_type(p))
+        return inner(p)
+
+    monkeypatch.setattr(hurwitz_module, "_compose", spy)
     profiles = ((5, 1), (2, 2, 1, 1), (3, 3))
     branch = BranchData(0, 6, profiles)
-    assert _oracle_rows_built(monkeypatch, branch) == (1, 219)
+    assert monodromy_oracle(branch, degree_bound=6) == 1
+    assert composed == [(3, 3)] * 40
+    composed.clear()
     _sweep_in(monkeypatch, profiles)
-    assert _oracle_rows_built(monkeypatch, branch) == (1, 422)
+    assert monodromy_oracle(branch, degree_bound=6) == 1
+    assert composed == [(5, 1)] * 144
 
 
-@pytest.mark.parametrize("d", [2, 4, 5])
-def test_genus_one_count_builds_every_row(monkeypatch, d):
-    branch = BranchData(1, d, ((2,) + (1,) * (d - 2),))
-    value, built = _oracle_rows_built(monkeypatch, branch)
-    assert value == hurwitz_disconnected(branch)
-    assert built == math.factorial(d)
+@pytest.mark.parametrize("profiles, transitive_only", [
+    (((3, 2, 2),), False),
+    (((2,) + (1,) * 5,) * 2, True),
+])
+def test_genus_one_oracle_at_degree_seven(profiles, transitive_only):
+    # about 0.1 s plain and 0.4 s transitive in-process (CPython 3.11, 2 cores)
+    branch = BranchData(1, 7, profiles)
+    want = hurwitz_connected(branch) if transitive_only else hurwitz_disconnected(branch)
+    assert want
+    assert monodromy_oracle(branch, transitive_only, degree_bound=7) == want
 
 
 @pytest.mark.parametrize("d, profiles", [
@@ -460,6 +500,7 @@ def test_genus_one_count_builds_every_row(monkeypatch, d):
     (7, ((2,) + (1,) * 5,) * 2),
     (7, ((2,) + (1,) * 5, (6, 1), (7,))),
     (7, ((3,) + (1,) * 4, (2, 2, 1, 1, 1), (4, 3))),
+    (6, ((2, 1, 1, 1, 1), (3, 2, 1), (4, 2))),
 ])
 def test_genus_zero_oracle_matches_character_sums(d, profiles):
     branch = BranchData(0, d, profiles)
