@@ -9,13 +9,13 @@ node's classes: for each first part m it removes the m-strips once and adds
 the smaller shapes' rows over the rests with their signs.  A row is one
 integer with a signed 64-bit field per class, so adding a whole row is one
 integer addition, and each node keeps one memo of rows keyed by mask.
-`character_columns` reads only the columns it is asked for: one row of each
-conjugate pair {lam, lam'} by the kernel and the other by the sign
-character, with memos that end with the call.  The character sums of
-`hurwitz` use it.  `CharacterTable.build` is the same read over every class,
-made afresh by each call: `char` and the wall-crossing route use it, and no
-table is kept in memory past its caller.  `chi` reads one class the same way
-and is not capped.
+`character_columns` yields one row at a time over only the columns it is
+asked for.  One row of each conjugate pair {lam, lam'} is read by the kernel
+and kept packed until lam' is reached, whose row is read by the sign
+character; that and the memos are all it holds.  `char` writes the rows as
+they come and the sums of `hurwitz` add them up; only the wall-crossing
+route, which reads columns, lists them, through `CharacterTable.build`.
+`chi` reads one class the same way and is not capped.
 
 Tables and column reads refuse degrees above MAX_TABLE_DEGREE before
 enumerating anything.  The transposition eigenvalue f2 is computed from
@@ -164,21 +164,23 @@ def transposition_class(d: int) -> tuple:
     return (2,) + (1,) * (d - 2)
 
 
-def character_columns(degree: int, classes) -> list:
-    """[chi^lam(mu) for mu in classes] for each partition lam of degree.
+def character_columns(degree: int, classes):
+    """Iterator of [chi^lam(mu) for mu in classes], one row per partition lam
+    of degree in `enumerate_partitions` order, each made as it is read.
 
-    Rows come in `enumerate_partitions` order, as in a `CharacterTable`, but
-    only the requested columns are computed; a caller that needs dim lam asks
-    for the identity class (1^d).  Repeated classes are read once.  One row of
-    each conjugate pair is read by the kernel and the other by
-    chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu), and the memos end with the
-    call.
+    A caller that needs dim lam asks for (1^d); repeated classes are read
+    once.  Both arguments are checked now, before any partition is enumerated.
     """
     check_table_degree(degree)
     classes = [check_partition(mu) for mu in classes]
     for mu in classes:
         if sum(mu) != degree:
             raise ValueError(f"class {mu} is not a partition of {degree}")
+    return _rows(degree, classes)
+
+
+def _rows(degree: int, classes: list):
+    """Rows of `character_columns`: chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu)."""
     order = sorted(set(classes), reverse=True)
     groups, memo = _node(order, {})
     # |chi^lam(mu)| <= dim lam < 2^40 at MAX_TABLE_DEGREE, so every field fits
@@ -188,21 +190,19 @@ def character_columns(degree: int, classes) -> list:
     bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * width, "little")
     unpack = struct.Struct(f"<{width}q").unpack
     pick = list(map(dict(zip(order, range(width))).__getitem__, classes))
-    parts = enumerate_partitions(degree)
-    index = {lam: i for i, lam in enumerate(parts)}
     signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in classes]
-    rows = []
-    for lam in parts:
-        twin = index[_conjugate(lam)]
-        if twin < len(rows):
-            rows.append(list(map(mul, signs, rows[twin])))
-        else:
-            # only a leaf's memo is filled before the kernel runs: at degree 0
-            # the root is the leaf
+    pending = {}  # lam' -> packed row of lam, while lam' is still ahead
+    for lam in enumerate_partitions(degree):
+        packed = pending.pop(lam, None)
+        derived = packed is not None
+        if not derived:
+            # at d = 0 the root is a leaf, whose memo holds the row before any kernel run
             mask = _mask(lam)
             packed = ((memo.get(mask) or _row(mask, groups)) + bias) ^ bias
-            rows.append(list(map(unpack(packed.to_bytes(8 * width, "little")).__getitem__, pick)))
-    return rows
+            if (twin := _conjugate(lam)) != lam:
+                pending[twin] = packed
+        row = map(unpack(packed.to_bytes(8 * width, "little")).__getitem__, pick)
+        yield list(map(mul, signs, row) if derived else row)
 
 
 class CharacterTable:
@@ -232,7 +232,7 @@ class CharacterTable:
 
 
 def _build_table(degree: int) -> CharacterTable:
-    """Every column, read by `character_columns`."""
+    """Every row of `character_columns`, listed: the wall-crossing route reads columns."""
     check_table_degree(degree)
     parts = enumerate_partitions(degree)
-    return CharacterTable(degree, parts, character_columns(degree, parts))
+    return CharacterTable(degree, parts, list(character_columns(degree, parts)))

@@ -5,8 +5,9 @@ parameters, library version, result) with exact "p/q" scalars and
 deterministic ordering, to stdout or to `--out`.  The bytes are exactly
 `json.dumps(doc, indent=2)` and a newline, written row by row: each list or
 object of scalars (one table row) is one call of the C encoder, written as
-soon as it is made.  `char` builds its table in every process and keeps
-nothing on disk.
+soon as it is made.  `char` hands its matrix over as the iterator of
+`characters.character_columns`, so each row is written as the kernel makes
+it: no table is held in memory, and nothing is kept on disk.
 
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by `char`, `hurwitz`
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import combinations_with_replacement
 
@@ -40,15 +42,6 @@ from .partitions import (check_table_degree, enumerate_partitions, format_partit
 
 # the "version" field of the `char` document
 TABLE_FORMAT_VERSION = 1
-
-
-def _table_payload(degree: int, table) -> dict:
-    return {
-        "version": TABLE_FORMAT_VERSION,
-        "d": degree,
-        "partitions": [format_partition(p) for p in table.partitions],
-        "matrix": table.matrix,
-    }
 
 
 # ------------------------------------------------------------- subcommands
@@ -88,19 +81,20 @@ def _write_json(write, value, outer: str = "") -> None:
     A container holding containers is laid out here and recurses; a container
     of scalars, such as one matrix row, is one call of the C encoder, which
     `indent` would bypass: its item separator carries the newline and the
-    indentation instead.  So no piece is larger than one such container."""
+    indentation instead.  So no piece is larger than one such container.  An
+    iterator is written as the list of its items, each as soon as it is made."""
+    lazy = isinstance(value, Iterator)
     is_dict = isinstance(value, dict)
-    if not value or not (is_dict or isinstance(value, (list, tuple))):
+    if not (lazy or is_dict or isinstance(value, (list, tuple))):
         write(json.dumps(value))
         return
     inner = outer + "  "
     opening, closing = "{}" if is_dict else "[]"
-    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+    if not lazy and value and set(map(type, value.values() if is_dict else value)) <= _SCALARS:
         flat = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
         write(f"{opening}\n{inner}{flat[1:-1]}\n{outer}{closing}")
         return
-    write(opening)
-    separator = "\n"
+    separator = opening + "\n"
     for key, item in value.items() if is_dict else enumerate(value):
         if is_dict:
             # json.dumps names a non-string key by its own encoding: 1 -> "1"
@@ -110,7 +104,8 @@ def _write_json(write, value, outer: str = "") -> None:
             write(separator + inner)
         _write_json(write, item, inner)
         separator = ",\n"
-    write(f"\n{outer}{closing}")
+    # an empty container, iterator or not, is written whole
+    write(f"\n{outer}{closing}" if separator == ",\n" else opening + closing)
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -147,10 +142,14 @@ def _cmd_hur(args) -> int:
 
 
 def _cmd_char(args) -> int:
-    from .characters import CharacterTable
+    from .characters import character_columns
 
-    table = CharacterTable.build(args.d)
-    payload = _table_payload(args.d, table)
+    check_table_degree(args.d)
+    parts = enumerate_partitions(args.d)
+    # the matrix is the rows' iterator: each row is written as it is made
+    payload = {"version": TABLE_FORMAT_VERSION, "d": args.d,
+               "partitions": [format_partition(p) for p in parts],
+               "matrix": character_columns(args.d, parts)}
     _emit(_document("char", {"d": args.d}, payload), args.out)
     return 0
 

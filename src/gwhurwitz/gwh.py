@@ -93,10 +93,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
 
 def _hodge_prefactor(eta) -> Fraction:
     """The classical ELSV prefactor prod eta_j^eta_j / eta_j!."""
-    scale = Fraction(1)
-    for p in eta:
-        scale *= Fraction(p ** p, math.factorial(p))
-    return scale
+    return math.prod((Fraction(p ** p, math.factorial(p)) for p in eta), start=Fraction(1))
 
 
 def hodge_H_series(eta, u_order: int) -> MultiSeries:
@@ -235,24 +232,23 @@ def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
                         for col, mu in enumerate(table.partitions)})
 
 
-# `gwh_crosscheck` roughly doubles in time per degree: in-process (d_max,
-# k_max) = (8, 4) takes 0.42 s, (8, 10) 0.99 s, (10, 10) 1.96 s, (11, 10)
-# 3.53 s, (12, 4) 3.64 s and (12, 10) 7.64 s (2-core Xeon, CPython 3.11), so
-# `verify --d-max 24` would run for hours
+# `gwh_crosscheck` roughly doubles in time per degree, and the top degree's
+# pairings cost most: p(d_max) profiles, each cut at (k_max+2, k_max+2).  So
+# a d_max above MAX_CROSSCHECK_DEGREE is refused, and a grid whose
+# p(d_max) (k_max+2)^2 is above MAX_CROSSCHECK_COST.  In-process (2-core Xeon,
+# CPython 3.11): (8, 10) 0.99 s, (12, 4) 3.64 s; near the cost limit (2, 80)
+# 2.6 s, (4, 50) 3.7 s, (8, 23) 5.9 s, (10, 16) 6.5 s, (12, 11) 9.6 s; past
+# it (4, 80) 22.8 s, (12, 16) 22 s, (12, 32) 85.7 s, and d_max = 24 hours
 MAX_CROSSCHECK_DEGREE = 12
+MAX_CROSSCHECK_COST = 14_000
 
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
     __slots__ = ()
 
     def mismatches(self):
-        out = []
-        for mu in enumerate_partitions(self.d):
-            a = self.lhs.coefficient(mu)
-            b = self.rhs.coefficient(mu)
-            if a != b:
-                out.append((mu, a, b))
-        return out
+        return [(mu, a, b) for mu in enumerate_partitions(self.d)
+                if (a := self.lhs.coefficient(mu)) != (b := self.rhs.coefficient(mu))]
 
 
 class CrosscheckReport(namedtuple("CrosscheckReport", "d_max k_max rows")):
@@ -283,14 +279,18 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
     Each degree's table, eigenvalues and pairings are built once for every k:
     the top genus of k_max needs the orders (k_max+2, k_max+2), and every
     smaller k reads inside them.  A k_max outside the completed cycles'
-    range, or a d_max above MAX_CROSSCHECK_DEGREE, is refused before any
-    work.
+    range, a d_max above MAX_CROSSCHECK_DEGREE, or a grid above
+    MAX_CROSSCHECK_COST is refused before any work.
     """
     check_cycle_index(k_max)
     if d_max > MAX_CROSSCHECK_DEGREE:
         raise ValueError(
             f"degree {d_max} is above the crosscheck ceiling "
             f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}")
+    cost = len(enumerate_partitions(max(d_max, 0))) * (k_max + 2) ** 2
+    if cost > MAX_CROSSCHECK_COST:
+        raise ValueError(f"grid ({d_max}, {k_max}) costs p(d_max) (k_max+2)^2 = {cost}, "
+                         f"above MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}")
     rows = []
     for d in range(1, d_max + 1):
         table, evs = _crossing_table(d)

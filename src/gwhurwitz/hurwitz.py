@@ -2,7 +2,7 @@
 
 `hurwitz_disconnected` and the graded `branching_sums` evaluate the
 character-sum formula over only the character columns their classes need
-(`characters.character_columns`, no full table), in integers: one rational
+(`characters.character_columns`, row by row), in integers: one rational
 weight per dimension and one constant at the end.  The monodromy oracle
 counts permutation tuples directly (product of h commutators times one
 permutation per branch profile equals the identity), so every

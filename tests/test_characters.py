@@ -214,7 +214,7 @@ class TestColumns:
         rng = random.Random(d)
         for n in (0, 1, 3, len(table.partitions)):
             classes = rng.sample(table.partitions, min(n, len(table.partitions)))
-            rows = character_columns(d, classes)
+            rows = list(character_columns(d, classes))
             assert rows == [[table.chi(lam, mu) for mu in classes]
                             for lam in table.partitions], classes
 
@@ -230,7 +230,7 @@ class TestColumns:
 
         monkeypatch.setattr(characters, "_mask", counting)
         parts = enumerate_partitions(8)
-        character_columns(8, [(4, 4)])
+        list(character_columns(8, [(4, 4)]))
         assert read == [lam for lam in parts if lam >= _conjugate(lam)]
 
     @pytest.mark.parametrize("d", [16, 20])
@@ -239,8 +239,8 @@ class TestColumns:
         a, b = random.Random(d).sample(table.partitions, 2)
         simple = transposition_class(d)
         for classes in ([simple, (1,) * d, simple], [a, b, a], [b, b]):
-            assert character_columns(d, classes) == [[table.chi(lam, mu) for mu in classes]
-                                                     for lam in table.partitions], classes
+            assert list(character_columns(d, classes)) == [
+                [table.chi(lam, mu) for mu in classes] for lam in table.partitions], classes
 
     def test_memos_end_with_the_call_without_the_collector(self):
         # reference counting alone frees the memos, about 0.3 MB at this read;
@@ -250,15 +250,47 @@ class TestColumns:
         gc.disable()
         tracemalloc.start()
         try:
-            character_columns(16, parts)  # fills those free lists
+            list(character_columns(16, parts))  # fills those free lists
             base = tracemalloc.get_traced_memory()[0]
-            character_columns(16, parts)
+            list(character_columns(16, parts))
             grown = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
             if enabled:
                 gc.enable()
         assert grown < 32_000
+
+    def test_checks_run_at_call_time_and_rows_when_read(self, monkeypatch):
+        def no_enumeration(d):
+            raise AssertionError(f"partitions of {d} enumerated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "enumerate_partitions", no_enumeration)
+            with pytest.raises(ValueError, match=f"MAX_TABLE_DEGREE = {MAX_TABLE_DEGREE}"):
+                character_columns(MAX_TABLE_DEGREE + 1, [(MAX_TABLE_DEGREE + 1,)])
+            with pytest.raises(ValueError, match="not a partition of 4"):
+                character_columns(4, [(2, 1)])
+            rows = character_columns(4, [(4,), (1, 1, 1, 1)])  # nothing enumerated yet
+        read = []
+        mask = characters._mask
+        monkeypatch.setattr(characters, "_mask", lambda lam: read.append(lam) or mask(lam))
+        assert next(rows) == [1, 1] and read == [(4,)]
+        # (2,1,1) and (1,1,1,1) are signed from the packed rows of (3,1) and (4)
+        assert list(rows) == [[-1, 3], [0, 2], [1, 3], [-1, 1]]
+        assert read == [(4,), (3, 1), (2, 2)]
+
+    @pytest.mark.parametrize("d", [0, 1, 6, 9])
+    def test_a_packed_row_waits_only_for_its_conjugate(self, d):
+        # after each row, the rows held are those of the shapes read whose
+        # conjugate is still ahead: self-conjugates and reached pairs are dropped
+        parts = enumerate_partitions(d)
+        rows = character_columns(d, parts)
+        for i in range(len(parts)):
+            next(rows)
+            ahead = set(parts[i + 1:])
+            waiting = {_conjugate(lam) for lam in parts[:i + 1]} & ahead
+            assert set(rows.gi_frame.f_locals["pending"]) == waiting
+        assert next(rows, None) is None
 
     def test_classes_must_be_partitions_of_the_degree(self):
         with pytest.raises(ValueError, match="not a partition of 4"):

@@ -1,17 +1,23 @@
 """Command-line documents and their determinism."""
 
 import contextlib
+import gc
+import hashlib
 import io
 import itertools
 import json
+import os
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gwhurwitz import __version__
+from gwhurwitz.characters import CharacterTable
 from gwhurwitz.cli import _emit, _parse_ks, _parse_profiles, _write_json, main
-from gwhurwitz.partitions import parse_partition
+from gwhurwitz.partitions import format_partition, parse_partition
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +104,21 @@ class TestDocuments:
         assert code == 2 and captured.out == ""
         assert f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}" in captured.err
 
+    @pytest.mark.parametrize("grid", [("12", "80"), ("4", "80")])
+    def test_verify_refuses_above_the_cost_limit_before_any_table(
+            self, capsys, monkeypatch, grid):
+        import gwhurwitz.characters as characters_module
+        from gwhurwitz.gwh import MAX_CROSSCHECK_COST
+
+        def no_table(d):
+            raise AssertionError(f"table of degree {d} built")
+
+        monkeypatch.setattr(characters_module, "_build_table", no_table)
+        code = main(["verify", "--d-max", grid[0], "--k-max", grid[1]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}" in captured.err
+
     def test_verify_rows_ascend(self, capsys):
         _, out = run_cli(capsys, "verify", "--d-max", "3", "--k-max", "3")
         rows = [(row["d"], row["k"]) for row in json.loads(out)["rows"]]
@@ -136,6 +157,12 @@ class TestDocuments:
         err = capsys.readouterr().err
         assert code == 2
         assert "8!x8!" in err and "1.6e+09 entries" in err
+
+    def test_gw_refuses_a_negative_target_genus(self, capsys):
+        code = main(["gw", "--target-genus", "-2", "--d", "2", "--ks", "0,0,0,0,0,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "need target_genus >= 0" in captured.err
 
     def test_oracle_bound_default_is_the_library_constant(self):
         from gwhurwitz.cli import build_parser
@@ -259,8 +286,22 @@ class TestEmit:
         docs = []
 
         def spy(doc, out_path):
-            docs.append(doc)
+            # a streamed value (the `char` matrix) is listed as it is written,
+            # so the document can be dumped again below
+            result, listed = doc.get("result", {}), {}
+
+            def record(key, items):
+                for item in items:
+                    listed.setdefault(key, []).append(item)
+                    yield item
+                listed.setdefault(key, [])
+
+            for key, value in list(result.items()):
+                if isinstance(value, Iterator):
+                    result[key] = record(key, value)
             emit(doc, out_path)
+            result.update(listed)
+            docs.append(doc)
 
         monkeypatch.setattr(cli_module, "_emit", spy)
         outs = [run_cli(capsys, *argv)[1]]
@@ -286,6 +327,52 @@ class TestEmit:
         writes = _Writes()
         _write_json(writes.write, value)
         assert writes.getvalue() == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_JSON_VALUES, max_size=5))
+    @example([]).via("an empty matrix")
+    @example([[1]]).via("the one-row tables of d = 0 and 1")
+    @example([[1, -1], [1, 1]])
+    def test_an_iterator_is_one_dumps_of_its_list(self, items):
+        for value, listed in ((iter(items), items),
+                              ({"a": iter(items), "b": []}, {"a": items, "b": []})):
+            writes = _Writes()
+            _write_json(writes.write, value)
+            assert writes.getvalue() == json.dumps(listed, indent=2)
+
+    @pytest.mark.parametrize("d", [*range(13), 18, 24])
+    def test_char_streams_the_bytes_of_the_built_table(self, d, tmp_path):
+        # compared by digest: at d = 24 the document is 29 MB
+        table = CharacterTable.build(d)
+        doc = {"command": "char", "version": __version__, "request": {"d": d},
+               "result": {"version": 1, "d": d,
+                          "partitions": [format_partition(p) for p in table.partitions],
+                          "matrix": table.matrix}}
+        expected = hashlib.sha256()
+        for chunk in json.JSONEncoder(indent=2).iterencode(doc):
+            expected.update(chunk.encode())
+        expected.update(b"\n")
+        target = tmp_path / "char.json"
+        assert main(["--out", str(target), "char", "--d", str(d)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == expected.hexdigest()
+
+    @pytest.mark.parametrize("d, limit", [(18, 2_000_000), (24, 20_000_000)])
+    def test_char_holds_no_table(self, d, limit):
+        # the pending conjugate rows, packed, and the kernel memos: a listed
+        # table peaked at 2.9 MB (d = 18) and 44.2 MB (d = 24)
+        import gwhurwitz.characters  # noqa: F401  compiled before the count
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                assert main(["char", "--d", str(d)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert peak < limit
 
     def test_no_write_is_larger_than_one_list_of_scalars(self, monkeypatch):
         # the largest pieces are one matrix row and the list of partition

@@ -175,3 +175,20 @@ def test_degree_seven_oracle_count_stays_small(tmp_path, genus, profiles, value)
     code, found, maxrss_kib = done.stdout.split()
     assert (code, found) == ("0", "True")
     assert int(maxrss_kib) < 40 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_degree_24_table_dump_stays_small(tmp_path):
+    # `char` writes each row as it is made and holds only the packed rows
+    # waiting for their conjugates: about 30 MB, where a listed table took 57.6 MB
+    script = ("import os, subprocess, sys\n"
+              "child = subprocess.Popen([sys.executable, '-m', 'gwhurwitz.cli', "
+              "'char', '--d', '24'], stdout=subprocess.DEVNULL)\n"
+              "_pid, status, usage = os.wait4(child.pid, 0)\n"
+              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, maxrss_kib = done.stdout.split()
+    assert code == "0"
+    assert int(maxrss_kib) < 35 * 1024

@@ -222,6 +222,37 @@ class TestPairings:
             gwh_crosscheck(MAX_CROSSCHECK_DEGREE + 1, 4)
 
 
+    @pytest.mark.parametrize("grid", [(12, 80), (4, 80), (12, 16), (6, 40)])
+    def test_grid_above_the_cost_limit_raises_before_any_work(self, monkeypatch, grid):
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_CROSSCHECK_COST
+
+        def bomb(*_args):
+            raise AssertionError("work done for a grid above the cost limit")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        with pytest.raises(ValueError, match=f"MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}"):
+            gwh_crosscheck(*grid)
+
+    def test_grids_in_use_pass_the_cost_limit(self, monkeypatch):
+        # those of the tests, demos, benchmark workloads and README; each
+        # reaches its first table, where this stops it
+        import gwhurwitz.gwh as gwh_module
+
+        class Started(Exception):
+            pass
+
+        def started(*_args):
+            raise Started
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", started)
+        for grid in [(1, 2), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 6),
+                     (8, 10), (10, 10), (12, 4)]:
+            with pytest.raises(Started):
+                gwh_crosscheck(*grid)
+
+
 class TestCorrelatorStore:
     # the I-correlators a crosscheck holds: one `_i_pairings` evaluation per
     # degree, built inside the call and read once per (g, eta, k)
@@ -581,6 +612,17 @@ class TestStationary:
         monkeypatch.setattr(hurwitz_module, "branching_sums", lambda h, d, factors: {1: F(1)})
         with pytest.raises(ArithmeticError, match="odd total branching"):
             stationary_gw(0, 2, [1])
+
+    def test_negative_target_genus_raises_before_any_cycle(self, monkeypatch):
+        import gwhurwitz.cycles as cycles_module
+
+        def bomb(*_args):
+            raise AssertionError("cycle computed for a negative target genus")
+
+        monkeypatch.setattr(cycles_module, "completed_cycle", bomb)
+        for h, ks in ((-1, [1]), (-2, [0] * 6), (-1, [])):
+            with pytest.raises(ValueError, match="need target_genus >= 0"):
+                stationary_gw(h, 2, ks)
 
     def test_odd_branching_check_sees_the_real_sum(self, monkeypatch):
         # degree-2 columns with chi^(1,1)((2)) flipped to +1 break the sign
