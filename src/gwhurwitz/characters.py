@@ -7,8 +7,10 @@ between.  The requested classes form a tree by first part, in which equal
 sets of rests share one node.  The kernel `_row` reads a shape's row over a
 node's classes: for each first part m it removes the m-strips once and adds
 the smaller shapes' rows over the rests with their signs.  A row is one
-integer with a signed 64-bit field per class, so adding a whole row is one
-integer addition, and each node keeps one memo of rows keyed by mask.
+integer with a signed field per class, so adding a whole row is one integer
+addition, and each node keeps one memo of rows keyed by mask.  A field is
+the narrowest of 1, 2, 4 or 8 bytes that holds sqrt(d!), which bounds every
+value of degree d.
 `character_columns` yields one row at a time over only the columns it is
 asked for.  One row of each conjugate pair {lam, lam'} is read by the kernel
 and kept packed until lam' is reached, whose row is read by the sign
@@ -52,9 +54,9 @@ def _conjugate(lam) -> tuple:
     return tuple([sum(1 for p in lam if p > j) for j in range(lam[0])]) if lam else ()
 
 
-def _node(classes: list, nodes: dict) -> tuple:
+def _node(classes: list, nodes: dict, bits: int) -> tuple:
     """(groups, memo) of the node that reads `classes`, distinct partitions of
-    one size in descending order.
+    one size in descending order, in fields of `bits` bits.
 
     The classes of first part m form one group (m, bead mask of the m - 1
     cells between, field offset of its first class, the child's groups and
@@ -71,8 +73,8 @@ def _node(classes: list, nodes: dict) -> tuple:
             by_first.setdefault(mu[0], []).append(mu[1:])
         groups, shift = [], 0
         for m, rests in by_first.items():
-            groups.append((m, (1 << (m - 1)) - 1, shift, *_node(rests, nodes)))
-            shift += 64 * len(rests)
+            groups.append((m, (1 << (m - 1)) - 1, shift, *_node(rests, nodes, bits)))
+            shift += bits * len(rests)
         nodes[key] = tuple(groups), {}
     return nodes[key]
 
@@ -110,14 +112,14 @@ def _row(mask: int, groups: tuple) -> int:
 def chi(lam, mu) -> int:
     """Irreducible character value at the class mu; the kernel's memos end with the call.
 
-    One class packs into one field at offset 0, so the value is read whole,
-    with no bound on its size.
+    One class packs into one field at offset 0, so the node needs no field
+    width, and the value is read whole, with no bound on its size.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _row(_mask(lam), _node([mu], {})[0]) if mu else 1
+    return _row(_mask(lam), _node([mu], {}, 0)[0]) if mu else 1
 
 
 def dim_hook(lam) -> int:
@@ -179,16 +181,28 @@ def character_columns(degree: int, classes):
     return _rows(degree, classes)
 
 
+def _field(degree: int) -> tuple:
+    """(bytes, struct code) of the narrowest signed field that holds every
+    character value of the degree.
+
+    |chi^lam(mu)| <= dim lam <= sqrt(d!), as the squares of the dimensions sum
+    to d!: 1 byte up to d = 7, 2 up to 12, 4 up to 20 and 8 up to 24.
+    """
+    bound = math.isqrt(math.factorial(degree))
+    return next((n, c) for n, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+                if bound >> (8 * n - 1) == 0)
+
+
 def _rows(degree: int, classes: list):
     """Rows of `character_columns`: chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu)."""
     order = sorted(set(classes), reverse=True)
-    groups, memo = _node(order, {})
-    # |chi^lam(mu)| <= dim lam < 2^40 at MAX_TABLE_DEGREE, so every field fits
-    # a signed 64-bit item; adding the top bit of every field carries nothing
-    # across fields, and xor with it leaves each field in two's complement
+    size, code = _field(degree)
+    groups, memo = _node(order, {}, 8 * size)
+    # adding the top bit of every field carries nothing across fields, and
+    # xor with it leaves each field in two's complement
     width = len(order)
-    bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * width, "little")
-    unpack = struct.Struct(f"<{width}q").unpack
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * width, "little")
+    unpack = struct.Struct(f"<{width}{code}").unpack
     pick = list(map(dict(zip(order, range(width))).__getitem__, classes))
     signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in classes]
     pending = {}  # lam' -> packed row of lam, while lam' is still ahead
@@ -201,7 +215,7 @@ def _rows(degree: int, classes: list):
             packed = ((memo.get(mask) or _row(mask, groups)) + bias) ^ bias
             if (twin := _conjugate(lam)) != lam:
                 pending[twin] = packed
-        row = map(unpack(packed.to_bytes(8 * width, "little")).__getitem__, pick)
+        row = map(unpack(packed.to_bytes(size * width, "little")).__getitem__, pick)
         yield list(map(mul, signs, row) if derived else row)
 
 

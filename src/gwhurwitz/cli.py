@@ -11,8 +11,8 @@ it: no table is held in memory, and nothing is kept on disk.
 
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by `char`, `hurwitz`
-by `hur` and `verify`, the completed cycles `cycles` by `cycle` and `gw`,
-and the wall-crossing layer `gwh` by the subcommands that use it.  The
+by `hur` and `verify`, the completed cycles `cycles` by `cycle`, `gw` and
+`verify`, and the wall-crossing layer `gwh` by the subcommands that use it.  The
 package modules each command loads:
 
     --help          cli, partitions
@@ -20,9 +20,10 @@ package modules each command loads:
     hur --oracle    cli, partitions, hurwitz
     hur             cli, partitions, characters, hurwitz
     cycle           cli, partitions, cycles
-    ifun            cli, partitions, cycles, qseries, fock, gwh
+    ifun            cli, partitions, qseries, fock, gwh
     gw              cli, partitions, cycles, characters, hurwitz
-    elsv, verify    all eight
+    elsv            all but cycles
+    verify          all eight
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
 """

@@ -7,12 +7,12 @@ infinite-wedge correlators, independently of the closed formula
 agreement; `elsv_check` ties the correlator route to brute-force cover
 counts through linear Hodge integrals.
 
-Only `partitions`, `cycles` and the series core `qseries` are imported at
-module level, so each function loads only the layers its route runs.  The
-wedge engine `fock` is imported by `_boundary_bra` (the I-coefficients and
-the Hodge series) and by `_i_pairings` (their ket); `characters` by
+Only `partitions` and the series core `qseries` are imported at module
+level, so each function loads only the layers its route runs.  The wedge
+engine `fock` is imported by `_boundary_bra` (the I-coefficients and the
+Hodge series) and by `_i_pairings` (their ket); `characters` by
 `_crossing_table` (the wall-crossing route's table) and `elsv_check`;
-`hurwitz` by `elsv_check`.
+`hurwitz` by `elsv_check`; the closed formula `cycles` by `gwh_crosscheck`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .cycles import check_cycle_index, completed_cycle
 from .partitions import (ClassSum, check_partition, enumerate_partitions, format_partition,
                          set_partitions, z_factor)
 from .qseries import MultiSeries
@@ -77,7 +76,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
     normalization.  The pairing is evaluated at exactly the orders that
-    coefficient needs.
+    coefficient needs; an order above MAX_SERIES_ORDER is refused first.
     """
     eta = check_partition(eta)
     if k < 0:
@@ -85,6 +84,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
+    _check_series_order(g, eta)
     at = _i_monomial(g, eta, k)
     z_degree = k + 2 - 2 * g - d - len(eta)
     series = _i_pairings([eta], max(at[0] + 1, 1), k + 2)[eta]
@@ -143,11 +143,13 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
 
 
 def i_function_empty(g: int, eta) -> IFunctionCoefficient:
-    """Numerical I-coefficient with no markings, from the Hodge series."""
+    """Numerical I-coefficient with no markings, from the Hodge series; an
+    order above MAX_SERIES_ORDER is refused first."""
     eta = check_partition(eta)
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
+    _check_series_order(g, eta)
     z_degree = 3 - 2 * g - d - len(eta)
     target = 2 * g - 2
     series = hodge_H_series(eta, target + 1)
@@ -242,6 +244,20 @@ def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
 MAX_CROSSCHECK_DEGREE = 12
 MAX_CROSSCHECK_COST = 14_000
 
+# The genus-g series of a profile eta are read to the u-order 2g + |eta| +
+# len(eta), and a request past MAX_SERIES_ORDER is refused before any series
+# is built.  In-process (2-core Xeon, CPython 3.11) at eta = (2): g = 300
+# 0.4-0.6 s, g = 500 1.5-2.0 s, g = 1000 12 s; at the limit, eta = (2) at
+# g = 308 takes 0.5 s and eta = (12) at g = 303 8.2-11.4 s; a coefficient at
+# g = 1000 has over 4300 digits.
+MAX_SERIES_ORDER = 620
+
+
+def _check_series_order(g: int, eta: tuple) -> None:
+    if (order := 2 * g + sum(eta) + len(eta)) > MAX_SERIES_ORDER:
+        raise ValueError(f"genus {g} at {format_partition(eta)} needs u-order {order}, "
+                         f"above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
+
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
     __slots__ = ()
@@ -279,15 +295,19 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
     Each degree's table, eigenvalues and pairings are built once for every k:
     the top genus of k_max needs the orders (k_max+2, k_max+2), and every
     smaller k reads inside them.  A k_max outside the completed cycles'
-    range, a d_max above MAX_CROSSCHECK_DEGREE, or a grid above
-    MAX_CROSSCHECK_COST is refused before any work.
+    range, a negative d_max, a d_max above MAX_CROSSCHECK_DEGREE, or a grid
+    above MAX_CROSSCHECK_COST is refused before any work.
     """
+    from .cycles import check_cycle_index, completed_cycle
+
     check_cycle_index(k_max)
+    if d_max < 0:
+        raise ValueError("degree must be >= 0")
     if d_max > MAX_CROSSCHECK_DEGREE:
         raise ValueError(
             f"degree {d_max} is above the crosscheck ceiling "
             f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}")
-    cost = len(enumerate_partitions(max(d_max, 0))) * (k_max + 2) ** 2
+    cost = len(enumerate_partitions(d_max)) * (k_max + 2) ** 2
     if cost > MAX_CROSSCHECK_COST:
         raise ValueError(f"grid ({d_max}, {k_max}) costs p(d_max) (k_max+2)^2 = {cost}, "
                          f"above MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}")
@@ -319,7 +339,8 @@ def elsv_check(mu, g: int) -> ElsvReport:
     The left side extracts the u^(2g-2) coefficient of the connected Hodge
     series with the classical prefactor; the right side counts connected
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
-    Inputs with m < 1 or g < 0 are degenerate and reported, not computed.
+    Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
+    an order above MAX_SERIES_ORDER is refused before any series is built.
     """
     from .characters import transposition_class
     from .hurwitz import BranchData, hurwitz_connected
@@ -331,6 +352,7 @@ def elsv_check(mu, g: int) -> ElsvReport:
     m = 2 * g - 2 + len(mu) + d
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
+    _check_series_order(g, mu)
     target = 2 * g - 2
     series = hodge_H_connected(mu, target + 1)
     scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import struct
 import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
@@ -328,6 +329,29 @@ class TestMaskKernel:
     def test_degree_24_invariants(self):
         # the ceiling MAX_TABLE_DEGREE
         _assert_table_invariants(24)
+
+    @pytest.mark.parametrize("d", [20, 21])
+    def test_invariants_where_fields_widen_to_8_bytes(self, d):
+        assert characters._field(d)[0] == (4 if d == 20 else 8)
+        _assert_table_invariants(d)
+
+    @pytest.mark.parametrize("d", range(0, MAX_TABLE_DEGREE + 1))
+    def test_field_is_the_narrowest_that_holds_every_value(self, d):
+        size, code = characters._field(d)
+        assert struct.calcsize(code) == size
+        assert size == (1 if d <= 7 else 2 if d <= 12 else 4 if d <= 20 else 8)
+        top = 1 << (8 * size - 1)  # a signed field holds -top .. top - 1
+        largest = max(map(dim_hook, enumerate_partitions(d)))
+        assert largest <= math.isqrt(math.factorial(d)) < top
+
+    @pytest.mark.parametrize("d", [7, 8, 12, 13])
+    def test_identity_column_is_each_rows_largest_value(self, d):
+        # the value that sizes a row's field, on each side of the 1-to-2 and
+        # 2-to-4 byte changes
+        parts = enumerate_partitions(d)
+        rows = character_columns(d, parts)
+        for lam, row in zip(parts, rows):
+            assert row[-1] == dim_hook(lam) == max(map(abs, row))
 
     def test_public_chi_matches_table(self):
         d = 16

@@ -90,6 +90,31 @@ class TestDocuments:
         assert code == 2 and captured.out == ""
         assert "descendent index must be >= 0" in captured.err
 
+    @pytest.mark.parametrize("d_max", ["-1", "-3"])
+    def test_verify_negative_d_max_exits_2(self, capsys, d_max):
+        code = main(["verify", "--d-max", d_max])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "degree must be >= 0" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["ifun", "--g", "1000", "--eta", "(2)", "--k", "3"],
+        ["ifun", "--g", "2000", "--eta", "(2)", "--empty"],
+        ["elsv", "--mu", "(2)", "--g", "1000"], ["elsv", "--mu", "(2)", "--g", "3000"]],
+        ids=["ifun", "ifun_empty", "elsv_1000", "elsv_3000"])
+    def test_huge_genus_exits_2_before_any_series(self, capsys, monkeypatch, argv):
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_SERIES_ORDER
+
+        def bomb(*_args):
+            raise AssertionError("series built past the order limit")
+
+        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}" in captured.err
+
     def test_verify_refuses_above_the_crosscheck_ceiling_before_any_table(
             self, capsys, monkeypatch):
         import gwhurwitz.characters as characters_module

@@ -125,12 +125,13 @@ MODULE_SETS = {
     "hur_oracle": (COMMANDS["hur_oracle"], ["cli", "hurwitz", "partitions"]),
     # the closed-formula route loads neither the series core nor the wedge engine
     "cycle": (["cycle", "--d", "3", "--k", "2"], ["cli", "cycles", "partitions"]),
-    "ifun": (COMMANDS["ifun"], ["cli", "cycles", "fock", "gwh", "partitions", "qseries"]),
+    "ifun": (COMMANDS["ifun"], ["cli", "fock", "gwh", "partitions", "qseries"]),
     "ifun_empty": (["ifun", "--g", "0", "--eta", "(2,1)", "--empty"],
-                   ["cli", "cycles", "fock", "gwh", "partitions", "qseries"]),
+                   ["cli", "fock", "gwh", "partitions", "qseries"]),
     "gw": (["gw", "--target-genus", "1", "--d", "2", "--ks", "1,1"],
            ["characters", "cli", "cycles", "hurwitz", "partitions"]),
-    "elsv": (["elsv", "--mu", "(2,1)", "--g", "0"], ALL_LAYERS),
+    "elsv": (["elsv", "--mu", "(2,1)", "--g", "0"],
+             ["characters", "cli", "fock", "gwh", "hurwitz", "partitions", "qseries"]),
     "verify": (["verify", "--d-max", "2", "--k-max", "2"], ALL_LAYERS),
 }
 

@@ -197,6 +197,18 @@ class TestPairings:
             with pytest.raises(ValueError, match="descendent index must be >= 0"):
                 gwh_crosscheck(4, k_max)
 
+    def test_negative_d_max_raises_before_any_work(self, monkeypatch):
+        import gwhurwitz.gwh as gwh_module
+
+        def bomb(*_args):
+            raise AssertionError("work done for a negative d_max")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        for d_max in (-1, -3):
+            with pytest.raises(ValueError, match="degree must be >= 0"):
+                gwh_crosscheck(d_max, 3)
+
     def test_k_max_above_the_cycle_ceiling_raises_before_any_work(self, monkeypatch):
         import gwhurwitz.gwh as gwh_module
         from gwhurwitz.cycles import MAX_CYCLE_INDEX
@@ -463,6 +475,48 @@ class TestHodgeSeries:
         single = hodge_H_series((1,), 6)
         recombined = conn + single * single
         assert recombined.agrees_with(full)
+
+
+class TestSeriesOrderLimit:
+    # every series of these requests is built by one of these four
+    _BUILDERS = ("_boundary_bra", "_i_pairings", "hodge_H_series", "hodge_H_connected")
+
+    @pytest.mark.parametrize("request_", [
+        (i_function_numeric, 1000, (2,), 3), (i_function_empty, 2000, (2,)),
+        (elsv_check, (2,), 1000), (elsv_check, (2,), 3000),
+        (i_function_numeric, 309, (2,), 0), (i_function_empty, 309, (1, 1)),
+        (elsv_check, (12,), 304)])
+    def test_huge_genus_raises_before_any_series(self, monkeypatch, request_):
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_SERIES_ORDER
+
+        def bomb(*_args):
+            raise AssertionError("series built past the order limit")
+
+        for name in self._BUILDERS:
+            monkeypatch.setattr(gwh_module, name, bomb)
+        func, *args = request_
+        with pytest.raises(ValueError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):
+            func(*args)
+
+    @pytest.mark.parametrize("request_", [
+        (i_function_numeric, 308, (2,), 0), (i_function_numeric, 308, (1, 1), 0),
+        (i_function_empty, 308, (1, 1)), (elsv_check, (12,), 303),
+        (elsv_check, (2,), 2), (i_function_numeric, 0, (1,), 80)])
+    def test_orders_up_to_the_limit_are_built(self, monkeypatch, request_):
+        import gwhurwitz.gwh as gwh_module
+
+        class Started(Exception):
+            pass
+
+        def started(*_args):
+            raise Started
+
+        for name in self._BUILDERS:
+            monkeypatch.setattr(gwh_module, name, started)
+        func, *args = request_
+        with pytest.raises(Started):
+            func(*args)
 
 
 class TestNoMarkingShape:
