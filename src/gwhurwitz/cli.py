@@ -12,8 +12,8 @@ it: no table is held in memory, and nothing is kept on disk.
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by `char`, `hurwitz`
 by `hur` and `verify`, the completed cycles `cycles` by `cycle`, `gw` and
-`verify`, and the wall-crossing layer `gwh` by the subcommands that use it.  The
-package modules each command loads:
+`verify`, and the wall-crossing layer `gwh` by the subcommands that use it.
+The package modules each command loads:
 
     --help          cli, partitions
     char            cli, partitions, characters
