@@ -12,11 +12,13 @@ addition, and each node keeps one memo of rows keyed by mask.  A field is
 the narrowest of 1, 2, 4 or 8 bytes that holds sqrt(d!), which bounds every
 value of degree d.
 `character_columns` yields one row at a time over only the columns it is
-asked for.  One row of each conjugate pair {lam, lam'} is read by the kernel
-and kept packed until lam' is reached, whose row is read by the sign
-character; that and the memos are all it holds.  `char` writes the rows as
-they come and the sums of `hurwitz` add them up; only the wall-crossing
-route, which reads columns, lists them, through `CharacterTable.build`.
+asked for.  Of each conjugate pair {lam, lam'} only the shape met first goes
+through the kernel: lam' reads that shape's row again from the root, whose
+children's memos are already filled, and applies the sign character to the
+packed integer in three operations.  So the node tree and its memos are all
+it holds.  `char` writes the rows as they come and the sums of `hurwitz` add
+them up; only the wall-crossing route, which reads columns, lists them,
+through `CharacterTable.build`.
 `chi` reads one class the same way and is not capped.
 
 Tables and column reads refuse degrees above MAX_TABLE_DEGREE before
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from operator import mul
 
 # the ceiling lives in `partitions`, so `cycle` refuses without loading this
 # module; callers read it here too
@@ -172,6 +173,7 @@ def character_columns(degree: int, classes):
 
     A caller that needs dim lam asks for (1^d); repeated classes are read
     once.  Both arguments are checked now, before any partition is enumerated.
+    No row is kept once it is yielded: a conjugate's row is read again.
     """
     check_table_degree(degree)
     classes = [check_partition(mu) for mu in classes]
@@ -194,7 +196,14 @@ def _field(degree: int) -> tuple:
 
 
 def _rows(degree: int, classes: list):
-    """Rows of `character_columns`: chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu)."""
+    """Rows of `character_columns`, each read from the root and given away.
+
+    chi^lam'(mu) = (-1)^(d - len(mu)) chi^lam(mu), so of each conjugate pair
+    only the shape read first, the larger tuple, goes through the kernel: when
+    the other is reached, that shape is read again from the root, whose
+    children's memos already hold every row the pass needs.  Nothing else is
+    held but the node tree and its memos.
+    """
     order = sorted(set(classes), reverse=True)
     size, code = _field(degree)
     groups, memo = _node(order, {}, 8 * size)
@@ -202,21 +211,25 @@ def _rows(degree: int, classes: list):
     # xor with it leaves each field in two's complement
     width = len(order)
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * width, "little")
+    # the fields of the classes with d - len(mu) odd: a biased field b + v
+    # there becomes b - v = 2b - (b + v), for all of them at once
+    odd = int.from_bytes(b"".join(b"\xff" * size if (degree - len(mu)) & 1 else bytes(size)
+                                  for mu in order), "little")
+    even, lift = ~odd, 2 * (bias & odd)
     unpack = struct.Struct(f"<{width}{code}").unpack
     pick = list(map(dict(zip(order, range(width))).__getitem__, classes))
-    signs = [-1 if (degree - len(mu)) & 1 else 1 for mu in classes]
-    pending = {}  # lam' -> packed row of lam, while lam' is still ahead
+
+    def read(lam, twin):
+        mask = _mask(max(lam, twin))
+        # at d = 0 the root is a leaf, whose memo holds the row before any kernel run
+        packed = (memo.get(mask) or _row(mask, groups)) + bias
+        if twin > lam:
+            packed = (packed & even) - (packed & odd) + lift
+        return list(map(unpack((packed ^ bias).to_bytes(size * width, "little")).__getitem__,
+                        pick))
+
     for lam in enumerate_partitions(degree):
-        packed = pending.pop(lam, None)
-        derived = packed is not None
-        if not derived:
-            # at d = 0 the root is a leaf, whose memo holds the row before any kernel run
-            mask = _mask(lam)
-            packed = ((memo.get(mask) or _row(mask, groups)) + bias) ^ bias
-            if (twin := _conjugate(lam)) != lam:
-                pending[twin] = packed
-        row = map(unpack(packed.to_bytes(size * width, "little")).__getitem__, pick)
-        yield list(map(mul, signs, row) if derived else row)
+        yield read(lam, _conjugate(lam))
 
 
 class CharacterTable:

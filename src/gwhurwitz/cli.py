@@ -4,8 +4,10 @@ Every subcommand emits one self-describing JSON document (request
 parameters, library version, result) with exact "p/q" scalars and
 deterministic ordering, to stdout or to `--out`.  The bytes are exactly
 `json.dumps(doc, indent=2)` and a newline, written row by row: each list or
-object of scalars (one table row) is one call of the C encoder, written as
-soon as it is made.  `char` hands its matrix over as the iterator of
+object of scalars (one table row) is one piece, written as soon as it is
+made.  A row of exact `int`s is one `%` format of a template of `%d`s, built
+once per row length and indentation in each document; any other is one call
+of the C encoder.  `char` hands its matrix over as the iterator of
 `characters.character_columns`, so each row is written as the kernel makes
 it: no table is held in memory, and nothing is kept on disk.
 
@@ -76,14 +78,19 @@ def _parse_ks(text: str | None):
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _write_json(write, value, outer: str = "") -> None:
+def _write_json(write, value, outer: str = "", templates: dict | None = None) -> None:
     """Write the bytes of `json.dumps(value, indent=2)`, one piece at a time.
 
     A container holding containers is laid out here and recurses; a container
-    of scalars, such as one matrix row, is one call of the C encoder, which
-    `indent` would bypass: its item separator carries the newline and the
-    indentation instead.  So no piece is larger than one such container.  An
-    iterator is written as the list of its items, each as soon as it is made."""
+    of scalars, such as one matrix row, is one piece.  A list or tuple of
+    exact `int`s is one `%` format of a template of `%d`s, kept in `templates`
+    by row length and indentation for the rest of the document; any other is
+    one call of the C encoder, which `indent` would bypass: its item separator
+    carries the newline and the indentation instead.  So no piece is larger
+    than one such container.  An iterator is written as the list of its
+    items, each as soon as it is made."""
+    if templates is None:
+        templates = {}
     lazy = isinstance(value, Iterator)
     is_dict = isinstance(value, dict)
     if not (lazy or is_dict or isinstance(value, (list, tuple))):
@@ -91,7 +98,16 @@ def _write_json(write, value, outer: str = "") -> None:
         return
     inner = outer + "  "
     opening, closing = "{}" if is_dict else "[]"
-    if not lazy and value and set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+    types = set() if lazy or not value else set(map(type, value.values() if is_dict else value))
+    if types == {int} and not is_dict:
+        # str of an int is its JSON; bools, which print as true and false, are not exact ints
+        template = templates.get((len(value), outer))
+        if template is None:
+            template = templates[len(value), outer] = (
+                f"[\n{inner}%d" + f",\n{inner}%d" * (len(value) - 1) + f"\n{outer}]")
+        write(template % tuple(value))
+        return
+    if types and types <= _SCALARS:
         flat = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
         write(f"{opening}\n{inner}{flat[1:-1]}\n{outer}{closing}")
         return
@@ -103,7 +119,7 @@ def _write_json(write, value, outer: str = "") -> None:
             write(f"{separator}{inner}{json.dumps(name)}: ")
         else:
             write(separator + inner)
-        _write_json(write, item, inner)
+        _write_json(write, item, inner, templates)
         separator = ",\n"
     # an empty container, iterator or not, is written whole
     write(f"\n{outer}{closing}" if separator == ",\n" else opening + closing)
@@ -111,7 +127,8 @@ def _write_json(write, value, outer: str = "") -> None:
 
 def _emit(doc: dict, out_path: str | None) -> None:
     """Write `json.dumps(doc, indent=2)` and a newline, streamed row by row
-    through the C encoder (`_write_json`), so a table is never one string."""
+    (`_write_json`), so a table is never one string.  The row templates live
+    as long as this call."""
     target = open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
     with target as handle:
         _write_json(handle.write, doc)
@@ -179,12 +196,14 @@ def _cmd_gw(args) -> int:
 def _cmd_ifun(args) -> int:
     from .gwh import i_function_empty, i_function_numeric
 
+    if args.empty and args.k is not None:
+        raise ValueError("--k is not read with --empty")
+    if not args.empty and args.k is None:
+        raise ValueError("--k is required unless --empty is given")
     eta = _parse_partition_flag("--eta", args.eta)
     if args.empty:
         got = i_function_empty(args.g, eta)
     else:
-        if args.k is None:
-            raise SystemExit("ifun: --k is required unless --empty is given")
         got = i_function_numeric(args.g, eta, args.k)
     result = {"value": str(got.value), "z_degree": got.z_degree}
     request = {"g": args.g, "eta": format_partition(eta),
@@ -281,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ifun", help="numerical I-function coefficient")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--empty", action="store_true", help="no-marking evaluator")
+    p.add_argument("--k", type=int, help="descendent index; required unless --empty")
+    p.add_argument("--empty", action="store_true", help="no-marking evaluator, which takes no --k")
     p.set_defaults(func=_cmd_ifun)
 
     p = sub.add_parser("elsv", help="Hodge-integral versus cover-count identity")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from .partitions import (ClassSum, check_partition, enumerate_partitions, format_partition,
                          set_partitions, z_factor)
@@ -76,7 +77,8 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
     normalization.  The pairing is evaluated at exactly the orders that
-    coefficient needs; an order above MAX_SERIES_ORDER is refused first.
+    coefficient needs; an order above MAX_SERIES_ORDER or a cost above
+    MAX_SERIES_COST is refused first.
     """
     eta = check_partition(eta)
     if k < 0:
@@ -84,7 +86,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
-    _check_series_order(g, eta)
+    _check_series(g, eta)
     at = _i_monomial(g, eta, k)
     z_degree = k + 2 - 2 * g - d - len(eta)
     series = _i_pairings([eta], max(at[0] + 1, 1), k + 2)[eta]
@@ -144,12 +146,13 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
 
 def i_function_empty(g: int, eta) -> IFunctionCoefficient:
     """Numerical I-coefficient with no markings, from the Hodge series; an
-    order above MAX_SERIES_ORDER is refused first."""
+    order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST is refused
+    first."""
     eta = check_partition(eta)
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
-    _check_series_order(g, eta)
+    _check_series(g, eta)
     z_degree = 3 - 2 * g - d - len(eta)
     target = 2 * g - 2
     series = hodge_H_series(eta, target + 1)
@@ -252,11 +255,33 @@ MAX_CROSSCHECK_COST = 14_000
 # g = 1000 has over 4300 digits.
 MAX_SERIES_ORDER = 620
 
+# Inside that order the time also grows with the profile.  The bra of eta
+# spans the Schur states reached by adding strips of sizes eta_i, about
+# prod(eta_i + 1) of them (a shape takes m more m-strips than it gives up;
+# of the 77 shapes of 12, eta = (12) reaches only the 12 hooks), and the
+# ELSV side multiplies the series of the blocks of each of the B(len(eta))
+# set partitions of its parts.  So prod(eta_i + 1) B(len(eta)) order^2
+# above MAX_SERIES_COST is refused before any series is built, with B read by
+# `elsv_check` only.  In-process (2-core Xeon, CPython 3.11) near the limit:
+# ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s; elsv (3,2,1)
+# g = 139 4.6 s, (4,3,2,1) g = 30 3.7 s, (6,5,4) g = 39 7.5 s.
+# Past it: elsv (3,2,1) g = 300 49 s, ifun (6,5,4) g = 300 over 60 s.
+MAX_SERIES_COST = 10_000_000
 
-def _check_series_order(g: int, eta: tuple) -> None:
+
+def _check_series(g: int, eta: tuple, connected: bool = False) -> None:
+    """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER
+    and then a cost above MAX_SERIES_COST."""
     if (order := 2 * g + sum(eta) + len(eta)) > MAX_SERIES_ORDER:
         raise ValueError(f"genus {g} at {format_partition(eta)} needs u-order {order}, "
                          f"above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
+    blocks = [1]  # a row of the Bell triangle, which ends in B(len(eta))
+    for _ in range(len(eta) - 1 if connected else 0):
+        blocks = list(accumulate(blocks, initial=blocks[-1]))
+    if (cost := math.prod(p + 1 for p in eta) * blocks[-1] * order ** 2) > MAX_SERIES_COST:
+        bell = f" B({len(eta)})" if connected else ""
+        raise ValueError(f"genus {g} at {format_partition(eta)} costs prod(eta_i + 1){bell} "
+                         f"{order}^2 = {cost}, above MAX_SERIES_COST = {MAX_SERIES_COST}")
 
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
@@ -340,7 +365,8 @@ def elsv_check(mu, g: int) -> ElsvReport:
     series with the classical prefactor; the right side counts connected
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
-    an order above MAX_SERIES_ORDER is refused before any series is built.
+    an order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST, which
+    counts the set partitions of mu, is refused before any series is built.
     """
     from .characters import transposition_class
     from .hurwitz import BranchData, hurwitz_connected
@@ -352,7 +378,7 @@ def elsv_check(mu, g: int) -> ElsvReport:
     m = 2 * g - 2 + len(mu) + d
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
-    _check_series_order(g, mu)
+    _check_series(g, mu, connected=True)
     target = 2 * g - 2
     series = hodge_H_connected(mu, target + 1)
     scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)

@@ -1,6 +1,7 @@
 """Character values against representation traces, orthogonality, and the
 class-algebra structure constants obtained by brute-force group enumeration."""
 
+import collections
 import gc
 import itertools
 import math
@@ -219,20 +220,32 @@ class TestColumns:
             assert rows == [[table.chi(lam, mu) for mu in classes]
                             for lam in table.partitions], classes
 
-    def test_rows_of_conjugates_are_read_once(self, monkeypatch):
-        # one row of each conjugate pair goes through the kernel, the first of
-        # the pair in table order; each such read takes the shape's mask once
-        read = []
-        mask = characters._mask
+    def test_rows_below_the_root_are_read_once(self, monkeypatch):
+        # every partition takes one root pass, lam' that of its conjugate read
+        # first; below the root each (node, mask) runs the kernel once and is
+        # then read from that node's memo
+        row = characters._row
+        depth, roots, below = [0], [], collections.Counter()
 
-        def counting(lam):
-            read.append(lam)
-            return mask(lam)
+        def counting(mask, groups):
+            if depth[0]:
+                below[id(groups), mask] += 1
+            else:
+                roots.append(mask)
+            depth[0] += 1
+            try:
+                return row(mask, groups)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(characters, "_mask", counting)
+        monkeypatch.setattr(characters, "_row", counting)
         parts = enumerate_partitions(8)
-        list(character_columns(8, [(4, 4)]))
-        assert read == [lam for lam in parts if lam >= _conjugate(lam)]
+        for classes in ([(4, 4)], parts):
+            roots.clear()
+            below.clear()
+            list(character_columns(8, classes))
+            assert roots == [characters._mask(max(lam, _conjugate(lam))) for lam in parts]
+            assert below and max(below.values()) == 1
 
     @pytest.mark.parametrize("d", [16, 20])
     def test_narrow_reads_above_degree_12(self, d):
@@ -276,21 +289,25 @@ class TestColumns:
         mask = characters._mask
         monkeypatch.setattr(characters, "_mask", lambda lam: read.append(lam) or mask(lam))
         assert next(rows) == [1, 1] and read == [(4,)]
-        # (2,1,1) and (1,1,1,1) are signed from the packed rows of (3,1) and (4)
+        # (2,1,1) and (1,1,1,1) sign the rows of (3,1) and (4), read again
         assert list(rows) == [[-1, 3], [0, 2], [1, 3], [-1, 1]]
-        assert read == [(4,), (3, 1), (2, 2)]
+        assert read == [(4,), (3, 1), (2, 2), (3, 1), (4,)]
 
     @pytest.mark.parametrize("d", [0, 1, 6, 9])
-    def test_a_packed_row_waits_only_for_its_conjugate(self, d):
-        # after each row, the rows held are those of the shapes read whose
-        # conjugate is still ahead: self-conjugates and reached pairs are dropped
+    def test_no_row_is_kept_between_reads(self, d):
+        # between reads the generator holds its partition and otherwise the
+        # same objects throughout (the node tree, its memos and the field
+        # constants): a packed or listed row would be a new object each read
         parts = enumerate_partitions(d)
         rows = character_columns(d, parts)
-        for i in range(len(parts)):
-            next(rows)
-            ahead = set(parts[i + 1:])
-            waiting = {_conjugate(lam) for lam in parts[:i + 1]} & ahead
-            assert set(rows.gi_frame.f_locals["pending"]) == waiting
+        kept = {}
+        for lam in parts:
+            row = next(rows)
+            held = {name: value for name, value in rows.gi_frame.f_locals.items()
+                    if value != lam}
+            assert all(value is not row for value in held.values())
+            kept = kept or {name: id(value) for name, value in held.items()}
+            assert {name: id(value) for name, value in held.items()} == kept
         assert next(rows, None) is None
 
     def test_classes_must_be_partitions_of_the_degree(self):

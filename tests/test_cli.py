@@ -115,6 +115,41 @@ class TestDocuments:
         assert code == 2 and captured.out == ""
         assert f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["elsv", "--mu", "(3,2,1)", "--g", "300"],
+        ["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"]], ids=["elsv", "ifun"])
+    def test_costly_profile_exits_2_before_any_series(self, capsys, monkeypatch, argv):
+        # inside MAX_SERIES_ORDER, these took 49 s and over 60 s
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_SERIES_COST
+
+        def bomb(*_args):
+            raise AssertionError("series built past the cost limit")
+
+        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_SERIES_COST = {MAX_SERIES_COST}" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ifun", "--g", "0", "--eta", "(1)"], "--k is required unless --empty is given"),
+        (["ifun", "--g", "0", "--eta", "(1)", "--k", "2", "--empty"],
+         "--k is not read with --empty")], ids=["no_k", "k_with_empty"])
+    def test_ifun_usage_errors_exit_2(self, capsys, monkeypatch, argv, message):
+        # exit 1 is kept for a failed identity; nothing is computed
+        import gwhurwitz.gwh as gwh_module
+
+        def bomb(*_args):
+            raise AssertionError("coefficient computed")
+
+        monkeypatch.setattr(gwh_module, "i_function_numeric", bomb)
+        monkeypatch.setattr(gwh_module, "i_function_empty", bomb)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"gwhurwitz: error: {message}\n"
+
     def test_verify_refuses_above_the_crosscheck_ceiling_before_any_table(
             self, capsys, monkeypatch):
         import gwhurwitz.characters as characters_module
@@ -348,6 +383,12 @@ class TestEmit:
 
     @settings(max_examples=200, deadline=None)
     @given(_JSON_VALUES)
+    @example([[True, False], [False]]).via("bool-only rows stay true and false")
+    @example([[1, True, 0], [False, -1], [0, 1.5]]).via("ints mixed with bools and floats")
+    @example([[-1, 0, -10 ** 39], [10 ** 39, -7]]).via("negative and 40-digit ints")
+    @example([[5], [-3], [True], [10 ** 39]]).via("one-item rows")
+    @example({"a": [1, 2], "b": {"c": [3, 4], "d": [[5, 6]]}}).via("int rows at several indents")
+    @example(((1, 2), [(3,), (-4, 5)])).via("int tuples")
     def test_any_json_value_is_one_dumps(self, value):
         writes = _Writes()
         _write_json(writes.write, value)
@@ -358,6 +399,7 @@ class TestEmit:
     @example([]).via("an empty matrix")
     @example([[1]]).via("the one-row tables of d = 0 and 1")
     @example([[1, -1], [1, 1]])
+    @example([[-3, 10 ** 39, 0], [7], [True, 1]]).via("int rows inside iterators and dicts")
     def test_an_iterator_is_one_dumps_of_its_list(self, items):
         for value, listed in ((iter(items), items),
                               ({"a": iter(items), "b": []}, {"a": items, "b": []})):
@@ -381,10 +423,11 @@ class TestEmit:
         assert main(["--out", str(target), "char", "--d", str(d)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == expected.hexdigest()
 
-    @pytest.mark.parametrize("d, limit", [(18, 2_000_000), (24, 20_000_000)])
+    @pytest.mark.parametrize("d, limit", [(18, 2_000_000), (24, 8_000_000)])
     def test_char_holds_no_table(self, d, limit):
-        # the pending conjugate rows, packed, and the kernel memos: a listed
-        # table peaked at 2.9 MB (d = 18) and 44.2 MB (d = 24)
+        # the kernel memos and one row at a time, about 6.4 MB at d = 24; the
+        # packed rows waiting for their conjugates took it to 14.7 MB, and a
+        # listed table peaked at 2.9 MB (d = 18) and 44.2 MB (d = 24)
         import gwhurwitz.characters  # noqa: F401  compiled before the count
         enabled = gc.isenabled()
         gc.disable()

@@ -180,8 +180,9 @@ def test_degree_seven_oracle_count_stays_small(tmp_path, genus, profiles, value)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 def test_degree_24_table_dump_stays_small(tmp_path):
-    # `char` writes each row as it is made and holds only the packed rows
-    # waiting for their conjugates: about 30 MB, where a listed table took 57.6 MB
+    # `char` writes each row as it is made and holds only the kernel memos:
+    # about 21 MB, where the packed rows waiting for their conjugates took
+    # about 29 MB and a listed table 57.6 MB
     script = ("import os, subprocess, sys\n"
               "child = subprocess.Popen([sys.executable, '-m', 'gwhurwitz.cli', "
               "'char', '--d', '24'], stdout=subprocess.DEVNULL)\n"
@@ -192,4 +193,4 @@ def test_degree_24_table_dump_stays_small(tmp_path):
     assert done.returncode == 0, done.stderr
     code, maxrss_kib = done.stdout.split()
     assert code == "0"
-    assert int(maxrss_kib) < 35 * 1024
+    assert int(maxrss_kib) < 25 * 1024

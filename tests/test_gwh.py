@@ -477,9 +477,24 @@ class TestHodgeSeries:
         assert recombined.agrees_with(full)
 
 
+class _Started(Exception):
+    pass
+
+
 class TestSeriesOrderLimit:
     # every series of these requests is built by one of these four
     _BUILDERS = ("_boundary_bra", "_i_pairings", "hodge_H_series", "hodge_H_connected")
+
+    def _run(self, monkeypatch, request_, error):
+        import gwhurwitz.gwh as gwh_module
+
+        def stop(*_args):
+            raise error
+
+        for name in self._BUILDERS:
+            monkeypatch.setattr(gwh_module, name, stop)
+        func, *args = request_
+        func(*args)
 
     @pytest.mark.parametrize("request_", [
         (i_function_numeric, 1000, (2,), 3), (i_function_empty, 2000, (2,)),
@@ -487,36 +502,44 @@ class TestSeriesOrderLimit:
         (i_function_numeric, 309, (2,), 0), (i_function_empty, 309, (1, 1)),
         (elsv_check, (12,), 304)])
     def test_huge_genus_raises_before_any_series(self, monkeypatch, request_):
-        import gwhurwitz.gwh as gwh_module
         from gwhurwitz.gwh import MAX_SERIES_ORDER
 
-        def bomb(*_args):
-            raise AssertionError("series built past the order limit")
-
-        for name in self._BUILDERS:
-            monkeypatch.setattr(gwh_module, name, bomb)
-        func, *args = request_
         with pytest.raises(ValueError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):
-            func(*args)
+            self._run(monkeypatch, request_,
+                      AssertionError("series built past the order limit"))
 
     @pytest.mark.parametrize("request_", [
         (i_function_numeric, 308, (2,), 0), (i_function_numeric, 308, (1, 1), 0),
         (i_function_empty, 308, (1, 1)), (elsv_check, (12,), 303),
         (elsv_check, (2,), 2), (i_function_numeric, 0, (1,), 80)])
     def test_orders_up_to_the_limit_are_built(self, monkeypatch, request_):
-        import gwhurwitz.gwh as gwh_module
+        with pytest.raises(_Started):
+            self._run(monkeypatch, request_, _Started())
 
-        class Started(Exception):
-            pass
+    @pytest.mark.parametrize("request_", [
+        (elsv_check, (3, 2, 1), 300), (i_function_numeric, 300, (6, 5, 4), 3),
+        (i_function_empty, 300, (6, 5, 4)), (elsv_check, (3, 2, 1), 140),
+        (i_function_numeric, 101, (6, 5, 4), 3), (i_function_numeric, 0, (30, 20, 10), 0),
+        (elsv_check, (1,) * 12, 0)],
+        ids=["elsv_321", "ifun_654", "ifun_empty_654", "elsv_past_limit", "ifun_past_limit",
+             "ifun_large_parts", "elsv_many_parts"])
+    def test_costly_profile_raises_before_any_series(self, monkeypatch, request_):
+        # inside MAX_SERIES_ORDER: elsv (3,2,1) at g = 300 took 49 s, ifun
+        # (6,5,4) at g = 300 ran past 60 s, and twelve parts have 4213597 set
+        # partitions
+        from gwhurwitz.gwh import MAX_SERIES_COST
 
-        def started(*_args):
-            raise Started
+        with pytest.raises(ValueError, match=f"MAX_SERIES_COST = {MAX_SERIES_COST}"):
+            self._run(monkeypatch, request_,
+                      AssertionError("series built past the cost limit"))
 
-        for name in self._BUILDERS:
-            monkeypatch.setattr(gwh_module, name, started)
-        func, *args = request_
-        with pytest.raises(Started):
-            func(*args)
+    @pytest.mark.parametrize("request_", [
+        (elsv_check, (3, 2, 1), 139), (i_function_numeric, 100, (6, 5, 4), 3),
+        (i_function_empty, 303, (12,)), (elsv_check, (1,) * 5, 33)],
+        ids=["elsv_321", "ifun_654", "ifun_empty_12", "elsv_many_parts"])
+    def test_costs_up_to_the_limit_are_built(self, monkeypatch, request_):
+        with pytest.raises(_Started):
+            self._run(monkeypatch, request_, _Started())
 
 
 class TestNoMarkingShape:
