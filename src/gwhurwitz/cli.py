@@ -11,13 +11,22 @@ of the C encoder.  `char` hands its matrix over as the iterator of
 `characters.character_columns`, so each row is written as the kernel makes
 it: no table is held in memory, and nothing is kept on disk.
 
+The command line is read without argparse, whose import and parsers cost
+about 5 ms of each process.  One table, `COMMANDS` (subcommand -> help,
+handler and flags), is read by `parse_args`, by the `--help` text and by
+the dispatch in `main`; `helptext` lays the help out, loaded by `--help`
+only.  The grammar is the one argparse gave: `--out` before the
+subcommand, `--flag VALUE` or `--flag=VALUE`, unique prefixes, the last
+value wins, negative integers as separate values, and exit code 2 with
+`gwhurwitz: error: ` on stderr for any usage error.
+
 Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by `char`, `hurwitz`
 by `hur` and `verify`, the completed cycles `cycles` by `cycle`, `gw` and
 `verify`, and the wall-crossing layer `gwh` by the subcommands that use it.
 The package modules each command loads:
 
-    --help          cli, partitions
+    --help          cli, partitions, helptext
     char            cli, partitions, characters
     hur --oracle    cli, partitions, hurwitz
     hur             cli, partitions, characters, hurwitz
@@ -32,12 +41,13 @@ Scalars are `int`s or `Fraction`s, printed by `str`.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING, __version__
 from .partitions import (check_table_degree, enumerate_partitions, format_partition,
@@ -262,71 +272,151 @@ def _oracle_profiles(d: int):
     return [profiles for n in range(3) for profiles in combinations_with_replacement(parts, n)]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gwhurwitz",
-        description="Exact Hurwitz numbers, symmetric-group characters, "
-                    "infinite-wedge correlators, completed cycles, and "
-                    "stationary invariants of target curves.")
-    parser.add_argument("--out", help="write the JSON document to this path")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# ----------------------------------------------------------- command line
 
-    p = sub.add_parser("hur", help="Hurwitz numbers (character sum or oracle)")
-    p.add_argument("--target-genus", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--profiles", help='semicolon-separated, e.g. "(3);(3);(3)"')
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--oracle", action="store_true",
-                   help="brute-force monodromy count instead of characters")
-    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND,
-                   help=f"largest oracle degree; always below ORACLE_CEILING = {ORACLE_CEILING}")
-    p.set_defaults(func=_cmd_hur)
+# The default of a flag that must be given.
+REQUIRED = object()
 
-    p = sub.add_parser("char", help="dump a character table")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_char)
+# flag -> (type, default or REQUIRED, help); the type `bool` marks a switch, which takes no value
+_TOP_FLAGS = {"--out": (str, None, "write the JSON document to this path")}
 
-    p = sub.add_parser("cycle", help="completed cycle as a class sum")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_cycle)
+# subcommand -> (help, handler, flags): the one table that parses, documents and dispatches
+COMMANDS = {
+    "hur": ("Hurwitz numbers (character sum or oracle)", _cmd_hur, {
+        "--target-genus": (int, REQUIRED, ""),
+        "--d": (int, REQUIRED, ""),
+        "--profiles": (str, None, 'semicolon-separated, e.g. "(3);(3);(3)"'),
+        "--connected": (bool, False, ""),
+        "--oracle": (bool, False, "brute-force monodromy count instead of characters"),
+        "--oracle-bound": (int, DEFAULT_ORACLE_BOUND, "largest oracle degree; always "
+                           f"below ORACLE_CEILING = {ORACLE_CEILING}")}),
+    "char": ("dump a character table", _cmd_char, {"--d": (int, REQUIRED, "")}),
+    "cycle": ("completed cycle as a class sum", _cmd_cycle, {
+        "--d": (int, REQUIRED, ""),
+        "--k": (int, REQUIRED, "")}),
+    "gw": ("stationary invariants of a target curve", _cmd_gw, {
+        "--target-genus": (int, REQUIRED, ""),
+        "--d": (int, REQUIRED, ""),
+        "--ks": (str, None, 'comma-separated descendent indices, e.g. "1,1"')}),
+    "ifun": ("numerical I-function coefficient", _cmd_ifun, {
+        "--g": (int, REQUIRED, ""),
+        "--eta": (str, REQUIRED, ""),
+        "--k": (int, None, "descendent index; required unless --empty"),
+        "--empty": (bool, False, "no-marking evaluator, which takes no --k")}),
+    "elsv": ("Hodge-integral versus cover-count identity", _cmd_elsv, {
+        "--mu": (str, REQUIRED, ""),
+        "--g": (int, REQUIRED, "")}),
+    "verify": ("route equivalence and oracle suites", _cmd_verify, {
+        "--d-max": (int, 2, ""),
+        "--k-max": (int, 4, "")}),
+}
 
-    p = sub.add_parser("gw", help="stationary invariants of a target curve")
-    p.add_argument("--target-genus", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ks", help='comma-separated descendent indices, e.g. "1,1"')
-    p.set_defaults(func=_cmd_gw)
 
-    p = sub.add_parser("ifun", help="numerical I-function coefficient")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--k", type=int, help="descendent index; required unless --empty")
-    p.add_argument("--empty", action="store_true", help="no-marking evaluator, which takes no --k")
-    p.set_defaults(func=_cmd_ifun)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p = sub.add_parser("elsv", help="Hodge-integral versus cover-count identity")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=_cmd_elsv)
 
-    p = sub.add_parser("verify", help="route equivalence and oracle suites")
-    p.add_argument("--d-max", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
-    p.set_defaults(func=_cmd_verify)
+def _classify(token: str, flags: dict):
+    """None for a word, else (flag, the text after "=" or None), as argparse
+    reads a token: exact names first, then unique prefixes.  A lone "-", a
+    negative number and a token with a space are words; any other token that
+    starts with "-" is an unknown flag, named ""."""
+    if token[:1] != "-" or token == "-":
+        return None
+    names = ("-h", "--help", *flags)
+    name, eq, text = token.partition("=")
+    if token in names:
+        return token, None
+    if eq and name in names:
+        return name, text
+    if token[:2] == "--":
+        matches = [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], text if eq else None
+    elif token[:2] == "-h":
+        # "-hh" is "-h" twice; any other text after "-h" is a value, which help refuses
+        return "-h", None if token.strip("h") == "-" else token[2:]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
 
-    return parser
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read the command line (default `sys.argv[1:]`) with the grammar of argparse.
+
+    The result has the attributes `out`, `subcommand`, `func` and one per
+    flag of the subcommand, named as argparse names them (`--d-max` ->
+    `d_max`).  Flags before the subcommand are read with `_TOP_FLAGS`, the
+    rest with the subcommand's.  A flag takes its value as `--flag VALUE` or
+    `--flag=VALUE`, and the last one wins; every token from the first "--"
+    on is a word, and "--" is no value.  Tokens are classified before any is
+    read, so an ambiguous flag is refused first; help then stops the read as
+    soon as it is met (`func` is `_cmd_help`), and a missing or malformed
+    value is refused at once.  Unknown flags and extra words are refused at
+    the end, after the required flags.  A usage error raises ValueError."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    args = SimpleNamespace(out=None, subcommand=None, func=None)
+    flags, extras, i = _TOP_FLAGS, [], 0
+    kinds = [_classify(t, flags) for t in tokens[:end]]
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i] if i < end else None
+        i += 1
+        if kind is None and args.subcommand is None:
+            if token not in COMMANDS:
+                raise ValueError(f"invalid subcommand {token!r}: choose from {', '.join(COMMANDS)}")
+            args.subcommand = token
+            _, args.func, flags = COMMANDS[token]
+            for name, (_, default, _) in flags.items():
+                setattr(args, _dest(name), default)
+            kinds[i:] = [_classify(t, flags) for t in tokens[i:end]]
+            continue
+        if kind is None or not kind[0]:
+            extras.append(token)
+            continue
+        name, text = kind
+        type_ = flags[name][0] if name in flags else bool
+        if type_ is bool:
+            if text is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {text!r}")
+            if name in ("-h", "--help"):
+                args.func = _cmd_help
+                return args
+            setattr(args, _dest(name), True)
+            continue
+        if text is None:
+            if i >= end or kinds[i] is not None:
+                raise ValueError(f"argument {name}: expected one argument")
+            text = tokens[i]
+            i += 1
+        try:
+            # only "--flag=--" gives the value "--", refused below
+            setattr(args, _dest(name), text if text == "--" else type_(text))
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid int value: {text!r}") from None
+    if args.subcommand is None:
+        raise ValueError(f"a subcommand is required: one of {', '.join(COMMANDS)}")
+    missing = [name for name in flags if getattr(args, _dest(name)) is REQUIRED]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    if "--" in vars(args).values():
+        raise ValueError("'--' is not a flag value")
+    return args
+
+
+def _cmd_help(args) -> int:
+    """Print the help of the top level, or of `args.subcommand`, from the table."""
+    from .helptext import help_text
+
+    print(help_text(args.subcommand, COMMANDS, _TOP_FLAGS, REQUIRED))
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        # argparse reads "--flag=--" as an empty list; every flag here takes one value
-        if any(isinstance(v, list) for v in vars(args).values()):
-            parser.error("'--' is not a flag value")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"gwhurwitz: error: {exc}", file=sys.stderr)

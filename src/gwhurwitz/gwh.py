@@ -77,8 +77,8 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     All centralizer factors are explicit: the value is the coefficient of
     u^(2g-1+d+len(eta)) w^(k+1) in the raw pairing, with no hidden
     normalization.  The pairing is evaluated at exactly the orders that
-    coefficient needs; an order above MAX_SERIES_ORDER or a cost above
-    MAX_SERIES_COST is refused first.
+    coefficient needs; an order above MAX_SERIES_ORDER, a cost above
+    MAX_SERIES_COST or a pairing cost above MAX_PAIRING_COST is refused first.
     """
     eta = check_partition(eta)
     if k < 0:
@@ -86,7 +86,7 @@ def i_function_numeric(g: int, eta, k: int) -> IFunctionCoefficient:
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
-    _check_series(g, eta)
+    _check_series(f"genus {g}", eta, 2 * g + d + len(eta), w_order=k + 2 + _I_WORD_LOSS)
     at = _i_monomial(g, eta, k)
     z_degree = k + 2 - 2 * g - d - len(eta)
     series = _i_pairings([eta], max(at[0] + 1, 1), k + 2)[eta]
@@ -122,10 +122,12 @@ def hodge_H_connected(eta, u_order: int) -> MultiSeries:
     it is evaluated to u_order + pole - len(sub) - |sub|, once per distinct
     sub-profile.  Set partitions with the same multiset of sub-profiles give
     the same product, so it is formed once per multiset, weighted by their
-    number.
+    number.  An order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST,
+    which counts the set partitions, is refused before any is listed.
     """
     eta = check_partition(eta)
     pole = len(eta) + sum(eta)
+    _check_series(f"u-order {u_order}", eta, u_order + 1 + pole, connected=True)
     classes = Counter()
     for blocks in set_partitions(len(eta)):
         subs = (tuple(sorted((eta[i] for i in block), reverse=True)) for block in blocks)
@@ -152,7 +154,7 @@ def i_function_empty(g: int, eta) -> IFunctionCoefficient:
     d = sum(eta)
     if d < 1:
         raise ValueError("eta must be a nonempty partition")
-    _check_series(g, eta)
+    _check_series(f"genus {g}", eta, 2 * g + d + len(eta))
     z_degree = 3 - 2 * g - d - len(eta)
     target = 2 * g - 2
     series = hodge_H_series(eta, target + 1)
@@ -262,26 +264,45 @@ MAX_SERIES_ORDER = 620
 # ELSV side multiplies the series of the blocks of each of the B(len(eta))
 # set partitions of its parts.  So prod(eta_i + 1) B(len(eta)) order^2
 # above MAX_SERIES_COST is refused before any series is built, with B read by
-# `elsv_check` only.  In-process (2-core Xeon, CPython 3.11) near the limit:
-# ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s; elsv (3,2,1)
-# g = 139 4.6 s, (4,3,2,1) g = 30 3.7 s, (6,5,4) g = 39 7.5 s.
+# `elsv_check` and `hodge_H_connected` only.  In-process (2-core Xeon, CPython
+# 3.11) near the limit: ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s;
+# elsv (3,2,1) g = 139 4.6 s, (4,3,2,1) g = 30 3.7 s, (6,5,4) g = 39 7.5 s.
 # Past it: elsv (3,2,1) g = 300 49 s, ifun (6,5,4) g = 300 over 60 s.
 MAX_SERIES_COST = 10_000_000
 
+# The ket A*|0> of `i_function_numeric` is cut at the w-order k + 2 +
+# _I_WORD_LOSS as well.  Its series are built from w and uw, so each has
+# about min(u, w) w terms for the u-order u = order + _I_WORD_LOSS, and the
+# pairing's time grows like the square of that times the ket's energy cap
+# |eta|: |eta| (min(u, w) w)^2 above MAX_PAIRING_COST is refused with the
+# other two.  In-process (2-core Xeon, CPython 3.11) near the limit, at
+# eta = (3,2): k = 492 at g = 0 1.8 s, k = 231 at g = 5 1.2 s, k = 87 at
+# g = 20 3.9 s; (6,5,4) k = 100 at g = 0 2.1 s, k = 40 at g = 25 6.2 s.
+# Past it, at eta = (3,2): k = 80 at g = 50 13.7 s as a process, k = 160 at
+# g = 50 90 s, and k = 1500 at g = 0 over 40 s.
+MAX_PAIRING_COST = 100_000_000
 
-def _check_series(g: int, eta: tuple, connected: bool = False) -> None:
-    """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER
-    and then a cost above MAX_SERIES_COST."""
-    if (order := 2 * g + sum(eta) + len(eta)) > MAX_SERIES_ORDER:
-        raise ValueError(f"genus {g} at {format_partition(eta)} needs u-order {order}, "
-                         f"above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
+
+def _check_series(request: str, eta: tuple, order: int, connected: bool = False,
+                  w_order: int = 0) -> None:
+    """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER,
+    then a cost above MAX_SERIES_COST, then, for a pairing with the ket cut
+    at `w_order`, a cost above MAX_PAIRING_COST.  `request` ("genus 3")
+    opens the message."""
+    at = f"{request} at {format_partition(eta)}"
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(f"{at} needs u-order {order}, above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
     blocks = [1]  # a row of the Bell triangle, which ends in B(len(eta))
     for _ in range(len(eta) - 1 if connected else 0):
         blocks = list(accumulate(blocks, initial=blocks[-1]))
     if (cost := math.prod(p + 1 for p in eta) * blocks[-1] * order ** 2) > MAX_SERIES_COST:
         bell = f" B({len(eta)})" if connected else ""
-        raise ValueError(f"genus {g} at {format_partition(eta)} costs prod(eta_i + 1){bell} "
-                         f"{order}^2 = {cost}, above MAX_SERIES_COST = {MAX_SERIES_COST}")
+        raise ValueError(f"{at} costs prod(eta_i + 1){bell} {order}^2 = {cost}, "
+                         f"above MAX_SERIES_COST = {MAX_SERIES_COST}")
+    terms = min(max(order, 1) + _I_WORD_LOSS, w_order) * w_order
+    if (cost := sum(eta) * terms ** 2) > MAX_PAIRING_COST:
+        raise ValueError(f"{at} with w-order {w_order} costs |eta| {terms}^2 = {cost}, "
+                         f"above MAX_PAIRING_COST = {MAX_PAIRING_COST}")
 
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
@@ -378,7 +399,7 @@ def elsv_check(mu, g: int) -> ElsvReport:
     m = 2 * g - 2 + len(mu) + d
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
-    _check_series(g, mu, connected=True)
+    _check_series(f"genus {g}", mu, 2 * g + d + len(mu), connected=True)
     target = 2 * g - 2
     series = hodge_H_connected(mu, target + 1)
     scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from gwhurwitz import __version__
 from gwhurwitz.characters import CharacterTable
-from gwhurwitz.cli import _emit, _parse_ks, _parse_profiles, _write_json, main
+from gwhurwitz.cli import (COMMANDS, _emit, _parse_ks, _parse_profiles, _write_json, main,
+                           parse_args)
 from gwhurwitz.partitions import format_partition, parse_partition
 
 
@@ -114,6 +115,20 @@ class TestDocuments:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}" in captured.err
+
+    def test_huge_k_exits_2_before_any_series(self, capsys, monkeypatch):
+        # inside the order and cost limits of the bra, this ran past 40 s
+        import gwhurwitz.gwh as gwh_module
+        from gwhurwitz.gwh import MAX_PAIRING_COST
+
+        def bomb(*_args):
+            raise AssertionError("series built past the pairing limit")
+
+        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
+        code = main(["ifun", "--g", "0", "--eta", "(3,2)", "--k", "1500"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_PAIRING_COST = {MAX_PAIRING_COST}" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["elsv", "--mu", "(3,2,1)", "--g", "300"],
@@ -225,10 +240,86 @@ class TestDocuments:
         assert "need target_genus >= 0" in captured.err
 
     def test_oracle_bound_default_is_the_library_constant(self):
-        from gwhurwitz.cli import build_parser
         from gwhurwitz.hurwitz import DEFAULT_ORACLE_BOUND
-        args = build_parser().parse_args(["hur", "--target-genus", "0", "--d", "3"])
+        args = parse_args(["hur", "--target-genus", "0", "--d", "3"])
         assert args.oracle_bound == DEFAULT_ORACLE_BOUND
+
+
+# One case per rule of the grammar, which is the grammar argparse gave the
+# command line: (argv, exit code, then for exit 0 an argv of the same
+# document, else a fragment of the error message).
+_CYCLE = ["cycle", "--d", "2", "--k", "1"]
+_GW = ["gw", "--target-genus", "0", "--d", "2"]
+_GRAMMAR_RULES = {
+    "out_after_the_subcommand": (_CYCLE + ["--out", "doc.json"], 2,
+                                 "unrecognized arguments: --out doc.json"),
+    "value_after_equals": (["cycle", "--d=2", "--k=1"], 0, _CYCLE),
+    "negative_integer_value": (["ifun", "--g", "-1", "--eta", "(1,1)", "--empty"], 0,
+                               ["ifun", "--g=-1", "--eta=(1,1)", "--empty"]),
+    "other_dash_value_refused": (_GW + ["--ks", "-1,2"], 2, "argument --ks: expected one argument"),
+    # read, and then refused by the count itself
+    "dash_value_after_equals_read": (_GW + ["--ks=-1,2"], 2, "descendent index must be >= 0"),
+    "switch_takes_no_value": (["hur", "--target-genus", "0", "--d", "2", "--connected=1"], 2,
+                              "argument --connected: ignored explicit argument '1'"),
+    "unique_prefix": (["verify", "--d", "1", "--k", "1"], 0,
+                      ["verify", "--d-max", "1", "--k-max", "1"]),
+    "ambiguous_flag": (["hur", "--target-genus", "0", "--d", "2", "--o"], 2,
+                       "ambiguous option: --o could match --oracle, --oracle-bound"),
+    "unknown_flag": (_CYCLE + ["--zz"], 2, "unrecognized arguments: --zz"),
+    "missing_value": (["cycle", "--d", "2", "--k"], 2, "argument --k: expected one argument"),
+    "non_integer_value": (["cycle", "--d", "two", "--k", "1"], 2,
+                          "argument --d: invalid int value: 'two'"),
+    "missing_required_flag": (["cycle", "--d", "2"], 2,
+                              "the following arguments are required: --k"),
+    "unknown_subcommand": (["cyc", "--d", "2"], 2, "invalid subcommand 'cyc'"),
+    "missing_subcommand": (["--out", "doc.json"], 2, "a subcommand is required"),
+    "extra_words": (_CYCLE + ["more"], 2, "unrecognized arguments: more"),
+    "last_value_wins": (["cycle", "--d", "5", "--k", "1", "--d", "2"], 0, _CYCLE),
+    "double_dash_value": (["cycle", "--d=--", "--k", "1"], 2, "'--' is not a flag value"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_GRAMMAR_RULES))
+def test_grammar_rule(rule, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a wrongly read --out would write
+    argv, code, expected = _GRAMMAR_RULES[rule]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        assert main(expected) == 0
+        assert captured.out == capsys.readouterr().out != ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("gwhurwitz: error: ")
+        assert expected in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("subcommand", [None, *COMMANDS])
+def test_help_lists_every_flag_of_the_table(subcommand, flag, capsys):
+    # help wins over a bad flag after it, as in argparse
+    argv = [flag, "--no-such-flag"] if subcommand is None else [subcommand, flag, "--d=x"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if subcommand is None:
+        assert captured.out.startswith("usage: gwhurwitz [-h] [--out OUT] {")
+        names = [*COMMANDS, "--out"]
+    else:
+        assert captured.out.startswith(f"usage: gwhurwitz {subcommand} [-h]")
+        names = list(COMMANDS[subcommand][2])
+    assert all(name in captured.out for name in names)
+
+
+def test_parse_args_names_the_attributes_as_argparse_did():
+    from gwhurwitz.cli import _cmd_verify
+    args = parse_args(["--out", "doc.json", "verify", "--k-max", "3"])
+    assert vars(args) == {"out": "doc.json", "subcommand": "verify", "func": _cmd_verify,
+                          "d_max": 2, "k_max": 3}
+    args = parse_args(["ifun", "--g", "0", "--eta", "(1)", "--empty"])
+    assert (args.out, args.g, args.eta, args.k, args.empty) == (None, 0, "(1)", None, True)
 
 
 # Each flag whose text the CLI parses itself, with its parser and a command
@@ -270,7 +361,7 @@ def test_malformed_grammar_exits_2(flag, text):
     ["--out=--", "cycle", "--d", "2", "--k", "1"],
 ])
 def test_double_dash_as_a_flag_value_exits_2(argv, capsys):
-    # argparse hands "--flag=--" over as an empty list, not as text
+    # "--flag=--" is refused once the whole line is read, as it was under argparse
     assert main(argv) == 2
     assert "'--' is not a flag value" in capsys.readouterr().err
 

@@ -24,7 +24,7 @@ COMMANDS = {
 
 
 def _process_env(tmp_path):
-    # a private HOME, and a fixed width for argparse's help text
+    # a private HOME, and a fixed terminal width, which the help text no longer reads
     return dict(os.environ, PYTHONPATH=str(ROOT / "src"), HOME=str(tmp_path / "home"),
                 COLUMNS="80")
 
@@ -64,11 +64,14 @@ def test_light_commands_never_load_the_wedge_layer(tmp_path):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert main(argv) == 0, argv\n"
               "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n"
-              "print('dataclasses' in sys.modules)\n")
+              "print('dataclasses' in sys.modules)\n"
+              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
     done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded, dataclasses_loaded = done.stdout.strip().splitlines()
+    loaded, dataclasses_loaded, parser_modules = done.stdout.strip().splitlines()
+    # the command line is read from one table: argparse and its gettext cost about 5 ms
+    assert parser_modules == "[]"
     assert "gwhurwitz.cli" in loaded
     assert "gwhurwitz.fock" not in loaded and "gwhurwitz.gwh" not in loaded
     # the counting layers print their scalars with str: the series core stays unloaded
@@ -116,7 +119,8 @@ def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
 # each subcommand with exactly the package modules its route runs
 ALL_LAYERS = ["characters", "cli", "cycles", "fock", "gwh", "hurwitz", "partitions", "qseries"]
 MODULE_SETS = {
-    "help": (COMMANDS["help"], ["cli", "partitions"]),
+    # the help text is laid out by a module that no other command compiles
+    "help": (COMMANDS["help"], ["cli", "helptext", "partitions"]),
     "char": (COMMANDS["char"], ["characters", "cli", "partitions"]),
     "hur": (COMMANDS["hur"], ["characters", "cli", "hurwitz", "partitions"]),
     "hur_connected": (COMMANDS["hur"] + ["--connected"],
@@ -144,11 +148,12 @@ def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
               "from gwhurwitz.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = main({argv!r})\n"
-              "print(code, sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+              "print(code, 'argparse' in sys.modules,\n"
+              "      sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
     done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == f"0 {[f'gwhurwitz.{m}' for m in layers]}"
+    assert done.stdout.strip() == f"0 False {[f'gwhurwitz.{m}' for m in layers]}"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")

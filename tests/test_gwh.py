@@ -541,6 +541,40 @@ class TestSeriesOrderLimit:
         with pytest.raises(_Started):
             self._run(monkeypatch, request_, _Started())
 
+    @pytest.mark.parametrize("request_", [
+        (i_function_numeric, 0, (3, 2), 1500), (i_function_numeric, 50, (3, 2), 160),
+        (i_function_numeric, 10, (3, 2), 160), (i_function_numeric, 10, (6, 5, 4), 80)],
+        ids=["k_1500", "g_50_k_160", "g_10_k_160", "ifun_654"])
+    def test_costly_pairing_raises_before_any_series(self, monkeypatch, request_):
+        # inside both limits above: k = 1500 ran past 40 s, g = 50 with
+        # k = 160 took 90 s
+        from gwhurwitz.gwh import MAX_PAIRING_COST
+
+        with pytest.raises(ValueError, match=f"MAX_PAIRING_COST = {MAX_PAIRING_COST}"):
+            self._run(monkeypatch, request_,
+                      AssertionError("series built past the pairing limit"))
+
+    @pytest.mark.parametrize("request_", [
+        (i_function_numeric, 0, (3, 2), 320), (i_function_numeric, 25, (6, 5, 4), 40),
+        (i_function_numeric, 0, (1,), 1200)], ids=["k_320", "ifun_654", "one_part"])
+    def test_pairings_up_to_the_limit_are_built(self, monkeypatch, request_):
+        with pytest.raises(_Started):
+            self._run(monkeypatch, request_, _Started())
+
+    @pytest.mark.parametrize("eta, u_order, limit", [
+        ((1,) * 12, 2, "MAX_SERIES_COST"), ((2,), 700, "MAX_SERIES_ORDER")])
+    def test_connected_hodge_series_refuses_before_listing_set_partitions(
+            self, monkeypatch, eta, u_order, limit):
+        # twelve parts have 4213597 set partitions: 10 parts took 7.5 s
+        import gwhurwitz.gwh as gwh_module
+
+        def no_listing(n):
+            raise AssertionError(f"set partitions of {n} listed")
+
+        monkeypatch.setattr(gwh_module, "set_partitions", no_listing)
+        with pytest.raises(ValueError, match=limit):
+            hodge_H_connected(eta, u_order)
+
 
 class TestNoMarkingShape:
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -145,7 +145,7 @@ def test_no_module_uses_assert():
     # `python -O` drops assert statements, and every internal check must
     # still raise there
     paths = sorted((ROOT / "src" / "gwhurwitz").glob("*.py"))
-    assert len(paths) == len(HOMES) + 2  # the layers, `cli` and `__init__`
+    assert len(paths) == len(HOMES) + 3  # the layers, `cli`, `helptext` and `__init__`
     found = [f"{path.name}:{node.lineno}" for path in paths
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
