@@ -16,6 +16,11 @@ for mu in [(2,), (1, 1), (3,), (2, 1)]:
         else:
             print(f"  mu={mu} g={g}: degenerate (m={got.m}), reported unstable")
 
+# ten unramified sheets: the connected Hodge series is extracted by a
+# recursion over sub-multisets of the parts, not over their 115975 set partitions
+got = elsv_check((1,) * 10, 1)
+print(f"  mu=(1^10) g=1: hodge side {got.lhs} = cover count {got.rhs} -> {got.equal}")
+
 print("\nStationary invariants via completed cycles:")
 for h, d, ks in [(1, 2, [1, 1]), (0, 2, [1, 1]), (1, 1, []), (1, 3, [1, 1])]:
     got = stationary_gw(h, d, ks)

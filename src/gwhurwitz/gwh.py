@@ -18,12 +18,11 @@ Hodge series) and by `_i_pairings` (their ket); `characters` by
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
 
 from .partitions import (ClassSum, check_partition, enumerate_partitions, format_partition,
-                         set_partitions, z_factor)
+                         sub_multisets, z_factor)
 from .qseries import MultiSeries
 
 
@@ -103,47 +102,53 @@ def hodge_H_series(eta, u_order: int) -> MultiSeries:
 
     The vacuum coefficient of the boundary bra e^(alpha_1) e^(uF2) |eta>,
     which loses no order, shifted by u^(-len(eta)-|eta|) and the
-    prod(eta_j!/eta_j^eta_j) prefactor.
+    prod(eta_j!/eta_j^eta_j) prefactor.  An order above MAX_SERIES_ORDER or
+    a cost above MAX_SERIES_COST is refused before the bra is built.
     """
     eta = check_partition(eta)
     if not eta:
         raise ValueError("eta must be nonempty")
     shift = len(eta) + sum(eta)
+    _check_series(f"u-order {u_order}", eta, u_order + 1 + shift)
     order = (u_order + shift,)
     series = _boundary_bra(eta, ("u",), order).coefficient(()).truncated(order)
     return series * MultiSeries.monomial(("u",), (-shift,), 1 / _hodge_prefactor(eta))
 
 
 def hodge_H_connected(eta, u_order: int) -> MultiSeries:
-    """Connected linear-Hodge series by inclusion-exclusion over the parts.
+    """Connected linear-Hodge series by a marked-block recursion.
 
-    The block of sub-profile `sub` has a pole of depth len(sub) + |sub| at
-    u = 0, and in a product only the other blocks' poles cost it orders, so
-    it is evaluated to u_order + pole - len(sub) - |sub|, once per distinct
-    sub-profile.  Set partitions with the same multiset of sub-profiles give
-    the same product, so it is formed once per multiset, weighted by their
-    number.  An order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST,
-    which counts the set partitions, is refused before any is listed.
+    Mark the first part of a sub-profile S: the disconnected series H(S) is
+    the sum over the connected block that holds it, (S_0,) + B for a
+    sub-multiset B of S[1:], times the disconnected series of the rest R.  So
+    Hc(S) = H(S) - sum ways * Hc((S_0,) + B) * H(R) over the B with R
+    nonempty, where `ways` = prod C(m_v, k_v) = |Aut S[1:]| / (|Aut B| |Aut R|)
+    counts the index sets that pick B.  A sub-profile `sub` has a pole of
+    depth len(sub) + |sub| at u = 0, and in a product only the other
+    factor's pole costs it orders, so both of its series are read to
+    u_order + pole - len(sub) - |sub|, each once per call.  The first series
+    read is H(eta), whose check refuses an order above MAX_SERIES_ORDER or a
+    cost above MAX_SERIES_COST before any series is built.
     """
     eta = check_partition(eta)
     pole = len(eta) + sum(eta)
-    _check_series(f"u-order {u_order}", eta, u_order + 1 + pole, connected=True)
-    classes = Counter()
-    for blocks in set_partitions(len(eta)):
-        subs = (tuple(sorted((eta[i] for i in block), reverse=True)) for block in blocks)
-        classes[tuple(sorted(subs))] += 1
-    blocks_of = {}
-    total = MultiSeries.zero(("u",), (u_order,), (-pole,))
-    for subs, count in classes.items():
-        n = len(subs)
-        weight = Fraction(count * (-1) ** (n - 1) * math.factorial(n - 1))
-        piece = MultiSeries.constant(weight, ("u",))
-        for sub in subs:
-            if sub not in blocks_of:
-                blocks_of[sub] = hodge_H_series(sub, u_order + pole - len(sub) - sum(sub))
-            piece = piece * blocks_of[sub]
-        total = total + piece
-    return total
+    blocks = {}
+
+    def block(sub):
+        if sub not in blocks:
+            blocks[sub] = hodge_H_series(sub, u_order + pole - len(sub) - sum(sub))
+        return blocks[sub]
+
+    block(eta)  # first, so that its check comes before any bra is built
+    head, connected = eta[:1], {}
+    # a block's own blocks are shorter, so ascending length finds each computed
+    for tail, _rest, _ways in sorted(sub_multisets(eta[1:]), key=len):
+        total = block(head + tail)
+        for sub, rest, ways in sub_multisets(tail):
+            if rest:
+                total -= ways * connected[head + sub] * block(rest)
+        connected[head + tail] = total
+    return connected[eta]
 
 
 def i_function_empty(g: int, eta) -> IFunctionCoefficient:
@@ -260,14 +265,18 @@ MAX_SERIES_ORDER = 620
 # Inside that order the time also grows with the profile.  The bra of eta
 # spans the Schur states reached by adding strips of sizes eta_i, about
 # prod(eta_i + 1) of them (a shape takes m more m-strips than it gives up;
-# of the 77 shapes of 12, eta = (12) reaches only the 12 hooks), and the
-# ELSV side multiplies the series of the blocks of each of the B(len(eta))
-# set partitions of its parts.  So prod(eta_i + 1) B(len(eta)) order^2
-# above MAX_SERIES_COST is refused before any series is built, with B read by
-# `elsv_check` and `hodge_H_connected` only.  In-process (2-core Xeon, CPython
-# 3.11) near the limit: ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s;
-# elsv (3,2,1) g = 139 4.6 s, (4,3,2,1) g = 30 3.7 s, (6,5,4) g = 39 7.5 s.
-# Past it: elsv (3,2,1) g = 300 49 s, ifun (6,5,4) g = 300 over 60 s.
+# of the 77 shapes of 12, eta = (12) reaches only the 12 hooks).  So
+# prod(eta_i + 1) order^2 above MAX_SERIES_COST is refused before any series
+# is built.  The connected series reads one smaller bra per sub-profile and
+# forms one product per (marked block, rest) pair, two nested sub-multisets
+# of eta's other parts: fewer than prod(eta_i + 1), so the same cost bounds
+# it.  In-process (2-core Xeon, CPython 3.11) near the limit:
+# ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s; the connected series
+# of (3,2,1) at order 620 8.4 s, (5,3) 10.8 s, (12,1) 10.7 s, (2,2,1,1) at
+# 527 8.4 s, (4,3,2,1) at 288 3.9 s, (6,5,4) at 218 3.5 s, (2^5,1^5) at 35
+# 1.1 s and (1^13) at 34 0.4 s.  Past it: ifun (6,5,4) g = 300 over 60 s.
+# The cover count of `elsv_check` is not in this model: at (3,2,1) g = 300
+# it takes 33 of the check's 45 s.
 MAX_SERIES_COST = 10_000_000
 
 # The ket A*|0> of `i_function_numeric` is cut at the w-order k + 2 +
@@ -283,21 +292,18 @@ MAX_SERIES_COST = 10_000_000
 MAX_PAIRING_COST = 100_000_000
 
 
-def _check_series(request: str, eta: tuple, order: int, connected: bool = False,
-                  w_order: int = 0) -> None:
+def _check_series(request: str, eta: tuple, order: int, w_order: int = 0) -> None:
     """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER,
-    then a cost above MAX_SERIES_COST, then, for a pairing with the ket cut
-    at `w_order`, a cost above MAX_PAIRING_COST.  `request` ("genus 3")
-    opens the message."""
+    then a cost prod(eta_i + 1) order^2 above MAX_SERIES_COST, then, for a
+    pairing with the ket cut at `w_order`, a cost above MAX_PAIRING_COST.
+    One cost serves the disconnected and the connected series alike: the
+    marked-block recursion forms fewer products than the bra has states.
+    `request` ("genus 3") opens the message."""
     at = f"{request} at {format_partition(eta)}"
     if order > MAX_SERIES_ORDER:
         raise ValueError(f"{at} needs u-order {order}, above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
-    blocks = [1]  # a row of the Bell triangle, which ends in B(len(eta))
-    for _ in range(len(eta) - 1 if connected else 0):
-        blocks = list(accumulate(blocks, initial=blocks[-1]))
-    if (cost := math.prod(p + 1 for p in eta) * blocks[-1] * order ** 2) > MAX_SERIES_COST:
-        bell = f" B({len(eta)})" if connected else ""
-        raise ValueError(f"{at} costs prod(eta_i + 1){bell} {order}^2 = {cost}, "
+    if (cost := math.prod(p + 1 for p in eta) * order ** 2) > MAX_SERIES_COST:
+        raise ValueError(f"{at} costs prod(eta_i + 1) {order}^2 = {cost}, "
                          f"above MAX_SERIES_COST = {MAX_SERIES_COST}")
     terms = min(max(order, 1) + _I_WORD_LOSS, w_order) * w_order
     if (cost := sum(eta) * terms ** 2) > MAX_PAIRING_COST:
@@ -386,8 +392,10 @@ def elsv_check(mu, g: int) -> ElsvReport:
     series with the classical prefactor; the right side counts connected
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
-    an order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST, which
-    counts the set partitions of mu, is refused before any series is built.
+    an order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST is
+    refused before any series is built.  The connected series comes from
+    the marked-block recursion of `hodge_H_connected`, whose products are
+    weighted by |Aut| quotients and bounded by the cost of mu's own bra.
     """
     from .characters import transposition_class
     from .hurwitz import BranchData, hurwitz_connected
@@ -399,7 +407,7 @@ def elsv_check(mu, g: int) -> ElsvReport:
     m = 2 * g - 2 + len(mu) + d
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
-    _check_series(f"genus {g}", mu, 2 * g + d + len(mu), connected=True)
+    _check_series(f"genus {g}", mu, 2 * g + d + len(mu))
     target = 2 * g - 2
     series = hodge_H_connected(mu, target + 1)
     scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)

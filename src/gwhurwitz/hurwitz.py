@@ -30,7 +30,7 @@ from functools import cache
 from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
-from .partitions import ClassSum, check_partition, z_factor
+from .partitions import ClassSum, check_partition, sub_multisets, z_factor
 
 
 class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
@@ -285,34 +285,25 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
 # ------------------------------------------------- connected from splittings
 
 
-def _carvings(eta, d1: int) -> tuple:
-    """Each distinct sub-multiset of eta's parts with total d1, paired with the
-    rest; the largest carved part is taken at its value's first occurrence.
-
-    A tuple, so the connected recursion's memo can share it between callers."""
-    if d1 == 0:
-        return (((), eta),)
-    out = []
-    for i, p in enumerate(eta):
-        if p <= d1 and (i == 0 or eta[i - 1] != p):
-            for carved, rest in _carvings(eta[i + 1:], d1 - p):
-                out.append(((p,) + carved, eta[:i] + rest))
-    return tuple(out)
-
-
 def hurwitz_connected(branch: BranchData) -> Fraction:
     """Weighted count of connected covers with the prescribed profiles.
 
     Splittings are removed by a marked-sheet recursion: the component
     containing a marked sheet has degree d1 and is connected; summing over
     d1 < d with weight d1/d and over all distributions of each profile's
-    parts removes every disconnected configuration exactly once.  Its
+    parts removes every disconnected configuration exactly once.  A
+    profile's share of the marked component is one of its distinct
+    sub-multisets of total d1 (`partitions.sub_multisets`), taken once, not
+    once per index set: the parts of a cycle type are unlabelled.  Its
     sub-profiles are canonical by construction, and the recursion, the
     disconnected counts and the carvings are memoized for this call only.
     The whole recursion is validated against the transitive oracle.
     """
     disconnected = cache(_disconnected)
-    carvings = cache(_carvings)
+
+    @cache
+    def carvings(eta: tuple, d1: int) -> list:
+        return [(sub, rest) for sub, rest, _ways in sub_multisets(eta) if sum(sub) == d1]
 
     @cache
     def connected(h: int, d: int, profiles: tuple) -> Fraction:

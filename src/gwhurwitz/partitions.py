@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 
 def as_partition(parts) -> tuple:
@@ -28,10 +29,6 @@ def check_partition(mu) -> tuple:
 
 def size(mu) -> int:
     return sum(mu)
-
-
-def multiplicity_of_one(mu) -> int:
-    return sum(1 for p in mu if p == 1)
 
 
 # full passes over the partitions of one degree (character tables and their
@@ -70,30 +67,19 @@ def _descend(remaining: int, maxpart: int, prefix: list, out: list) -> None:
         prefix.pop()
 
 
-def set_partitions(n: int) -> list:
-    """All set partitions of range(n) as canonical tuples of sorted tuples."""
-    if n == 0:
-        return [()]
-    out = []
-    _grow(0, n, [], out)
+def sub_multisets(parts) -> list:
+    """Each distinct sub-multiset of a partition's parts, as (sub, rest, ways).
+
+    `sub` and `rest` are canonical and make up `parts` together; `ways` is
+    the number of index sets that pick `sub`, prod over the values v of
+    C(m_v, k_v), with m_v copies of v in `parts` and k_v of them in `sub`.
+    """
+    out = [((), (), 1)]
+    for value, run in groupby(parts):
+        m = len(list(run))
+        out = [(sub + (value,) * k, rest + (value,) * (m - k), ways * math.comb(m, k))
+               for sub, rest, ways in out for k in range(m + 1)]
     return out
-
-
-def _grow(i: int, n: int, blocks: list, out: list) -> None:
-    # module-level for the reason `_descend` is
-    if i == n:
-        # each block opens at its least element and grows upward: sorted
-        # already.  A list, not a generator: `tuple` trims a generator's
-        # result from a guessed size, which keeps refilling its free lists
-        out.append(tuple([tuple(b) for b in blocks]))
-        return
-    for b in blocks:
-        b.append(i)
-        _grow(i + 1, n, blocks, out)
-        b.pop()
-    blocks.append([i])
-    _grow(i + 1, n, blocks, out)
-    blocks.pop()
 
 
 def aut_size(mu) -> int:
@@ -124,13 +110,8 @@ def subpartitions_by_removing_ones(mu) -> list:
     includes mu itself and, when all parts are 1, the empty partition.
     """
     mu = check_partition(mu)
-    m1 = multiplicity_of_one(mu)
     core = tuple(p for p in mu if p > 1)
-    out = []
-    for keep in range(m1, -1, -1):
-        sub = core + (1,) * keep
-        out.append((sub, math.comb(m1, keep)))
-    return out
+    return [(core + ones, ways) for ones, _rest, ways in reversed(sub_multisets(mu[len(core):]))]
 
 
 def format_partition(mu) -> str:

@@ -131,10 +131,10 @@ class TestDocuments:
         assert f"MAX_PAIRING_COST = {MAX_PAIRING_COST}" in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ["elsv", "--mu", "(3,2,1)", "--g", "300"],
+        ["elsv", "--mu", "(4,3,2,1)", "--g", "140"],
         ["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"]], ids=["elsv", "ifun"])
     def test_costly_profile_exits_2_before_any_series(self, capsys, monkeypatch, argv):
-        # inside MAX_SERIES_ORDER, these took 49 s and over 60 s
+        # both inside MAX_SERIES_ORDER; the ifun request ran past 60 s
         import gwhurwitz.gwh as gwh_module
         from gwhurwitz.gwh import MAX_SERIES_COST
 

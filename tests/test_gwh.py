@@ -420,10 +420,9 @@ class TestHodgeSeries:
             assert sorted(asked) == sorted(
                 (sub, u_order + pole - len(sub) - sum(sub)) for sub in subs)
 
-    def test_connected_matches_the_loop_over_set_partitions(self):
-        # the former loop, one product per set partition, kept as the reference;
-        # equality is structural: vars, floor, order and every coefficient
-        from gwhurwitz.partitions import set_partitions
+    def test_connected_matches_the_loop_over_set_partitions(self, set_partitions):
+        # one product per set partition, as the reference; equality is
+        # structural: vars, floor, order and every coefficient
         blocks_of = {}
 
         def block(sub, u_order):
@@ -449,25 +448,27 @@ class TestHodgeSeries:
                     assert hodge_H_connected(eta, u_order) == reference(eta, u_order), \
                         (eta, u_order)
 
-    def test_connected_forms_one_product_per_block_multiset(self, monkeypatch):
-        # the 52 set partitions of (1,1,1,1,1) fall into 7 block multisets, one
-        # per partition of 5, with 20 blocks between them (151 over all 52)
+    def test_connected_forms_one_product_per_marked_block(self, monkeypatch):
+        # Hc(1^n) subtracts one product per nonempty rest (1^r), r = 1..n-1,
+        # so (1,1,1,1,1) forms 1 + 2 + 3 + 4 = 10 series products, where the
+        # 52 set partitions took 20 even when grouped into block multisets
         import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.qseries as qseries_module
         eta, u_order = (1, 1, 1, 1, 1), 1
         pole = len(eta) + sum(eta)
         blocks_of = {(1,) * n: hodge_H_series((1,) * n, u_order + pole - 2 * n)
                      for n in range(1, 6)}
         monkeypatch.setattr(gwh_module, "hodge_H_series", lambda sub, order: blocks_of[sub])
         products = []
-        multiply = MultiSeries.__mul__
+        mul0, mul1, mul2 = qseries_module._MUL
 
-        def counted(self, other):
+        def counted(left, right, order):
             products.append(1)
-            return multiply(self, other)
+            return mul1(left, right, order)
 
-        monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        monkeypatch.setattr(qseries_module, "_MUL", (mul0, counted, mul2))
         hodge_H_connected(eta, u_order)
-        assert len(products) == 20
+        assert len(products) == 10
 
     def test_connected_extraction_subtracts_products(self):
         full = hodge_H_series((1, 1), 2)
@@ -517,16 +518,14 @@ class TestSeriesOrderLimit:
             self._run(monkeypatch, request_, _Started())
 
     @pytest.mark.parametrize("request_", [
-        (elsv_check, (3, 2, 1), 300), (i_function_numeric, 300, (6, 5, 4), 3),
-        (i_function_empty, 300, (6, 5, 4)), (elsv_check, (3, 2, 1), 140),
+        (elsv_check, (2, 2, 1, 1), 259), (i_function_numeric, 300, (6, 5, 4), 3),
+        (i_function_empty, 300, (6, 5, 4)), (elsv_check, (4, 3, 2, 1), 140),
         (i_function_numeric, 101, (6, 5, 4), 3), (i_function_numeric, 0, (30, 20, 10), 0),
-        (elsv_check, (1,) * 12, 0)],
-        ids=["elsv_321", "ifun_654", "ifun_empty_654", "elsv_past_limit", "ifun_past_limit",
+        (elsv_check, (1,) * 14, 0)],
+        ids=["elsv_2211", "ifun_654", "ifun_empty_654", "elsv_past_limit", "ifun_past_limit",
              "ifun_large_parts", "elsv_many_parts"])
     def test_costly_profile_raises_before_any_series(self, monkeypatch, request_):
-        # inside MAX_SERIES_ORDER: elsv (3,2,1) at g = 300 took 49 s, ifun
-        # (6,5,4) at g = 300 ran past 60 s, and twelve parts have 4213597 set
-        # partitions
+        # inside MAX_SERIES_ORDER: ifun (6,5,4) at g = 300 ran past 60 s
         from gwhurwitz.gwh import MAX_SERIES_COST
 
         with pytest.raises(ValueError, match=f"MAX_SERIES_COST = {MAX_SERIES_COST}"):
@@ -535,8 +534,12 @@ class TestSeriesOrderLimit:
 
     @pytest.mark.parametrize("request_", [
         (elsv_check, (3, 2, 1), 139), (i_function_numeric, 100, (6, 5, 4), 3),
-        (i_function_empty, 303, (12,)), (elsv_check, (1,) * 5, 33)],
-        ids=["elsv_321", "ifun_654", "ifun_empty_12", "elsv_many_parts"])
+        (i_function_empty, 303, (12,)), (elsv_check, (1,) * 5, 33),
+        (elsv_check, (3, 2, 1), 300), (elsv_check, (3, 2, 1), 140),
+        (elsv_check, (1,) * 12, 0), (elsv_check, (1,) * 13, 0),
+        (elsv_check, (2, 2, 1, 1), 258)],
+        ids=["elsv_321", "ifun_654", "ifun_empty_12", "elsv_many_parts", "elsv_321_g300",
+             "elsv_321_g140", "elsv_twelve_parts", "elsv_thirteen_parts", "elsv_2211"])
     def test_costs_up_to_the_limit_are_built(self, monkeypatch, request_):
         with pytest.raises(_Started):
             self._run(monkeypatch, request_, _Started())
@@ -562,18 +565,31 @@ class TestSeriesOrderLimit:
             self._run(monkeypatch, request_, _Started())
 
     @pytest.mark.parametrize("eta, u_order, limit", [
-        ((1,) * 12, 2, "MAX_SERIES_COST"), ((2,), 700, "MAX_SERIES_ORDER")])
-    def test_connected_hodge_series_refuses_before_listing_set_partitions(
+        ((1,) * 14, 2, "MAX_SERIES_COST"), ((2,), 700, "MAX_SERIES_ORDER")])
+    def test_connected_hodge_series_refuses_before_any_bra(
             self, monkeypatch, eta, u_order, limit):
-        # twelve parts have 4213597 set partitions: 10 parts took 7.5 s
+        # the first series read is that of eta itself, so its check comes first
         import gwhurwitz.gwh as gwh_module
 
-        def no_listing(n):
-            raise AssertionError(f"set partitions of {n} listed")
+        def no_bra(*_args):
+            raise AssertionError("boundary bra built past a limit")
 
-        monkeypatch.setattr(gwh_module, "set_partitions", no_listing)
+        monkeypatch.setattr(gwh_module, "_boundary_bra", no_bra)
         with pytest.raises(ValueError, match=limit):
             hodge_H_connected(eta, u_order)
+
+    @pytest.mark.parametrize("eta, u_order, limit", [
+        ((2,), 2400, "MAX_SERIES_ORDER"), ((6, 5, 4), 300, "MAX_SERIES_COST")])
+    def test_hodge_series_refuses_before_any_bra(self, monkeypatch, eta, u_order, limit):
+        # unchecked, (2,) at u-order 2400 took 15.3 s
+        import gwhurwitz.gwh as gwh_module
+
+        def no_bra(*_args):
+            raise AssertionError("boundary bra built past a limit")
+
+        monkeypatch.setattr(gwh_module, "_boundary_bra", no_bra)
+        with pytest.raises(ValueError, match=f"u-order {u_order} at .* {limit} = "):
+            hodge_H_series(eta, u_order)
 
 
 class TestNoMarkingShape:
@@ -771,6 +787,16 @@ class TestElsv:
                 report = elsv_check(mu, g)
                 if report.stable:
                     assert report.equal, (mu, g, report)
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_ten_unit_parts(self, g):
+        # 115975 set partitions of ten parts put this past the former cost
+        # limit; the marked-block recursion reads ten series.  At g = 0 both
+        # sides are Hurwitz's count (2d-2)! d^(d-3) / d! of simple covers
+        report = elsv_check((1,) * 10, g)
+        assert report.stable and report.equal
+        if g == 0:
+            assert report.lhs == F(math.factorial(18) * 10 ** 7, math.factorial(10))
 
     def test_degree_four_values(self):
         # frozen from the connected-count side, which the transitive

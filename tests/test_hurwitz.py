@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.hurwitz import (BranchData, _carvings, _join, _orbits, branching_sums,
+from gwhurwitz.hurwitz import (BranchData, _join, _orbits, branching_sums,
                                hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
-from gwhurwitz.partitions import (ClassSum, aut_size, check_partition, enumerate_partitions,
-                                  set_partitions, z_factor)
+from gwhurwitz.partitions import ClassSum, aut_size, enumerate_partitions, z_factor
 
 
 def profile_multisets(d, max_n):
@@ -152,7 +151,7 @@ class TestOracleAgreement:
         assert sorted(types) == sorted(enumerate_partitions(d))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_orbit_joins_match_a_brute_force_union_find(self, d):
+    def test_orbit_joins_match_a_brute_force_union_find(self, d, set_partitions):
         # every pair of set partitions, as label tuples; the reference merges
         # any two blocks that share a point until none do
         partitions = [[set(block) for block in part] for part in set_partitions(d)]
@@ -247,6 +246,14 @@ def _full_table_disconnected(h, d, profiles):
             term *= F(dfact, z_factor(eta)) * F(table.chi(lam, eta), dim)
         total += term
     return total
+
+
+def _carvings(eta, d1):
+    """The distinct (carved, rest) splits of eta's parts with total d1, from
+    every index subset."""
+    return {(tuple(eta[i] for i in idx), tuple(p for i, p in enumerate(eta) if i not in idx))
+            for r in range(len(eta) + 1) for idx in itertools.combinations(range(len(eta)), r)
+            if sum(eta[i] for i in idx) == d1}
 
 
 def _folded_connected(h, d, profiles, memo):
@@ -355,27 +362,6 @@ def test_commutator_distribution_matches_the_double_loop(d):
         assert monodromy_oracle(branch) == F(plain.get(eta, 0), math.factorial(d))
         assert monodromy_oracle(branch, transitive_only=True) == \
             F(transitive.get(eta, 0), math.factorial(d))
-
-
-def test_carvings_match_brute_force_over_index_subsets():
-    for d in range(9):
-        for eta in enumerate_partitions(d):
-            for d1 in range(d + 1):
-                got = _carvings(eta, d1)
-                want = set()
-                for r in range(len(eta) + 1):
-                    for idx in itertools.combinations(range(len(eta)), r):
-                        if sum(eta[i] for i in idx) == d1:
-                            want.add((tuple(eta[i] for i in idx),
-                                      tuple(p for i, p in enumerate(eta) if i not in idx)))
-                assert len(got) == len(set(got)), (eta, d1)
-                assert set(got) == want, (eta, d1)
-                for carved, rest in got:
-                    assert check_partition(carved) == carved
-                    assert check_partition(rest) == rest
-                    assert tuple(sorted(carved + rest, reverse=True)) == eta
-                # a memoized answer is shared between callers: it must be immutable
-                assert isinstance(got, tuple), (eta, d1)
 
 
 def test_connected_count_computes_each_sub_problem_once_per_call(monkeypatch):
