@@ -565,7 +565,8 @@ class TestSeriesOrderLimit:
             self._run(monkeypatch, request_, _Started())
 
     @pytest.mark.parametrize("eta, u_order, limit", [
-        ((1,) * 14, 2, "MAX_SERIES_COST"), ((2,), 700, "MAX_SERIES_ORDER")])
+        ((1,) * 14, 2, "MAX_SERIES_COST"), ((2,), 700, "MAX_SERIES_ORDER")],
+        ids=["many_parts", "high_order"])
     def test_connected_hodge_series_refuses_before_any_bra(
             self, monkeypatch, eta, u_order, limit):
         # the first series read is that of eta itself, so its check comes first
@@ -579,7 +580,8 @@ class TestSeriesOrderLimit:
             hodge_H_connected(eta, u_order)
 
     @pytest.mark.parametrize("eta, u_order, limit", [
-        ((2,), 2400, "MAX_SERIES_ORDER"), ((6, 5, 4), 300, "MAX_SERIES_COST")])
+        ((2,), 2400, "MAX_SERIES_ORDER"), ((6, 5, 4), 300, "MAX_SERIES_COST")],
+        ids=["high_order", "large_parts"])
     def test_hodge_series_refuses_before_any_bra(self, monkeypatch, eta, u_order, limit):
         # unchecked, (2,) at u-order 2400 took 15.3 s
         import gwhurwitz.gwh as gwh_module
