@@ -63,10 +63,7 @@ TABLE_FORMAT_VERSION = 1
 def _parse_profiles(text: str | None):
     if not text:
         return ()
-    try:
-        return tuple(parse_partition(p) for p in text.split(";") if p.strip())
-    except ValueError as exc:
-        raise ValueError(f"--profiles: {exc}") from exc
+    return tuple(_parse_partition_flag("--profiles", p) for p in text.split(";") if p.strip())
 
 
 def _parse_partition_flag(flag: str, text: str):

@@ -59,6 +59,20 @@ def _partition_from_window(window) -> tuple:
     return tuple(parts)
 
 
+def _move(occ, occ_set, j2, i2):
+    """Move slot j2 to slot i2 of the window `occ` (doubled ints, descending).
+
+    Returns (sign, new_partition), or None when j2 is empty or i2 is
+    occupied; every slot below the window is occupied.
+    """
+    if j2 not in occ_set or i2 in occ_set or i2 < occ[-1]:
+        return None
+    lo, hi = min(i2, j2), max(i2, j2)
+    crossings = sum(1 for x in occ_set if lo < x < hi)
+    window = [x for x in occ if x != j2] + [i2]
+    return (-1) ** crossings, _partition_from_window(window)
+
+
 def e_moves(lam, r: int):
     """All single-slot moves of E_{k-r,k} on v_lam, for fixed nonzero r.
 
@@ -67,22 +81,14 @@ def e_moves(lam, r: int):
     exp(z * mid).
     """
     if r == 0:
-        raise ValueError("use e_diagonal for r = 0")
-    depth = abs(r) + 2
-    occ = _occupied_window(lam, depth)
+        raise ValueError("r = 0 is the diagonal action; see e_diagonal_support")
+    occ = _occupied_window(lam, abs(r) + 2)
     occ_set = set(occ)
-    floor_m = occ[-1]  # everything below this odd int is occupied
     out = []
     for m in occ:  # source slot, m = 2k
-        m2 = m - 2 * r  # target slot
-        if m2 in occ_set or (m2 < floor_m):
-            continue
-        lo, hi = min(m, m2), max(m, m2)
-        crossings = sum(1 for x in occ_set if lo < x < hi)
-        window = [x for x in occ if x != m] + [m2]
-        new_lam = _partition_from_window(window)
-        mid = Fraction(m - r, 2)
-        out.append((new_lam, (-1) ** crossings, mid))
+        moved = _move(occ, occ_set, m, m - 2 * r)
+        if moved is not None:
+            out.append((moved[1], moved[0], Fraction(m - r, 2)))
     return out
 
 
@@ -220,39 +226,34 @@ def apply_E_elem(i2, j2, lam) -> tuple | None:
         j2 = int(2 * j2)
     if i2 % 2 == 0 or j2 % 2 == 0:
         raise ValueError("slots are half-integers; pass doubled odd integers")
-    depth = (abs(i2) + abs(j2)) // 2 + 2
-    occ = _occupied_window(lam, depth)
-    occ_set = set(occ)
-    floor_m = occ[-1]
-
-    def occupied(m):
-        return m in occ_set or m < floor_m
-
+    occ = _occupied_window(lam, (abs(i2) + abs(j2)) // 2 + 2)
+    occ_set = set(occ)  # the window reaches below both slots
     if i2 == j2:
-        if occupied(j2) and j2 > 0:
-            return (1, lam)
-        if not occupied(j2) and j2 < 0:
-            return (-1, lam)
-        return None
-    if not occupied(j2) or occupied(i2):
-        return None
-    lo, hi = min(i2, j2), max(i2, j2)
-    crossings = sum(1 for x in occ_set if lo < x < hi)
-    window = [x for x in occ if x != j2] + [i2]
-    return ((-1) ** crossings, _partition_from_window(window))
+        if j2 in occ_set:
+            return (1, lam) if j2 > 0 else None
+        return (-1, lam) if j2 < 0 else None
+    return _move(occ, occ_set, j2, i2)
+
+
+def _moved(r: int, state: FockState, energy_cap, z=None) -> FockState:
+    """Every move of shift r on every term, weighted by exp(z * mid) when z
+    is given.  All moves of v_lam land at energy |lam| - r, so a term whose
+    moves would pass the cap is skipped whole."""
+    out = FockState(state.vars, guard=state.guard)
+    for lam, series in state.terms.items():
+        if energy_cap is not None and sum(lam) - r > energy_cap:
+            continue
+        for new_lam, sign, mid in e_moves(lam, r):
+            piece = series if z is None else series * _exp_weight(z, mid)
+            out.add_term(new_lam, piece if sign == 1 else -piece)
+    return out
 
 
 def apply_alpha(r: int, state: FockState, energy_cap=None) -> FockState:
     """Sum of all moves lowering slot values by r (raising energy by -r)."""
     if r == 0:
         raise ValueError("alpha_0 is central and not used")
-    out = FockState(state.vars, guard=state.guard)
-    for lam, series in state.terms.items():
-        for new_lam, sign, _ in e_moves(lam, r):
-            if energy_cap is not None and sum(new_lam) > energy_cap:
-                continue
-            out.add_term(new_lam, series if sign == 1 else -series)
-    return out
+    return _moved(r, state, energy_cap)
 
 
 def apply_exp_alpha(r: int, state: FockState, energy_cap: int) -> FockState:
@@ -306,22 +307,17 @@ def apply_calE(r: int, z: MultiSeries, state: FockState, energy_cap: int) -> Foc
     positive slots minus empty negative slots, plus the 1/sigma(z) scalar;
     the scalar term is present only at r = 0.
     """
+    if r:
+        return _moved(r, state, energy_cap, z)
     out = FockState(state.vars, guard=state.guard)
     for lam, series in state.terms.items():
-        if r == 0:
-            positives, holes = e_diagonal_support(lam)
-            weight = _inv_sigma(z)
-            for m in positives:
-                weight = weight + _exp_weight(z, Fraction(m, 2))
-            for m in holes:
-                weight = weight - _exp_weight(z, Fraction(m, 2))
-            out.add_term(lam, series * weight)
-            continue
-        for new_lam, sign, mid in e_moves(lam, r):
-            if sum(new_lam) > energy_cap:
-                continue
-            piece = series * _exp_weight(z, mid)
-            out.add_term(new_lam, piece if sign == 1 else -piece)
+        positives, holes = e_diagonal_support(lam)
+        weight = _inv_sigma(z)
+        for m in positives:
+            weight = weight + _exp_weight(z, Fraction(m, 2))
+        for m in holes:
+            weight = weight - _exp_weight(z, Fraction(m, 2))
+        out.add_term(lam, series * weight)
     return out
 
 

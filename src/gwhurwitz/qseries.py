@@ -12,7 +12,7 @@ known zero.
 Storage is integer numerators over one common denominator: `num` maps the
 exponents inside the window to nonzero ints, `den` is a positive int, and
 gcd(den, *num.values()) == 1, so the form is canonical and equality is
-structural.  `coeffs` is a read-only view exponent -> Fraction.
+structural.  `coeffs` copies them out as a dict exponent -> Fraction.
 
 Orders may be `math.inf` for objects that are known exactly (constants,
 monomials, polynomials).  Floors are always finite integers.
@@ -21,7 +21,6 @@ monomials, polynomials).  Floors are always finite integers.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, le, lt
 
@@ -46,24 +45,6 @@ def _as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
-
-
-class _Coefficients(Mapping):
-    """Exponent -> Fraction view of a series; only item reads build Fractions."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num, self._den = num, den
-
-    def __len__(self):
-        return len(self._num)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __getitem__(self, exps):
-        return Fraction(self._num[exps], self._den)
 
 
 class MultiSeries:
@@ -97,9 +78,9 @@ class MultiSeries:
         self.num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
 
     @property
-    def coeffs(self) -> Mapping:
-        """The known coefficients as a read-only mapping exponent -> Fraction."""
-        return _Coefficients(self.num, self.den)
+    def coeffs(self) -> dict:
+        """The known coefficients as a new dict exponent -> Fraction."""
+        return {e: Fraction(c, self.den) for e, c in self.num.items()}
 
     # ---------------------------------------------------------------- basics
 
@@ -441,20 +422,13 @@ def s_of(arg: MultiSeries, order=None) -> MultiSeries:
 def pochhammer_series(k: int, var: str, order) -> MultiSeries:
     """Rising factorial (w+1)(w+2)..(w+k) for k >= 0, or its k < 0 analogue.
 
-    For k < 0 the value is 1/(w (w-1) .. (w+k+1)): the 1/w factor is an exact
-    Laurent monomial and each 1/(w-m) with m >= 1 expands geometrically as
-    -(1/m) * sum (w/m)^j.
+    For k < 0 the value is 1/(w (w-1) .. (w+k+1)), the `inverse` of that
+    exact polynomial cut at `order`.
     """
-    vars = (var,)
-    if k >= 0:
-        acc = MultiSeries.constant(1, vars, (order,))
-        for i in range(1, k + 1):
-            acc = acc * MultiSeries(vars, (0,), (INF,), {(0,): i, (1,): 1})
-        return acc.truncated((order,))
-    if order == INF:
+    if k < 0 and order == INF:
         raise SeriesError("the k < 0 branch needs a finite order")
-    acc = MultiSeries.monomial(vars, (-1,), 1, (order,))
-    for m in range(1, -k):
-        geo = {(j,): -Fraction(1, m ** (j + 1)) for j in range(int(order) + 1)}
-        acc = acc * MultiSeries(vars, (0,), (order,), geo)
-    return acc
+    vars = (var,)
+    acc = MultiSeries.constant(1, vars)
+    for i in (range(1, k + 1) if k >= 0 else range(0, k, -1)):
+        acc = acc * MultiSeries(vars, (0,), (INF,), {(0,): i, (1,): 1})
+    return (acc.inverse(order=order) if k < 0 else acc).truncated((order,))
