@@ -142,13 +142,15 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     Grade b of the cycles' character sum (total branching b) is booked under
     the source genus (d(2h-2) + b)/2 + 1.  An odd grade holds only monomials
     that vanish by the sign symmetry lam <-> lam', so a nonzero one raises.
-    Every k, and the target genus, is checked before any cycle is computed.
+    Every k, and the target genus and its cost (`hurwitz.MAX_GENUS_COST`), is
+    checked before any cycle is computed.
     """
     for k in ks:
         _check_request(k, d)
-    from .hurwitz import BranchData, branching_sums
+    from .hurwitz import BranchData, _check_genus, branching_sums
 
     BranchData(h, d)  # refuses h < 0 (and d < 1 with no ks)
+    _check_genus(h, d, len(ks))
     cycles = [completed_cycle(k, d).value.terms.items() for k in ks]
     by_genus: dict[int, Fraction] = {}
     for b, value in sorted(branching_sums(h, d, cycles).items()):

@@ -292,6 +292,32 @@ MAX_SERIES_COST = 10_000_000
 MAX_PAIRING_COST = 100_000_000
 
 
+# The cover side of `elsv_check`, `hurwitz_connected` on (mu, tau^m), has
+# about Q m sub-problems, where Q counts the nested sub-multisets B of A of
+# mu with 2 <= |B| <= |A| - 2: the carvings in which tau can give its
+# 2-cycle to either side.  Each reads about m character sums over integers
+# of about m log2(d!) bits, and the time per unit grows like d^2, so a cost
+# d^2 m^2 (1 + Q m) above MAX_COVER_COST is refused after the series limits
+# and before any series or count.  The model is good to a factor of about 5
+# across profiles.  In-process (2-core Xeon, CPython 3.11), admitted counts
+# took: (5,3,2) at m = 167 17.3 s, (6,5,4) at m = 128 14.0 s, (4,2) at
+# m = 430 12.7 s, (3,2,1) at m = 287 (g = 140) 3.1 s, and the one-part
+# (12), where Q = 0, at m = 617 (g = 303) 1.4 s; refused: (3,2,1) at m = 607
+# (g = 300) 33 s and at m = 311 5.3 s, (2,2,1,1) at m = 312 15.8 s.
+MAX_COVER_COST = 6_000_000_000
+
+
+def _check_cover(request: str, mu: tuple, m: int) -> None:
+    """Refuse, before any count, a cover count costing d^2 m^2 (1 + Q m)
+    above MAX_COVER_COST (see there for Q)."""
+    split = sum(1 for a, _rest, _ways in sub_multisets(mu)
+                for b, _rest, _ways in sub_multisets(a) if 2 <= sum(b) <= sum(a) - 2)
+    if (cost := sum(mu) ** 2 * m ** 2 * (1 + split * m)) > MAX_COVER_COST:
+        raise ValueError(f"{request} at {format_partition(mu)} counts covers with m = {m} "
+                         f"and Q = {split} at cost d^2 m^2 (1 + Q m) = {cost}, "
+                         f"above MAX_COVER_COST = {MAX_COVER_COST}")
+
+
 def _check_series(request: str, eta: tuple, order: int, w_order: int = 0) -> None:
     """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER,
     then a cost prod(eta_i + 1) order^2 above MAX_SERIES_COST, then, for a
@@ -392,8 +418,8 @@ def elsv_check(mu, g: int) -> ElsvReport:
     series with the classical prefactor; the right side counts connected
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
-    an order above MAX_SERIES_ORDER or a cost above MAX_SERIES_COST is
-    refused before any series is built.  The connected series comes from
+    an order above MAX_SERIES_ORDER, a cost above MAX_SERIES_COST or a
+    cover cost above MAX_COVER_COST is refused before any series is built.  The connected series comes from
     the marked-block recursion of `hodge_H_connected`, whose products are
     weighted by |Aut| quotients and bounded by the cost of mu's own bra.
     """
@@ -408,6 +434,7 @@ def elsv_check(mu, g: int) -> ElsvReport:
     if g < 0 or m < 1:
         return ElsvReport(mu, g, m, False, None, None)
     _check_series(f"genus {g}", mu, 2 * g + d + len(mu))
+    _check_cover(f"genus {g}", mu, m)
     target = 2 * g - 2
     series = hodge_H_connected(mu, target + 1)
     scale = Fraction(math.factorial(m), z_factor(mu)) * _hodge_prefactor(mu)

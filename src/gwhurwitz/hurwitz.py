@@ -30,7 +30,8 @@ from functools import cache
 from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
-from .partitions import ClassSum, check_partition, sub_multisets, z_factor
+from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
+                         sub_multisets, z_factor)
 
 
 class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
@@ -55,6 +56,30 @@ class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
 
 
 # ----------------------------------------------------------- character side
+
+
+# A character sum of n factors over a genus-h target works in integers of
+# about (2h + n) log2(d!) bits, the size of d!^(2h-2+n), over p(d) rows, and
+# its divisions and gcds are quadratic in that size.  So a sum whose
+# p(d) ((2h + n) bits(d!))^2 is above MAX_GENUS_COST is refused before any
+# column is read.  In-process (2-core Xeon, CPython 3.11), two simple
+# points, near the limit: d = 12 at h = 8726 5.0 s, d = 20 at h = 1332
+# 4.6 s, d = 4 at h = 146385 3.5 s; past it: d = 12 at h = 13961 11.9 s,
+# d = 20 at h = 2131 12.7 s, d = 24 at h = 833 8.0 s.  A process asked for
+# d = 12 at h = 20000 ran 21 s before failing to print its value.
+MAX_GENUS_COST = 20_000_000_000_000
+
+
+def _check_genus(h: int, d: int, n: int) -> None:
+    """Refuse, before any column is read, a degree above MAX_TABLE_DEGREE,
+    then a sum of n factors whose cost p(d) ((2h + n) bits(d!))^2 is above
+    MAX_GENUS_COST."""
+    check_table_degree(d)
+    bits = (2 * h + n) * math.factorial(d).bit_length()
+    if (cost := len(enumerate_partitions(d)) * bits ** 2) > MAX_GENUS_COST:
+        raise ValueError(f"target genus {h} in degree {d} with n = {n} factors costs "
+                         f"p(d) ((2h + n) bits(d!))^2 = {cost}, "
+                         f"above MAX_GENUS_COST = {MAX_GENUS_COST}")
 
 
 def _dim_weighted(by_dim: dict, exponent: int):
@@ -90,6 +115,7 @@ def branching_sums(h: int, d: int, factors) -> dict:
         den *= fden
         factor_terms.append([(d - len(mu), columns.setdefault(mu, len(columns)),
                               s.numerator * (fden // s.denominator)) for mu, s in scaled])
+    _check_genus(h, d, len(factor_terms))
     identity = columns.setdefault((1,) * d, len(columns))  # chi^lam(1^d) = dim lam
     by_grade = {}  # grade -> {dim: integer sum over the rows of that dim}
     for chis in character_columns(d, columns):
@@ -118,8 +144,10 @@ def hurwitz_disconnected(branch: BranchData) -> Fraction:
 
     The count is d!^(2h-2+n) / prod z(eta) times
     sum_lam dim^(2-2h-n) prod_eta chi^lam(eta), over the n profiles eta; a
-    repeated profile is one column raised to its multiplicity.
+    repeated profile is one column raised to its multiplicity.  A cost above
+    MAX_GENUS_COST is refused first.
     """
+    _check_genus(branch.target_genus, branch.degree, len(branch.profiles))
     return _disconnected(branch.target_genus, branch.degree, branch.profiles)
 
 
@@ -297,8 +325,10 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
     once per index set: the parts of a cycle type are unlabelled.  Its
     sub-profiles are canonical by construction, and the recursion, the
     disconnected counts and the carvings are memoized for this call only.
-    The whole recursion is validated against the transitive oracle.
+    The whole recursion is validated against the transitive oracle.  A cost
+    above MAX_GENUS_COST is refused first.
     """
+    _check_genus(branch.target_genus, branch.degree, len(branch.profiles))
     disconnected = cache(_disconnected)
 
     @cache

@@ -64,6 +64,67 @@ class TestElementaryMoves:
                         assert apply_E_elem(i2, j2, lam) == (sign, new_lam)
 
 
+def brute_force_moves(lam, r):
+    """The moves of E_{k-r,k} on v_lam read off a Maya diagram much deeper
+    than any move reaches: sources in descending order, each carried to the
+    slot 2r lower when that slot is empty, signed by the occupied slots
+    strictly between the two."""
+    depth = len(lam) + abs(r) + 10
+    occupied = {2 * (part - i) + 1 for i, part in enumerate(lam, start=1)}
+    occupied |= {-2 * i + 1 for i in range(len(lam) + 1, depth + 1)}
+    bottom = -2 * depth + 1  # every slot below this one is occupied too
+    moves = []
+    for source in sorted(occupied, reverse=True):
+        target = source - 2 * r
+        if target in occupied or target < bottom:
+            continue
+        between = sum(1 for x in occupied if min(source, target) < x < max(source, target))
+        slots = sorted(occupied - {source} | {target}, reverse=True)
+        parts = [(x - 1) // 2 + i for i, x in enumerate(slots, start=1)]
+        new_lam = tuple(p for p in parts if p)
+        moves.append((new_lam, (-1) ** between, F(source - r, 2)))
+    return moves
+
+
+class TestMayaReference:
+    def test_moves_match_a_deep_brute_force_diagram(self):
+        for d in range(0, 8):
+            for lam in enumerate_partitions(d):
+                for r in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+                    assert e_moves(lam, r) == brute_force_moves(lam, r), (lam, r)
+
+    def test_diagonal_refusal_names_the_diagonal_helper(self):
+        with pytest.raises(ValueError, match="e_diagonal_support"):
+            e_moves((2, 1), 0)
+
+    @staticmethod
+    def _random_state(rng, pool):
+        terms = {}
+        for _ in range(6):
+            coeffs = {(rng.randint(0, 3),): F(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(2)}
+            terms[rng.choice(pool)] = MultiSeries(UV, (0,), (6,), coeffs)
+        return FockState(UV, terms)
+
+    @staticmethod
+    def _assert_capped(capped, full, cap):
+        kept = {lam: s for lam, s in full.terms.items() if sum(lam) <= cap}
+        assert capped.terms == kept
+        assert capped.guard == full.guard
+
+    def test_capped_moves_drop_exactly_the_terms_above_the_cap(self):
+        rng = random.Random(31)
+        pool = [lam for d in range(0, 7) for lam in enumerate_partitions(d)]
+        z = MultiSeries.monomial(UV, (1,), 1, (6,))
+        for _ in range(40):
+            state = self._random_state(rng, pool)
+            r = rng.choice([-3, -2, -1, 1, 2, 3])
+            cap = rng.randint(0, 8)
+            self._assert_capped(apply_alpha(r, state, cap), apply_alpha(r, state), cap)
+            self._assert_capped(apply_calE(r, z, state, cap),
+                                apply_calE(r, z, state, 10 ** 6), cap)
+
+
 class TestAlpha:
     def test_create_single_box(self):
         out = apply_alpha(-1, FockState.vacuum(UV))

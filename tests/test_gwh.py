@@ -535,14 +535,30 @@ class TestSeriesOrderLimit:
     @pytest.mark.parametrize("request_", [
         (elsv_check, (3, 2, 1), 139), (i_function_numeric, 100, (6, 5, 4), 3),
         (i_function_empty, 303, (12,)), (elsv_check, (1,) * 5, 33),
-        (elsv_check, (3, 2, 1), 300), (elsv_check, (3, 2, 1), 140),
-        (elsv_check, (1,) * 12, 0), (elsv_check, (1,) * 13, 0),
-        (elsv_check, (2, 2, 1, 1), 258)],
-        ids=["elsv_321", "ifun_654", "ifun_empty_12", "elsv_many_parts", "elsv_321_g300",
-             "elsv_321_g140", "elsv_twelve_parts", "elsv_thirteen_parts", "elsv_2211"])
+        (elsv_check, (3, 2, 1), 140),
+        (elsv_check, (1,) * 12, 0), (elsv_check, (1,) * 13, 0)],
+        ids=["elsv_321", "ifun_654", "ifun_empty_12", "elsv_many_parts",
+             "elsv_321_g140", "elsv_twelve_parts", "elsv_thirteen_parts"])
     def test_costs_up_to_the_limit_are_built(self, monkeypatch, request_):
         with pytest.raises(_Started):
             self._run(monkeypatch, request_, _Started())
+
+    @pytest.mark.parametrize("request_", [
+        (elsv_check, (3, 2, 1), 300), (elsv_check, (2, 2, 1, 1), 258)],
+        ids=["elsv_321_g300", "elsv_2211"])
+    def test_costly_cover_count_raises_before_any_series(self, monkeypatch, request_):
+        # inside both series limits: the count alone took 33 s for (3,2,1)
+        # at g = 300, and the whole check 72 s for (2,2,1,1) at g = 258
+        import gwhurwitz.hurwitz as hurwitz_module
+        from gwhurwitz.gwh import MAX_COVER_COST
+
+        def count(*_args):
+            raise AssertionError("covers counted past the cover limit")
+
+        monkeypatch.setattr(hurwitz_module, "hurwitz_connected", count)
+        with pytest.raises(ValueError, match=f"MAX_COVER_COST = {MAX_COVER_COST}"):
+            self._run(monkeypatch, request_,
+                      AssertionError("series built past the cover limit"))
 
     @pytest.mark.parametrize("request_", [
         (i_function_numeric, 0, (3, 2), 1500), (i_function_numeric, 50, (3, 2), 160),

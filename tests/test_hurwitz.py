@@ -16,6 +16,7 @@ from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
 from gwhurwitz.hurwitz import (BranchData, _join, _orbits, branching_sums,
                                hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
+from gwhurwitz.cycles import stationary_gw
 from gwhurwitz.partitions import ClassSum, aut_size, enumerate_partitions, z_factor
 
 
@@ -562,3 +563,62 @@ class TestDoubleHurwitzSeries:
                     want = F((-1) ** b, math.factorial(b)) * \
                         hurwitz_disconnected(BranchData(0, d, profiles))
                     assert double_hurwitz_coefficient(mu, eta, b) == want, (mu, eta, b)
+
+
+class _Started(Exception):
+    pass
+
+
+def _tau(d):
+    return (2,) + (1,) * (d - 2)
+
+
+class TestGenusLimit:
+    # every character sum reads its rows through `character_columns`, and
+    # `stationary_gw` builds its class sums through `completed_cycle`
+    def _run(self, monkeypatch, request_, error):
+        import gwhurwitz.characters as characters_module
+        import gwhurwitz.cycles as cycles_module
+
+        def stop(*_args):
+            raise error
+
+        monkeypatch.setattr(characters_module, "character_columns", stop)
+        monkeypatch.setattr(cycles_module, "completed_cycle", stop)
+        func, *args = request_
+        func(*args)
+
+    @pytest.mark.parametrize("request_", [
+        (hurwitz_disconnected, BranchData(20000, 12, (_tau(12),))),
+        (hurwitz_disconnected, BranchData(1000, 24)),
+        (hurwitz_connected, BranchData(10000, 12, (_tau(12),) * 2)),
+        (hurwitz_classsum, 10000, 12, [ClassSum.single(_tau(12))]),
+        (stationary_gw, 20000, 12, [1]), (stationary_gw, 800, 24, [])],
+        ids=["hur_12", "hur_24", "hur_connected", "classsum", "gw_12", "gw_24"])
+    def test_huge_genus_raises_before_any_column(self, monkeypatch, request_):
+        # h = 20000 at d = 12 ran 21 s as a process, then failed to print
+        from gwhurwitz.hurwitz import MAX_GENUS_COST
+
+        with pytest.raises(ValueError, match=f"MAX_GENUS_COST = {MAX_GENUS_COST}"):
+            self._run(monkeypatch, request_,
+                      AssertionError("column read past the genus limit"))
+
+    @pytest.mark.parametrize("request_", [
+        (hurwitz_disconnected, BranchData(8000, 12, (_tau(12),) * 2)),
+        (hurwitz_disconnected, BranchData(700, 24)),
+        (hurwitz_connected, BranchData(2000, 16, (_tau(16),) * 2)),
+        (stationary_gw, 8000, 12, [1]), (stationary_gw, 2, 16, [1, 2, 3])],
+        ids=["hur_12", "hur_24", "hur_connected", "gw_12", "gw_16"])
+    def test_genera_up_to_the_limit_are_read(self, monkeypatch, request_):
+        with pytest.raises(_Started):
+            self._run(monkeypatch, request_, _Started())
+
+    @pytest.mark.parametrize("argv", [
+        ["hur", "--target-genus", "20000", "--d", "12"],
+        ["gw", "--target-genus", "20000", "--d", "12", "--ks", "1"]], ids=["hur", "gw"])
+    def test_cli_exits_2_naming_the_limit(self, argv, capsys):
+        from gwhurwitz.cli import main
+        from gwhurwitz.hurwitz import MAX_GENUS_COST
+
+        assert main(argv) == 2
+        assert f"MAX_GENUS_COST = {MAX_GENUS_COST}" in capsys.readouterr().err
