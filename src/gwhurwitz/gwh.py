@@ -419,9 +419,10 @@ def elsv_check(mu, g: int) -> ElsvReport:
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
     an order above MAX_SERIES_ORDER, a cost above MAX_SERIES_COST or a
-    cover cost above MAX_COVER_COST is refused before any series is built.  The connected series comes from
-    the marked-block recursion of `hodge_H_connected`, whose products are
-    weighted by |Aut| quotients and bounded by the cost of mu's own bra.
+    cover cost above MAX_COVER_COST is refused before any series is built.
+    The connected series comes from the marked-block recursion of
+    `hodge_H_connected`, whose products are weighted by |Aut| quotients and
+    bounded by the cost of mu's own bra.
     """
     from .characters import transposition_class
     from .hurwitz import BranchData, hurwitz_connected

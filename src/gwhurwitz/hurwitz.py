@@ -115,7 +115,6 @@ def branching_sums(h: int, d: int, factors) -> dict:
         den *= fden
         factor_terms.append([(d - len(mu), columns.setdefault(mu, len(columns)),
                               s.numerator * (fden // s.denominator)) for mu, s in scaled])
-    _check_genus(h, d, len(factor_terms))
     identity = columns.setdefault((1,) * d, len(columns))  # chi^lam(1^d) = dim lam
     by_grade = {}  # grade -> {dim: integer sum over the rows of that dim}
     for chis in character_columns(d, columns):
@@ -169,11 +168,13 @@ def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
 
 
 def hurwitz_classsum(h: int, d: int, args) -> Fraction:
-    """Multilinear extension of the disconnected count to formal class sums."""
+    """Multilinear extension of the disconnected count to formal class sums;
+    a cost above MAX_GENUS_COST is refused first."""
     args = list(args)
     for a in args:
         if not isinstance(a, ClassSum) or a.degree != d:
             raise ValueError("arguments must be class sums of the stated degree")
+    _check_genus(h, d, len(args))
     return sum(branching_sums(h, d, [a.terms.items() for a in args]).values(), Fraction(0))
 
 
