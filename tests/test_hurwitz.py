@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
+from gwhurwitz.cycles import stationary_gw
 from gwhurwitz.hurwitz import (BranchData, _join, _orbits, branching_sums,
                                hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
-from gwhurwitz.cycles import stationary_gw
 from gwhurwitz.partitions import ClassSum, aut_size, enumerate_partitions, z_factor
 
 
@@ -569,10 +569,6 @@ class _Started(Exception):
     pass
 
 
-def _tau(d):
-    return (2,) + (1,) * (d - 2)
-
-
 class TestGenusLimit:
     # every character sum reads its rows through `character_columns`, and
     # `stationary_gw` builds its class sums through `completed_cycle`
@@ -589,10 +585,10 @@ class TestGenusLimit:
         func(*args)
 
     @pytest.mark.parametrize("request_", [
-        (hurwitz_disconnected, BranchData(20000, 12, (_tau(12),))),
+        (hurwitz_disconnected, BranchData(20000, 12, (transposition_class(12),))),
         (hurwitz_disconnected, BranchData(1000, 24)),
-        (hurwitz_connected, BranchData(10000, 12, (_tau(12),) * 2)),
-        (hurwitz_classsum, 10000, 12, [ClassSum.single(_tau(12))]),
+        (hurwitz_connected, BranchData(10000, 12, (transposition_class(12),) * 2)),
+        (hurwitz_classsum, 10000, 12, [ClassSum.single(transposition_class(12))]),
         (stationary_gw, 20000, 12, [1]), (stationary_gw, 800, 24, [])],
         ids=["hur_12", "hur_24", "hur_connected", "classsum", "gw_12", "gw_24"])
     def test_huge_genus_raises_before_any_column(self, monkeypatch, request_):
@@ -604,9 +600,9 @@ class TestGenusLimit:
                       AssertionError("column read past the genus limit"))
 
     @pytest.mark.parametrize("request_", [
-        (hurwitz_disconnected, BranchData(8000, 12, (_tau(12),) * 2)),
+        (hurwitz_disconnected, BranchData(8000, 12, (transposition_class(12),) * 2)),
         (hurwitz_disconnected, BranchData(700, 24)),
-        (hurwitz_connected, BranchData(2000, 16, (_tau(16),) * 2)),
+        (hurwitz_connected, BranchData(2000, 16, (transposition_class(16),) * 2)),
         (stationary_gw, 8000, 12, [1]), (stationary_gw, 2, 16, [1, 2, 3])],
         ids=["hur_12", "hur_24", "hur_connected", "gw_12", "gw_16"])
     def test_genera_up_to_the_limit_are_read(self, monkeypatch, request_):
