@@ -1,7 +1,9 @@
 """Charge-zero infinite-wedge states and an exact operator-word evaluator.
 
 Basis vectors are indexed by partitions lam via the half-integer set
-S(lam) = {lam_i - i + 1/2}; half-integers are stored doubled (odd ints).
+S(lam) = {lam_i - i + 1/2}, held as one integer per Maya diagram: over n
+rows, bit b holds the slot b - n + 1/2 and every slot below bit 0 is
+occupied.  Slots handed out are doubled (odd ints).
 States are finite partition-indexed sums with `MultiSeries` coefficients.
 
 Sign convention: moving an occupied slot j to an empty slot i carries
@@ -30,47 +32,27 @@ from .qseries import (INF, MultiSeries, VariableMismatchError, _product_window, 
                       sigma_of)
 
 
-# ------------------------------------------------------------- Maya windows
+# ------------------------------------------------------------- Maya diagrams
 
 
-def _occupied_window(lam, depth: int):
-    """The largest `depth + len(lam)` elements of S(lam), doubled, descending.
-
-    Below the returned window the diagram is a full vacuum tail, so any move
-    targeting that region hits an occupied slot and vanishes.
-    """
-    n = len(lam)
-    total = n + depth
-    occ = [2 * (lam[i] - (i + 1)) + 1 for i in range(n)]
-    occ += [-2 * i - 1 for i in range(n, total)]
-    return occ
+def _diagram(lam, pad: int = 0) -> int:
+    """The Maya diagram of v_lam over len(lam) + pad rows, as a bit mask."""
+    n = len(lam) + pad
+    return sum(1 << (part - i + n) for i, part in enumerate(lam, start=1)) + (1 << pad) - 1
 
 
-def _partition_from_window(window) -> tuple:
-    desc = sorted(window, reverse=True)
+def _partition(mask: int) -> tuple:
+    """The partition of a diagram: each set bit, from the top, carries the
+    number of empty bits below it, until the run of set bits from bit 0."""
     parts = []
-    for i, m in enumerate(desc, start=1):
-        p = (m + 2 * i - 1) // 2
-        if p < 0:
-            raise ValueError("window does not describe a charge-zero diagram")
-        parts.append(p)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
-
-
-def _move(occ, occ_set, j2, i2):
-    """Move slot j2 to slot i2 of the window `occ` (doubled ints, descending).
-
-    Returns (sign, new_partition), or None when j2 is empty or i2 is
-    occupied; every slot below the window is occupied.
-    """
-    if j2 not in occ_set or i2 in occ_set or i2 < occ[-1]:
-        return None
-    lo, hi = min(i2, j2), max(i2, j2)
-    crossings = sum(1 for x in occ_set if lo < x < hi)
-    window = [x for x in occ if x != j2] + [i2]
-    return (-1) ** crossings, _partition_from_window(window)
+    below = mask.bit_count()
+    while True:
+        top = mask.bit_length() - 1
+        below -= 1
+        if top == below:
+            return tuple(parts)
+        parts.append(top - below)
+        mask ^= 1 << top
 
 
 def e_moves(lam, r: int):
@@ -78,27 +60,33 @@ def e_moves(lam, r: int):
 
     Yields (new_partition, sign, mid) where mid = k - r/2 as a Fraction in
     half-integer units: the exponential weight of the generating operator is
-    exp(z * mid).
+    exp(z * mid).  Sources come in descending order.
     """
     if r == 0:
         raise ValueError("r = 0 is the diagonal action; see e_diagonal_support")
-    occ = _occupied_window(lam, abs(r) + 2)
-    occ_set = set(occ)
+    pad = abs(r)  # so that every source whose target can be empty is a bit
+    n, mask = len(lam) + pad, _diagram(lam, pad)
+    # bit b of `sources`: a bead at b whose target b - r is empty, and no
+    # target below bit 0 is
+    sources = mask & ~((mask << r) | ((1 << r) - 1) if r > 0 else mask >> -r)
+    between = (1 << (pad - 1)) - 1
     out = []
-    for m in occ:  # source slot, m = 2k
-        moved = _move(occ, occ_set, m, m - 2 * r)
-        if moved is not None:
-            out.append((moved[1], moved[0], Fraction(m - r, 2)))
+    while sources:
+        b = sources.bit_length() - 1
+        sources ^= 1 << b
+        crossings = (mask >> (min(b, b - r) + 1)) & between
+        out.append((_partition(mask ^ (1 << b) ^ (1 << (b - r))),
+                    -1 if crossings.bit_count() & 1 else 1, Fraction(2 * (b - n) + 1 - r, 2)))
     return out
 
 
 def e_diagonal_support(lam):
-    """Occupied positive slots and empty negative slots (doubled ints)."""
-    occ = _occupied_window(lam, 2)
-    occ_set = set(occ)
-    floor_m = occ[-1]
-    positives = [m for m in occ if m > 0]
-    holes = [m for m in range(-1, floor_m, -2) if m not in occ_set]
+    """Occupied positive slots and empty negative slots (doubled ints), each
+    in descending order."""
+    n = len(lam)
+    mask = _diagram(lam)
+    positives = [2 * (b - n) + 1 for b in range(mask.bit_length() - 1, n - 1, -1) if mask >> b & 1]
+    holes = [2 * (b - n) + 1 for b in range(n - 1, -1, -1) if not mask >> b & 1]
     return positives, holes
 
 
@@ -209,30 +197,6 @@ def inner_product(bra: FockState, ket: FockState) -> MultiSeries:
 
 
 # ------------------------------------------------------------ atom actions
-
-
-def apply_E_elem(i2, j2, lam) -> tuple | None:
-    """Single elementary move: slot j -> slot i.
-
-    Slots are half-integers, passed either as Fractions with denominator 2
-    or as doubled odd integers.  Returns (sign, new_partition) or None when
-    the action vanishes; the diagonal case returns (+/-1, lam) per the
-    normally ordered convention.
-    """
-    lam = check_partition(lam)
-    if isinstance(i2, Fraction):
-        i2 = int(2 * i2)
-    if isinstance(j2, Fraction):
-        j2 = int(2 * j2)
-    if i2 % 2 == 0 or j2 % 2 == 0:
-        raise ValueError("slots are half-integers; pass doubled odd integers")
-    occ = _occupied_window(lam, (abs(i2) + abs(j2)) // 2 + 2)
-    occ_set = set(occ)  # the window reaches below both slots
-    if i2 == j2:
-        if j2 in occ_set:
-            return (1, lam) if j2 > 0 else None
-        return (-1, lam) if j2 < 0 else None
-    return _move(occ, occ_set, j2, i2)
 
 
 def _moved(r: int, state: FockState, energy_cap, z=None) -> FockState:

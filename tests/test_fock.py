@@ -8,9 +8,10 @@ import pytest
 from gwhurwitz import fock
 from gwhurwitz.characters import chi
 from gwhurwitz.fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState,
-                            apply_A, apply_Astar, apply_E_elem, apply_alpha,
+                            apply_A, apply_Astar, apply_alpha,
                             apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
-                            correlator, e_moves, f2_eigenvalue, inner_product)
+                            correlator, e_diagonal_support, e_moves, f2_eigenvalue,
+                            inner_product)
 from gwhurwitz.partitions import enumerate_partitions
 from gwhurwitz.qseries import (MultiSeries, PrecisionError, VariableMismatchError,
                                pochhammer_series, s_of, sigma_of, sigma_series)
@@ -30,12 +31,6 @@ def const_coeff(state, lam):
 
 
 class TestElementaryMoves:
-    def test_single_fermion_move(self):
-        assert apply_E_elem(3, 1, (1,)) == (1, (2,))
-
-    def test_vacuum_annihilation(self):
-        assert apply_E_elem(1, 1, ()) is None
-
     def test_f2_vacuum(self):
         assert f2_eigenvalue(()) == 0
 
@@ -45,23 +40,13 @@ class TestElementaryMoves:
             for lam in enumerate_partitions(d):
                 assert f2_eigenvalue(lam) == f2_shifted(lam)
 
-    def test_diagonal_sign(self):
-        assert apply_E_elem(-1, -1, (1,)) == (-1, (1,))  # hole at -1/2
-        assert apply_E_elem(1, 1, (1,)) == (1, (1,))     # occupied at 1/2
 
-    def test_accepts_half_integer_fractions(self):
-        assert apply_E_elem(F(3, 2), F(1, 2), (1,)) == (1, (2,))
-
-    def test_move_enumeration_matches_elementary_action(self):
-        # every enumerated move of the summed operator must agree with the
-        # single elementary move applied at those slots
-        for d in range(0, 6):
-            for lam in enumerate_partitions(d):
-                for r in (-3, -2, -1, 1, 2, 3):
-                    for new_lam, sign, mid in e_moves(lam, r):
-                        j2 = int(2 * mid + r)   # source slot, doubled
-                        i2 = j2 - 2 * r
-                        assert apply_E_elem(i2, j2, lam) == (sign, new_lam)
+def deep_diagram(lam, depth):
+    """The occupied slots (doubled) of v_lam down to row `depth`; every slot
+    below the returned bottom is occupied too."""
+    occupied = {2 * (part - i) + 1 for i, part in enumerate(lam, start=1)}
+    occupied |= {-2 * i + 1 for i in range(len(lam) + 1, depth + 1)}
+    return occupied, -2 * depth + 1
 
 
 def brute_force_moves(lam, r):
@@ -69,10 +54,7 @@ def brute_force_moves(lam, r):
     than any move reaches: sources in descending order, each carried to the
     slot 2r lower when that slot is empty, signed by the occupied slots
     strictly between the two."""
-    depth = len(lam) + abs(r) + 10
-    occupied = {2 * (part - i) + 1 for i, part in enumerate(lam, start=1)}
-    occupied |= {-2 * i + 1 for i in range(len(lam) + 1, depth + 1)}
-    bottom = -2 * depth + 1  # every slot below this one is occupied too
+    occupied, bottom = deep_diagram(lam, len(lam) + abs(r) + 10)
     moves = []
     for source in sorted(occupied, reverse=True):
         target = source - 2 * r
@@ -88,10 +70,20 @@ def brute_force_moves(lam, r):
 
 class TestMayaReference:
     def test_moves_match_a_deep_brute_force_diagram(self):
-        for d in range(0, 8):
+        for d in range(0, 10):
             for lam in enumerate_partitions(d):
-                for r in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+                for r in (-7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7):
                     assert e_moves(lam, r) == brute_force_moves(lam, r), (lam, r)
+
+    def test_diagonal_support_matches_a_deep_brute_force_diagram(self):
+        # the normally ordered diagonal: +1 on occupied positive slots, -1 on
+        # empty negative slots, each list read from the top down
+        for d in range(0, 10):
+            for lam in enumerate_partitions(d):
+                occupied, bottom = deep_diagram(lam, len(lam) + 10)
+                positives = [m for m in sorted(occupied, reverse=True) if m > 0]
+                holes = [m for m in range(-1, bottom, -2) if m not in occupied]
+                assert e_diagonal_support(lam) == (positives, holes), lam
 
     def test_diagonal_refusal_names_the_diagonal_helper(self):
         with pytest.raises(ValueError, match="e_diagonal_support"):
