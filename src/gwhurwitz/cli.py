@@ -412,12 +412,18 @@ def _cmd_help(args) -> int:
 
 
 def main(argv=None) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         args = parse_args(argv)
+        # MAX_GENUS_COST bounds every value; the largest, about 1.46M bits,
+        # prints in seconds, so no digit limit is kept on the output
+        sys.set_int_max_str_digits(0)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"gwhurwitz: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

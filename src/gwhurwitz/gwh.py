@@ -205,10 +205,12 @@ def tau_via_wallcrossing(k: int, d: int) -> ClassSum:
     profile eta the genus runs from -len(eta) (the marking may sit on its
     own component) up to the bound where b stays nonnegative.  Every
     I-coefficient is read from one pairing per profile, evaluated at the
-    orders (k+2, k+2) that the top genus needs.
+    orders (k+2, k+2) that the top genus needs.  After its own k >= 0 and
+    d >= 1, it refuses what `gwh_crosscheck(d, k)` refuses, before any work.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
+    _check_grid(d, k)
     table, evs = _crossing_table(d)
     return _tau_from_table(k, table, evs, _i_pairings(table.partitions, k + 2, k + 2))
 
@@ -247,7 +249,8 @@ def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
 # `gwh_crosscheck` roughly doubles in time per degree, and the top degree's
 # pairings cost most: p(d_max) profiles, each cut at (k_max+2, k_max+2).  So
 # a d_max above MAX_CROSSCHECK_DEGREE is refused, and a grid whose
-# p(d_max) (k_max+2)^2 is above MAX_CROSSCHECK_COST.  In-process (2-core Xeon,
+# p(d_max) (k_max+2)^2 is above MAX_CROSSCHECK_COST; `tau_via_wallcrossing`
+# builds the same pairings for one (d, k) and is refused alike.  In-process (2-core Xeon,
 # CPython 3.11): (8, 10) 0.99 s, (12, 4) 3.64 s; near the cost limit (2, 80)
 # 2.6 s, (4, 50) 3.7 s, (8, 23) 5.9 s, (10, 16) 6.5 s, (12, 11) 9.6 s; past
 # it (4, 80) 22.8 s, (12, 16) 22 s, (12, 32) 85.7 s, and d_max = 24 hours
@@ -328,13 +331,32 @@ def _check_series(request: str, eta: tuple, order: int, w_order: int = 0) -> Non
     at = f"{request} at {format_partition(eta)}"
     if order > MAX_SERIES_ORDER:
         raise ValueError(f"{at} needs u-order {order}, above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
-    if (cost := math.prod(p + 1 for p in eta) * order ** 2) > MAX_SERIES_COST:
+    if (cost := math.prod(p + 1 for p in eta) * max(order, 0) ** 2) > MAX_SERIES_COST:
         raise ValueError(f"{at} costs prod(eta_i + 1) {order}^2 = {cost}, "
                          f"above MAX_SERIES_COST = {MAX_SERIES_COST}")
     terms = min(max(order, 1) + _I_WORD_LOSS, w_order) * w_order
     if (cost := sum(eta) * terms ** 2) > MAX_PAIRING_COST:
         raise ValueError(f"{at} with w-order {w_order} costs |eta| {terms}^2 = {cost}, "
                          f"above MAX_PAIRING_COST = {MAX_PAIRING_COST}")
+
+
+def _check_grid(d_max: int, k_max: int) -> None:
+    """Refuse, before any table or pairing, a k_max outside the completed
+    cycles' range, a negative d_max, a d_max above MAX_CROSSCHECK_DEGREE, or
+    a grid whose p(d_max) (k_max+2)^2 is above MAX_CROSSCHECK_COST."""
+    from .cycles import check_cycle_index
+
+    check_cycle_index(k_max)
+    if d_max < 0:
+        raise ValueError("degree must be >= 0")
+    if d_max > MAX_CROSSCHECK_DEGREE:
+        raise ValueError(
+            f"degree {d_max} is above the crosscheck ceiling "
+            f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}")
+    cost = len(enumerate_partitions(d_max)) * (k_max + 2) ** 2
+    if cost > MAX_CROSSCHECK_COST:
+        raise ValueError(f"grid ({d_max}, {k_max}) costs p(d_max) (k_max+2)^2 = {cost}, "
+                         f"above MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}")
 
 
 class CrosscheckRow(namedtuple("CrosscheckRow", "d k matched lhs rhs")):
@@ -372,23 +394,12 @@ def gwh_crosscheck(d_max: int, k_max: int) -> CrosscheckReport:
 
     Each degree's table, eigenvalues and pairings are built once for every k:
     the top genus of k_max needs the orders (k_max+2, k_max+2), and every
-    smaller k reads inside them.  A k_max outside the completed cycles'
-    range, a negative d_max, a d_max above MAX_CROSSCHECK_DEGREE, or a grid
-    above MAX_CROSSCHECK_COST is refused before any work.
+    smaller k reads inside them.  What `_check_grid` refuses is refused
+    before any work.
     """
-    from .cycles import check_cycle_index, completed_cycle
+    from .cycles import completed_cycle
 
-    check_cycle_index(k_max)
-    if d_max < 0:
-        raise ValueError("degree must be >= 0")
-    if d_max > MAX_CROSSCHECK_DEGREE:
-        raise ValueError(
-            f"degree {d_max} is above the crosscheck ceiling "
-            f"MAX_CROSSCHECK_DEGREE = {MAX_CROSSCHECK_DEGREE}")
-    cost = len(enumerate_partitions(d_max)) * (k_max + 2) ** 2
-    if cost > MAX_CROSSCHECK_COST:
-        raise ValueError(f"grid ({d_max}, {k_max}) costs p(d_max) (k_max+2)^2 = {cost}, "
-                         f"above MAX_CROSSCHECK_COST = {MAX_CROSSCHECK_COST}")
+    _check_grid(d_max, k_max)
     rows = []
     for d in range(1, d_max + 1):
         table, evs = _crossing_table(d)

@@ -147,6 +147,14 @@ class TestDocuments:
         assert code == 2 and captured.out == ""
         assert f"MAX_SERIES_COST = {MAX_SERIES_COST}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["ifun", "--g", "-3000", "--eta", "(1)", "--k", "0"],
+        ["ifun", "--g", "-3000", "--eta", "(1)", "--empty"]], ids=["k", "empty"])
+    def test_negative_order_costs_nothing(self, capsys, argv):
+        # the u-order 2g + |eta| + len(eta) = -5998 once read as cost 2 * 5998^2
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["result"]["value"] == "0"
+
     @pytest.mark.parametrize("argv, message", [
         (["ifun", "--g", "0", "--eta", "(1)"], "--k is required unless --empty is given"),
         (["ifun", "--g", "0", "--eta", "(1)", "--k", "2", "--empty"],

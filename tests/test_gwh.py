@@ -264,6 +264,22 @@ class TestPairings:
             with pytest.raises(Started):
                 gwh_crosscheck(*grid)
 
+    @pytest.mark.parametrize("k, d, message", [
+        (-1, 20, "need k >= 0 and d >= 1"), (120, 0, "need k >= 0 and d >= 1"),
+        (120, 2, "MAX_CYCLE_INDEX = "), (4, 13, "MAX_CROSSCHECK_DEGREE = "),
+        (40, 6, "MAX_CROSSCHECK_COST = ")], ids=["k", "d", "cycle", "degree", "cost"])
+    def test_tau_via_wallcrossing_raises_before_any_work(self, monkeypatch, k, d, message):
+        # (120, 2) ran 6.5 s before it was bounded as the crosscheck is
+        import gwhurwitz.gwh as gwh_module
+
+        def bomb(*_args):
+            raise AssertionError("work done for a refused (k, d)")
+
+        monkeypatch.setattr(gwh_module, "_crossing_table", bomb)
+        monkeypatch.setattr(gwh_module, "_i_pairings", bomb)
+        with pytest.raises(ValueError, match=message):
+            tau_via_wallcrossing(k, d)
+
 
 class TestCorrelatorStore:
     # the I-correlators a crosscheck holds: one `_i_pairings` evaluation per

@@ -618,3 +618,27 @@ class TestGenusLimit:
 
         assert main(argv) == 2
         assert f"MAX_GENUS_COST = {MAX_GENUS_COST}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["hur", "--target-genus", "300", "--d", "12"],
+        ["gw", "--target-genus", "300", "--d", "12"]], ids=["hur", "gw"])
+    def test_cli_prints_values_past_the_digit_limit(self, argv, capsys):
+        # 5192 digits, past the 4300 that CPython's str() allows by default
+        import json
+        import sys
+
+        from gwhurwitz.cli import main
+
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == 0
+        assert sys.get_int_max_str_digits() == limit
+        printed = json.loads(capsys.readouterr().out)["result"]
+        if argv[0] == "hur":
+            printed, value = printed["value"], hurwitz_disconnected(BranchData(300, 12))
+        else:
+            printed, value = printed["total"], stationary_gw(300, 12, []).total
+        sys.set_int_max_str_digits(0)
+        try:
+            assert printed == str(value) and len(printed) == 5192
+        finally:
+            sys.set_int_max_str_digits(limit)
