@@ -3,7 +3,7 @@
 Basis vectors are indexed by partitions lam via the half-integer set
 S(lam) = {lam_i - i + 1/2}, held as one integer per Maya diagram: over n
 rows, bit b holds the slot b - n + 1/2 and every slot below bit 0 is
-occupied.  Slots handed out are doubled (odd ints).
+occupied.  `e_diagonal_support` hands out slots doubled (odd ints).
 States are finite partition-indexed sums with `MultiSeries` coefficients.
 
 Sign convention: moving an occupied slot j to an empty slot i carries
@@ -64,10 +64,10 @@ def e_moves(lam, r: int):
     """
     if r == 0:
         raise ValueError("r = 0 is the diagonal action; see e_diagonal_support")
-    pad = abs(r)  # so that every source whose target can be empty is a bit
+    pad = abs(r)  # then no bead below bit 0 can reach an empty slot
     n, mask = len(lam) + pad, _diagram(lam, pad)
-    # bit b of `sources`: a bead at b whose target b - r is empty, and no
-    # target below bit 0 is
+    # bit b of `sources`: a bead at b whose target b - r is empty; every
+    # slot below bit 0 is full
     sources = mask & ~((mask << r) | ((1 << r) - 1) if r > 0 else mask >> -r)
     between = (1 << (pad - 1)) - 1
     out = []

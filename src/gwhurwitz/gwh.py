@@ -250,10 +250,11 @@ def _tau_from_table(k: int, table, evs: list, pairings: dict) -> ClassSum:
 # pairings cost most: p(d_max) profiles, each cut at (k_max+2, k_max+2).  So
 # a d_max above MAX_CROSSCHECK_DEGREE is refused, and a grid whose
 # p(d_max) (k_max+2)^2 is above MAX_CROSSCHECK_COST; `tau_via_wallcrossing`
-# builds the same pairings for one (d, k) and is refused alike.  In-process (2-core Xeon,
-# CPython 3.11): (8, 10) 0.99 s, (12, 4) 3.64 s; near the cost limit (2, 80)
-# 2.6 s, (4, 50) 3.7 s, (8, 23) 5.9 s, (10, 16) 6.5 s, (12, 11) 9.6 s; past
-# it (4, 80) 22.8 s, (12, 16) 22 s, (12, 32) 85.7 s, and d_max = 24 hours
+# builds the same pairings for one (d, k) and is refused alike.  In-process
+# (2-core Xeon, CPython 3.11): (8, 10) 0.99 s, (12, 4) 3.64 s; near the cost
+# limit (2, 80) 2.6 s, (4, 50) 3.7 s, (8, 23) 5.9 s, (10, 16) 6.5 s,
+# (12, 11) 9.6 s; past it (4, 80) 22.8 s, (12, 16) 22 s, (12, 32) 85.7 s,
+# and d_max = 24 hours
 MAX_CROSSCHECK_DEGREE = 12
 MAX_CROSSCHECK_COST = 14_000
 
