@@ -31,6 +31,15 @@ def const_coeff(state, lam):
 
 
 class TestElementaryMoves:
+    def test_vacuum_annihilation(self):
+        # slot 1/2 is empty and no negative slot is, so every normally
+        # ordered diagonal E_{k,k} kills the vacuum
+        assert e_diagonal_support(()) == ([], [])
+
+    def test_diagonal_sign(self):
+        # E_{k,k} on v_(1): +1 on the occupied slot 1/2, -1 on the hole at -1/2
+        assert e_diagonal_support((1,)) == ([1], [-1])
+
     def test_f2_vacuum(self):
         assert f2_eigenvalue(()) == 0
 
