@@ -271,14 +271,16 @@ MAX_SERIES_ORDER = 620
 # prod(eta_i + 1) of them (a shape takes m more m-strips than it gives up;
 # of the 77 shapes of 12, eta = (12) reaches only the 12 hooks).  So
 # prod(eta_i + 1) order^2 above MAX_SERIES_COST is refused before any series
-# is built.  The connected series reads one smaller bra per sub-profile and
-# forms one product per (marked block, rest) pair, two nested sub-multisets
-# of eta's other parts: fewer than prod(eta_i + 1), so the same cost bounds
-# it.  In-process (2-core Xeon, CPython 3.11) near the limit:
-# ifun (2,2,1,1) g = 258 2.9 s, (6,5,4) g = 100 2.7 s; the connected series
-# of (3,2,1) at order 620 8.4 s, (5,3) 10.8 s, (12,1) 10.7 s, (2,2,1,1) at
-# 527 8.4 s, (4,3,2,1) at 288 3.9 s, (6,5,4) at 218 3.5 s, (2^5,1^5) at 35
-# 1.1 s and (1^13) at 34 0.4 s.  Past it: ifun (6,5,4) g = 300 over 60 s.
+# is built.  An order below 1 counts as 1: the bra's size does not depend on
+# the order, so thirty ones are refused at any genus.  The connected series
+# reads one smaller bra per sub-profile and forms one product per (marked
+# block, rest) pair, two nested sub-multisets of eta's other parts: fewer
+# than prod(eta_i + 1), so the same cost bounds it.  In-process (2-core
+# Xeon, CPython 3.11) near the limit: ifun (2,2,1,1) g = 258 2.9 s, (6,5,4)
+# g = 100 2.7 s; the connected series of (3,2,1) at order 620 8.4 s, (5,3)
+# 10.8 s, (12,1) 10.7 s, (2,2,1,1) at 527 8.4 s, (4,3,2,1) at 288 3.9 s,
+# (6,5,4) at 218 3.5 s, (2^5,1^5) at 35 1.1 s and (1^13) at 34 0.4 s.  Past
+# it: ifun (6,5,4) g = 300 over 60 s.
 # The cover count of `elsv_check` is not in this model: at (3,2,1) g = 300
 # it takes 33 of the check's 45 s.
 MAX_SERIES_COST = 10_000_000
@@ -324,18 +326,19 @@ def _check_cover(request: str, mu: tuple, m: int) -> None:
 
 def _check_series(request: str, eta: tuple, order: int, w_order: int = 0) -> None:
     """Refuse, before any series is built, a u-order above MAX_SERIES_ORDER,
-    then a cost prod(eta_i + 1) order^2 above MAX_SERIES_COST, then, for a
-    pairing with the ket cut at `w_order`, a cost above MAX_PAIRING_COST.
+    then a cost prod(eta_i + 1) max(order, 1)^2 above MAX_SERIES_COST, then,
+    for a pairing with the ket cut at `w_order`, a cost above MAX_PAIRING_COST.
     One cost serves the disconnected and the connected series alike: the
     marked-block recursion forms fewer products than the bra has states.
     `request` ("genus 3") opens the message."""
     at = f"{request} at {format_partition(eta)}"
     if order > MAX_SERIES_ORDER:
         raise ValueError(f"{at} needs u-order {order}, above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
-    if (cost := math.prod(p + 1 for p in eta) * max(order, 0) ** 2) > MAX_SERIES_COST:
+    order = max(order, 1)  # the bra holds its states however low the order
+    if (cost := math.prod(p + 1 for p in eta) * order ** 2) > MAX_SERIES_COST:
         raise ValueError(f"{at} costs prod(eta_i + 1) {order}^2 = {cost}, "
                          f"above MAX_SERIES_COST = {MAX_SERIES_COST}")
-    terms = min(max(order, 1) + _I_WORD_LOSS, w_order) * w_order
+    terms = min(order + _I_WORD_LOSS, w_order) * w_order
     if (cost := sum(eta) * terms ** 2) > MAX_PAIRING_COST:
         raise ValueError(f"{at} with w-order {w_order} costs |eta| {terms}^2 = {cost}, "
                          f"above MAX_PAIRING_COST = {MAX_PAIRING_COST}")

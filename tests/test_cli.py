@@ -132,9 +132,13 @@ class TestDocuments:
 
     @pytest.mark.parametrize("argv", [
         ["elsv", "--mu", "(4,3,2,1)", "--g", "140"],
-        ["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"]], ids=["elsv", "ifun"])
+        ["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"],
+        ["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--k", "0"],
+        ["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--empty"]],
+        ids=["elsv", "ifun", "ifun_negative_order", "ifun_empty_negative_order"])
     def test_costly_profile_exits_2_before_any_series(self, capsys, monkeypatch, argv):
-        # both inside MAX_SERIES_ORDER; the ifun request ran past 60 s
+        # all inside MAX_SERIES_ORDER; the ifun request at g = 300 ran past
+        # 60 s, and thirty ones cost 2^30 however negative the order
         import gwhurwitz.gwh as gwh_module
         from gwhurwitz.gwh import MAX_SERIES_COST
 
@@ -150,7 +154,7 @@ class TestDocuments:
     @pytest.mark.parametrize("argv", [
         ["ifun", "--g", "-3000", "--eta", "(1)", "--k", "0"],
         ["ifun", "--g", "-3000", "--eta", "(1)", "--empty"]], ids=["k", "empty"])
-    def test_negative_order_costs_nothing(self, capsys, argv):
+    def test_negative_order_counts_as_one(self, capsys, argv):
         # the u-order 2g + |eta| + len(eta) = -5998 once read as cost 2 * 5998^2
         code, out = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["result"]["value"] == "0"

@@ -537,11 +537,14 @@ class TestSeriesOrderLimit:
         (elsv_check, (2, 2, 1, 1), 259), (i_function_numeric, 300, (6, 5, 4), 3),
         (i_function_empty, 300, (6, 5, 4)), (elsv_check, (4, 3, 2, 1), 140),
         (i_function_numeric, 101, (6, 5, 4), 3), (i_function_numeric, 0, (30, 20, 10), 0),
-        (elsv_check, (1,) * 14, 0)],
+        (elsv_check, (1,) * 14, 0), (i_function_numeric, -100, (1,) * 30, 0),
+        (i_function_empty, -100, (1,) * 30)],
         ids=["elsv_2211", "ifun_654", "ifun_empty_654", "elsv_past_limit", "ifun_past_limit",
-             "ifun_large_parts", "elsv_many_parts"])
+             "ifun_large_parts", "elsv_many_parts", "ifun_negative_order",
+             "ifun_empty_negative_order"])
     def test_costly_profile_raises_before_any_series(self, monkeypatch, request_):
-        # inside MAX_SERIES_ORDER: ifun (6,5,4) at g = 300 ran past 60 s
+        # inside MAX_SERIES_ORDER: ifun (6,5,4) at g = 300 ran past 60 s; a
+        # negative order counts as 1, so thirty ones cost 2^30 at g = -100
         from gwhurwitz.gwh import MAX_SERIES_COST
 
         with pytest.raises(ValueError, match=f"MAX_SERIES_COST = {MAX_SERIES_COST}"):

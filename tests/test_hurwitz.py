@@ -636,9 +636,20 @@ class TestGenusLimit:
         if argv[0] == "hur":
             printed, value = printed["value"], hurwitz_disconnected(BranchData(300, 12))
         else:
+            assert list(printed["by_genus"].values()) == [printed["total"]]
             printed, value = printed["total"], stationary_gw(300, 12, []).total
         sys.set_int_max_str_digits(0)
         try:
             assert printed == str(value) and len(printed) == 5192
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [
+        ["ifun", "--g", "0", "--eta", "(" + "1" * 5000 + ")", "--k", "0"],
+        ["gw", "--target-genus", "1", "--d", "2", "--ks", "1" * 5000]], ids=["eta", "ks"])
+    def test_cli_flags_keep_the_digit_limit(self, argv, capsys):
+        # only the values are written past CPython's limit; a flag is read within it
+        from gwhurwitz.cli import main
+
+        assert main(argv) == 2
+        assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
