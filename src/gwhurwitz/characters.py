@@ -24,14 +24,14 @@ through `CharacterTable.build`.
 Tables and column reads refuse degrees above MAX_TABLE_DEGREE before
 enumerating anything.  The transposition eigenvalue f2 is computed from
 shifted coordinates without touching characters, so the two can be compared
-as independent routes.
+as independent routes.  Only `f_eta` and `f2_shifted` build rationals, and
+they import `fractions` themselves: `char` never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 
 # the ceiling lives in `partitions`, so `cycle` refuses without loading this
 # module; callers read it here too
@@ -139,6 +139,8 @@ def dim_hook(lam) -> int:
 
 def f_eta(eta, lam) -> Fraction:
     """Scalar by which the class sum of type eta acts on the irreducible lam."""
+    from fractions import Fraction
+
     eta = check_partition(eta)
     lam = check_partition(lam)
     d = sum(lam)
@@ -153,6 +155,8 @@ def f2_shifted(lam) -> Fraction:
     Equals sum_i [(lam_i - i + 1/2)^2 - (-i + 1/2)^2] / 2, an integer; no
     character evaluation is involved.
     """
+    from fractions import Fraction
+
     lam = check_partition(lam)
     total = Fraction(0)
     for i, p in enumerate(lam, start=1):

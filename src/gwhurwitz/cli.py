@@ -24,17 +24,19 @@ Each process loads only the layers its subcommand runs.  Only `partitions`
 is imported at module level; `characters` is imported by `char`, `hurwitz`
 by `hur` and `verify`, the completed cycles `cycles` by `cycle`, `gw` and
 `verify`, and the wall-crossing layer `gwh` by the subcommands that use it.
-The package modules each command loads:
+`fractions` is imported by the functions that build a rational, so `char`
+and `--help` load neither it nor the `decimal` it imports.  The package
+modules each command loads, and whether it loads `fractions`:
 
-    --help          cli, partitions, helptext
-    char            cli, partitions, characters
-    hur --oracle    cli, partitions, hurwitz
-    hur             cli, partitions, characters, hurwitz
-    cycle           cli, partitions, cycles
-    ifun            cli, partitions, qseries, fock, gwh
-    gw              cli, partitions, cycles, characters, hurwitz
-    elsv            all but cycles
-    verify          all eight
+    --help          cli, partitions, helptext                      no
+    char            cli, partitions, characters                    no
+    hur --oracle    cli, partitions, hurwitz                       yes
+    hur             cli, partitions, characters, hurwitz           yes
+    cycle           cli, partitions, cycles                        yes
+    ifun            cli, partitions, qseries, fock, gwh            yes
+    gw              cli, partitions, cycles, characters, hurwitz   yes
+    elsv            all but cycles                                 yes
+    verify          all eight                                      yes
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
 """

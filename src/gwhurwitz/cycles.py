@@ -150,10 +150,11 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     from .hurwitz import BranchData, _check_genus, branching_sums
 
     BranchData(h, d)  # refuses h < 0 (and d < 1 with no ks)
-    _check_genus(h, d, len(ks))
-    cycles = [completed_cycle(k, d).value.terms.items() for k in ks]
+    _check_genus(h, d, len(ks), ks)
+    # each distinct index is computed once, however often it is inserted
+    cycles = {k: completed_cycle(k, d).value.terms.items() for k in set(ks)}
     by_genus: dict[int, Fraction] = {}
-    for b, value in sorted(branching_sums(h, d, cycles).items()):
+    for b, value in sorted(branching_sums(h, d, [cycles[k] for k in ks]).items()):
         if not value:
             continue
         euler = d * (2 * h - 2) + b

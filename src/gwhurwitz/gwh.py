@@ -282,7 +282,7 @@ MAX_SERIES_ORDER = 620
 # (6,5,4) at 218 3.5 s, (2^5,1^5) at 35 1.1 s and (1^13) at 34 0.4 s.  Past
 # it: ifun (6,5,4) g = 300 over 60 s.
 # The cover count of `elsv_check` is not in this model: at (3,2,1) g = 300
-# it takes 33 of the check's 45 s.
+# it takes 33 of the check's 45 s, and `hurwitz.MAX_COVER_COST` bounds it.
 MAX_SERIES_COST = 10_000_000
 
 # The ket A*|0> of `i_function_numeric` is cut at the w-order k + 2 +
@@ -296,32 +296,6 @@ MAX_SERIES_COST = 10_000_000
 # Past it, at eta = (3,2): k = 80 at g = 50 13.7 s as a process, k = 160 at
 # g = 50 90 s, and k = 1500 at g = 0 over 40 s.
 MAX_PAIRING_COST = 100_000_000
-
-
-# The cover side of `elsv_check`, `hurwitz_connected` on (mu, tau^m), has
-# about Q m sub-problems, where Q counts the nested sub-multisets B of A of
-# mu with 2 <= |B| <= |A| - 2: the carvings in which tau can give its
-# 2-cycle to either side.  Each reads about m character sums over integers
-# of about m log2(d!) bits, and the time per unit grows like d^2, so a cost
-# d^2 m^2 (1 + Q m) above MAX_COVER_COST is refused after the series limits
-# and before any series or count.  The model is good to a factor of about 5
-# across profiles.  In-process (2-core Xeon, CPython 3.11), admitted counts
-# took: (5,3,2) at m = 167 17.3 s, (6,5,4) at m = 128 14.0 s, (4,2) at
-# m = 430 12.7 s, (3,2,1) at m = 287 (g = 140) 3.1 s, and the one-part
-# (12), where Q = 0, at m = 617 (g = 303) 1.4 s; refused: (3,2,1) at m = 607
-# (g = 300) 33 s and at m = 311 5.3 s, (2,2,1,1) at m = 312 15.8 s.
-MAX_COVER_COST = 6_000_000_000
-
-
-def _check_cover(request: str, mu: tuple, m: int) -> None:
-    """Refuse, before any count, a cover count costing d^2 m^2 (1 + Q m)
-    above MAX_COVER_COST (see there for Q)."""
-    split = sum(1 for a, _rest, _ways in sub_multisets(mu)
-                for b, _rest, _ways in sub_multisets(a) if 2 <= sum(b) <= sum(a) - 2)
-    if (cost := sum(mu) ** 2 * m ** 2 * (1 + split * m)) > MAX_COVER_COST:
-        raise ValueError(f"{request} at {format_partition(mu)} counts covers with m = {m} "
-                         f"and Q = {split} at cost d^2 m^2 (1 + Q m) = {cost}, "
-                         f"above MAX_COVER_COST = {MAX_COVER_COST}")
 
 
 def _check_series(request: str, eta: tuple, order: int, w_order: int = 0) -> None:
@@ -434,13 +408,14 @@ def elsv_check(mu, g: int) -> ElsvReport:
     covers with profile mu and m = 2g-2+len(mu)+|mu| simple branch points.
     Inputs with m < 1 or g < 0 are degenerate and reported, not computed;
     an order above MAX_SERIES_ORDER, a cost above MAX_SERIES_COST or a
-    cover cost above MAX_COVER_COST is refused before any series is built.
+    cover cost above `hurwitz.MAX_COVER_COST` is refused before any series
+    is built.
     The connected series comes from the marked-block recursion of
     `hodge_H_connected`, whose products are weighted by |Aut| quotients and
     bounded by the cost of mu's own bra.
     """
     from .characters import transposition_class
-    from .hurwitz import BranchData, hurwitz_connected
+    from .hurwitz import BranchData, _check_cover, hurwitz_connected
 
     mu = check_partition(mu)
     d = sum(mu)

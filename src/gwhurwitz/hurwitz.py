@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
 from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
-                         sub_multisets, z_factor)
+                         format_partition, sub_multisets, z_factor)
 
 
 class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
@@ -59,27 +59,46 @@ class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
 
 
 # A character sum of n factors over a genus-h target works in integers of
-# about (2h + n) log2(d!) bits, the size of d!^(2h-2+n), over p(d) rows, and
-# its divisions and gcds are quadratic in that size.  So a sum whose
-# p(d) ((2h + n) bits(d!))^2 is above MAX_GENUS_COST is refused before any
-# column is read.  In-process (2-core Xeon, CPython 3.11), two simple
-# points, near the limit: d = 12 at h = 8726 5.0 s, d = 20 at h = 1332
-# 4.6 s, d = 4 at h = 146385 3.5 s; past it: d = 12 at h = 13961 11.9 s,
-# d = 20 at h = 2131 12.7 s, d = 24 at h = 833 8.0 s.  A process asked for
-# d = 12 at h = 20000 ran 21 s before failing to print its value.
+# about B = (2h + n) log2(d!) bits, the size of d!^(2h-2+n), over p(d) rows,
+# and its divisions and gcds are quadratic in that size: the cost p(d) B^2.
+# In-process (2-core Xeon, CPython 3.11), two simple points, near the limit:
+# d = 12 at h = 8726 5.0 s, d = 20 at h = 1332 4.6 s, d = 4 at h = 146385
+# 3.5 s; past it: d = 12 at h = 13961 11.9 s, d = 20 at h = 2131 12.7 s,
+# d = 24 at h = 833 8.0 s.  A process asked for d = 12 at h = 20000 ran 21 s
+# before failing to print its value.
+# A `gw` insertion of index k weighs more.  Its completed cycle's
+# denominators add about log2((k+2)!) bits to B, and its branchings, of the
+# parity of k and at most min(k, d - 1), span up to d - 1 grades.  With S
+# the sum of the spans, each row folds in about S^2/8 grade products of
+# B-bit integers, and each of the S/2 grades closes with its own gcds:
+# the cost is B ((p(d) + 10 S) B + 100 p(d) S^2), which is p(d) B^2 with no
+# insertions, fitted to the times of k = 2..80 at d = 3..24 within a factor
+# of 2.  Near the limit, at genus 0, n insertions of one k: d = 3 with 172
+# of k = 80 3.1 s and 468 of k = 20 4.0 s, d = 4 with 603 of k = 10 6.3 s,
+# d = 8 with 76 of k = 80 5.4 s, d = 12 with 50 of k = 40 5.1 s, d = 16
+# with 162 of k = 2 4.1 s, d = 24 with 26 of k = 8 4.0 s and 8 of k = 80
+# 8.9 s.  Past it: d = 3 with 400 of k = 80 44 s.  A sum above
+# MAX_GENUS_COST is refused before any column is read or cycle computed.
 MAX_GENUS_COST = 20_000_000_000_000
 
 
-def _check_genus(h: int, d: int, n: int) -> None:
+def _check_genus(h: int, d: int, n: int, ks=()) -> None:
     """Refuse, before any column is read, a degree above MAX_TABLE_DEGREE,
-    then a sum of n factors whose cost p(d) ((2h + n) bits(d!))^2 is above
-    MAX_GENUS_COST."""
+    then a sum of n factors, insertions of the indices `ks` among them,
+    whose cost B ((p(d) + 10 S) B + 100 p(d) S^2) is above MAX_GENUS_COST
+    (see there for B and S)."""
     check_table_degree(d)
     bits = (2 * h + n) * math.factorial(d).bit_length()
-    if (cost := len(enumerate_partitions(d)) * bits ** 2) > MAX_GENUS_COST:
+    span = 0
+    for k, copies in Counter(ks).items():
+        bits += copies * math.factorial(k + 2).bit_length()
+        top = min(k, d - 1)
+        span += copies * max(top - (top - k) % 2 - k % 2, 0)
+    rows = len(enumerate_partitions(d))
+    if (cost := bits * ((rows + 10 * span) * bits + 100 * rows * span ** 2)) > MAX_GENUS_COST:
         raise ValueError(f"target genus {h} in degree {d} with n = {n} factors costs "
-                         f"p(d) ((2h + n) bits(d!))^2 = {cost}, "
-                         f"above MAX_GENUS_COST = {MAX_GENUS_COST}")
+                         f"B ((p(d) + 10 S) B + 100 p(d) S^2) = {cost} for B = {bits} "
+                         f"bits and S = {span}, above MAX_GENUS_COST = {MAX_GENUS_COST}")
 
 
 def _dim_weighted(by_dim: dict, exponent: int):
@@ -314,6 +333,38 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
 # ------------------------------------------------- connected from splittings
 
 
+# The cover counts of `gwh.elsv_check` and of `hurwitz_connected` on
+# (mu, tau^m) have about Q m sub-problems, where Q counts the nested
+# sub-multisets B of A of mu with 2 <= |B| <= |A| - 2: the carvings in which
+# tau can give its 2-cycle to either side.  Each reads about m character
+# sums over integers of about m log2(d!) bits, and the time per unit grows
+# like d^2, so a cost d^2 m^2 (1 + Q m) above MAX_COVER_COST is refused
+# before any count (by `elsv_check` after the series limits and before any
+# series).  The model is good to a factor of about 5 across profiles.
+# In-process (2-core Xeon, CPython 3.11), admitted counts took: (5,3,2) at
+# m = 167 17.3 s, (6,5,4) at m = 128 14.0 s, (4,2) at m = 430 12.7 s,
+# (3,2,1) at m = 287 (g = 140) 3.1 s, and the one-part (12), where Q = 0, at
+# m = 617 (g = 303) 1.4 s; refused: (3,2,1) at m = 607 (g = 300) 33 s and at
+# m = 311 5.3 s, (2,2,1,1) at m = 312 15.8 s.
+MAX_COVER_COST = 6_000_000_000
+
+
+def _check_cover(request: str, mu: tuple, m: int) -> None:
+    """Refuse, before any count, a cover count costing d^2 m^2 (1 + Q m)
+    above MAX_COVER_COST (see there for Q)."""
+    split = sum(1 for a, _rest, _ways in sub_multisets(mu)
+                for b, _rest, _ways in sub_multisets(a) if 2 <= sum(b) <= sum(a) - 2)
+    if (cost := sum(mu) ** 2 * m ** 2 * (1 + split * m)) > MAX_COVER_COST:
+        raise ValueError(f"{request} at {format_partition(mu)} counts covers with m = {m} "
+                         f"and Q = {split} at cost d^2 m^2 (1 + Q m) = {cost}, "
+                         f"above MAX_COVER_COST = {MAX_COVER_COST}")
+
+
+def _branched(shares) -> tuple:
+    """The shares other than an unbranched (1^k), which multiplies every count by 1."""
+    return tuple(sorted(s for s in shares if s[0] > 1))
+
+
 def hurwitz_connected(branch: BranchData) -> Fraction:
     """Weighted count of connected covers with the prescribed profiles.
 
@@ -326,10 +377,23 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
     once per index set: the parts of a cycle type are unlabelled.  Its
     sub-profiles are canonical by construction, and the recursion, the
     disconnected counts and the carvings are memoized for this call only.
-    The whole recursion is validated against the transitive oracle.  A cost
-    above MAX_GENUS_COST is refused first.
+    An unbranched profile or share (1^k) multiplies every count by 1 and is
+    dropped.  The whole recursion is validated against the transitive
+    oracle.  A cost above MAX_GENUS_COST is refused first, then, when the
+    profiles are m simple points and at most one other profile mu, a cover
+    count above MAX_COVER_COST (with mu = tau and m - 1 if all are simple).
     """
-    _check_genus(branch.target_genus, branch.degree, len(branch.profiles))
+    h, d = branch.target_genus, branch.degree
+    _check_genus(h, d, len(branch.profiles))
+    profiles = _branched(branch.profiles)
+    if d >= 2:
+        simple = (2,) + (1,) * (d - 2)
+        others = [p for p in profiles if p != simple]
+        m = len(profiles) - len(others)
+        if not others and m:
+            others, m = [simple], m - 1
+        if len(others) == 1:
+            _check_cover(f"target genus {h}", others[0], m)
     disconnected = cache(_disconnected)
 
     @cache
@@ -353,7 +417,7 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
                     for k in Counter(combo).values():
                         ways //= math.factorial(k)
                     carved, rest = zip(*combo)
-                    choices.append((carved, rest, ways))
+                    choices.append((_branched(carved), _branched(rest), ways))
                 new = {}
                 for (left, right), count in folds.items():
                     for carved, rest, ways in choices:
@@ -366,7 +430,7 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
         return total
 
     try:
-        return connected(branch.target_genus, branch.degree, tuple(sorted(branch.profiles)))
+        return connected(h, d, profiles)
     finally:
         # `connected` calls itself through this closure cell, a reference
         # cycle; emptying the cell lets reference counting free the memos

@@ -2,13 +2,14 @@
 
 Partitions are canonical tuples of weakly decreasing positive integers;
 the empty partition () is a first-class degree-0 value.  `ClassSum` holds a
-formal rational linear combination of partitions of one fixed degree.
+formal rational linear combination of partitions of one fixed degree.  Its
+methods import `fractions` when they build a rational, so a process that
+builds none, such as `char`, never loads it or the `decimal` it imports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import groupby
 
 
@@ -130,6 +131,8 @@ class ClassSum:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms=None):
+        from fractions import Fraction
+
         if degree < 1:
             raise ValueError("class sums live in degree >= 1")
         self.degree = degree
@@ -149,6 +152,8 @@ class ClassSum:
         return cls(sum(mu), {mu: coefficient})
 
     def coefficient(self, mu) -> Fraction:
+        from fractions import Fraction
+
         return self.terms.get(check_partition(mu), Fraction(0))
 
     def _check_degree(self, other):
@@ -156,6 +161,8 @@ class ClassSum:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def __add__(self, other):
+        from fractions import Fraction
+
         self._check_degree(other)
         terms = dict(self.terms)
         for mu, c in other.terms.items():
@@ -166,6 +173,8 @@ class ClassSum:
         return self + other.scale(-1)
 
     def scale(self, c):
+        from fractions import Fraction
+
         c = Fraction(c)
         return ClassSum(self.degree, {mu: v * c for mu, v in self.terms.items()})
 

@@ -156,6 +156,41 @@ def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
     assert done.stdout.strip() == f"0 False {[f'gwhurwitz.{m}' for m in layers]}"
 
 
+# the commands that build no rational: they load neither `fractions` nor the
+# `decimal` it imports, while every other command of MODULE_SETS loads both
+NO_RATIONALS = {"char", "help"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_SETS))
+def test_only_rational_commands_load_fractions(name, tmp_path):
+    argv = MODULE_SETS[name][0]
+    script = ("import contextlib, io, sys\n"
+              "from gwhurwitz.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({argv!r})\n"
+              "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = name not in NO_RATIONALS
+    assert done.stdout.split() == ["0", str(loaded), str(loaded)]
+
+
+def test_connected_cover_count_past_the_cover_limit_exits_2(tmp_path):
+    # the count of `elsv --mu "(3,2,1)" --g 152`: 311 simple points, which
+    # ran 4.4 s as a process before the limit
+    from gwhurwitz.hurwitz import MAX_COVER_COST
+
+    profiles = ";".join(["(3,2,1)"] + ["(2,1,1,1,1)"] * 311)
+    done = subprocess.run([sys.executable, "-m", "gwhurwitz.cli", "hur", "--target-genus", "0",
+                           "--d", "6", "--connected", "--profiles", profiles],
+                          env=_process_env(tmp_path), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"MAX_COVER_COST = {MAX_COVER_COST}" in done.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 @pytest.mark.parametrize("genus, profiles, value", [
     # two simple points: one fixed, one closing; about 17 MB

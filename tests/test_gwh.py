@@ -569,7 +569,7 @@ class TestSeriesOrderLimit:
         # inside both series limits: the count alone took 33 s for (3,2,1)
         # at g = 300, and the whole check 72 s for (2,2,1,1) at g = 258
         import gwhurwitz.hurwitz as hurwitz_module
-        from gwhurwitz.gwh import MAX_COVER_COST
+        from gwhurwitz.hurwitz import MAX_COVER_COST
 
         def count(*_args):
             raise AssertionError("covers counted past the cover limit")

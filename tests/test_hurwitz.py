@@ -289,6 +289,20 @@ def test_counts_match_the_full_table_sums(d):
             assert hurwitz_connected(b) == _folded_connected(h, d, profiles, memo), b
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unbranched_profiles_leave_connected_counts_unchanged(d):
+    # a profile (1^d) is the identity's class: the recursion drops it, and
+    # its shares (1^k), while the oracle still enumerates it
+    unbranched = (1,) * d
+    for h in range(2):
+        for profiles in profile_multisets(d, 2):
+            count = hurwitz_connected(BranchData(h, d, profiles))
+            for extra in (1, 2):
+                branch = BranchData(h, d, (unbranched,) * extra + profiles)
+                assert hurwitz_connected(branch) == count, branch
+                assert monodromy_oracle(branch, transitive_only=True) == count, branch
+
+
 def _multiply(p, q):
     """p o q, one point at a time."""
     return tuple(p[q[x]] for x in range(len(q)))
@@ -589,10 +603,13 @@ class TestGenusLimit:
         (hurwitz_disconnected, BranchData(1000, 24)),
         (hurwitz_connected, BranchData(10000, 12, (transposition_class(12),) * 2)),
         (hurwitz_classsum, 10000, 12, [ClassSum.single(transposition_class(12))]),
-        (stationary_gw, 20000, 12, [1]), (stationary_gw, 800, 24, [])],
-        ids=["hur_12", "hur_24", "hur_connected", "classsum", "gw_12", "gw_24"])
+        (stationary_gw, 20000, 12, [1]), (stationary_gw, 800, 24, []),
+        (stationary_gw, 0, 3, [80] * 400)],
+        ids=["hur_12", "hur_24", "hur_connected", "classsum", "gw_12", "gw_24",
+             "gw_insertions"])
     def test_huge_genus_raises_before_any_column(self, monkeypatch, request_):
-        # h = 20000 at d = 12 ran 21 s as a process, then failed to print
+        # h = 20000 at d = 12 ran 21 s as a process, then failed to print; 400
+        # insertions of k = 80 at d = 3 ran 44 s
         from gwhurwitz.hurwitz import MAX_GENUS_COST
 
         with pytest.raises(ValueError, match=f"MAX_GENUS_COST = {MAX_GENUS_COST}"):
@@ -603,15 +620,19 @@ class TestGenusLimit:
         (hurwitz_disconnected, BranchData(8000, 12, (transposition_class(12),) * 2)),
         (hurwitz_disconnected, BranchData(700, 24)),
         (hurwitz_connected, BranchData(2000, 16, (transposition_class(16),) * 2)),
-        (stationary_gw, 8000, 12, [1]), (stationary_gw, 2, 16, [1, 2, 3])],
-        ids=["hur_12", "hur_24", "hur_connected", "gw_12", "gw_16"])
+        (stationary_gw, 8000, 12, [1]), (stationary_gw, 2, 16, [1, 2, 3]),
+        (stationary_gw, 0, 3, [80] * 172), (stationary_gw, 0, 24, [8] * 26)],
+        ids=["hur_12", "hur_24", "hur_connected", "gw_12", "gw_16", "gw_insertions",
+             "gw_insertions_24"])
     def test_genera_up_to_the_limit_are_read(self, monkeypatch, request_):
         with pytest.raises(_Started):
             self._run(monkeypatch, request_, _Started())
 
     @pytest.mark.parametrize("argv", [
         ["hur", "--target-genus", "20000", "--d", "12"],
-        ["gw", "--target-genus", "20000", "--d", "12", "--ks", "1"]], ids=["hur", "gw"])
+        ["gw", "--target-genus", "20000", "--d", "12", "--ks", "1"],
+        ["gw", "--target-genus", "0", "--d", "3", "--ks", ",".join(["80"] * 400)]],
+        ids=["hur", "gw", "gw_insertions"])
     def test_cli_exits_2_naming_the_limit(self, argv, capsys):
         from gwhurwitz.cli import main
         from gwhurwitz.hurwitz import MAX_GENUS_COST
@@ -653,3 +674,39 @@ class TestGenusLimit:
 
         assert main(argv) == 2
         assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+class TestCoverLimit:
+    # every count of the connected recursion reads its rows through `character_columns`
+    def _run(self, monkeypatch, branch, error):
+        import gwhurwitz.characters as characters_module
+
+        def stop(*_args):
+            raise error
+
+        monkeypatch.setattr(characters_module, "character_columns", stop)
+        hurwitz_connected(branch)
+
+    @pytest.mark.parametrize("profiles", [
+        ((3, 2, 1),) + (transposition_class(6),) * 311,
+        ((3, 2, 1), (1,) * 6) + (transposition_class(6),) * 311,
+        (transposition_class(6),) * 312],
+        ids=["elsv_321_g152", "with_unbranched", "all_simple"])
+    def test_costly_cover_count_raises_before_any_count(self, monkeypatch, profiles):
+        # the first is the count of `elsv_check((3, 2, 1), 152)`, refused there
+        # too; it ran 4.4 s as a process.  312 simple points ran 6.1 s
+        from gwhurwitz.hurwitz import MAX_COVER_COST
+
+        with pytest.raises(ValueError, match=f"MAX_COVER_COST = {MAX_COVER_COST}"):
+            self._run(monkeypatch, BranchData(0, 6, profiles),
+                      AssertionError("covers counted past the cover limit"))
+
+    @pytest.mark.parametrize("profiles", [
+        ((3, 2, 1),) + (transposition_class(6),) * 287,
+        ((3, 2, 1), (2, 2, 2)) + (transposition_class(6),) * 400,
+        (transposition_class(6),) * 230],
+        ids=["elsv_321_g140", "two_other_profiles", "all_simple"])
+    def test_cover_counts_up_to_the_limit_are_counted(self, monkeypatch, profiles):
+        # the limit reads m simple points and at most one other profile
+        with pytest.raises(_Started):
+            self._run(monkeypatch, BranchData(0, 6, profiles), _Started())
