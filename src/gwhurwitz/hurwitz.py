@@ -386,14 +386,13 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
     h, d = branch.target_genus, branch.degree
     _check_genus(h, d, len(branch.profiles))
     profiles = _branched(branch.profiles)
-    if d >= 2:
-        simple = (2,) + (1,) * (d - 2)
-        others = [p for p in profiles if p != simple]
-        m = len(profiles) - len(others)
-        if not others and m:
-            others, m = [simple], m - 1
-        if len(others) == 1:
-            _check_cover(f"target genus {h}", others[0], m)
+    simple = (2,) + (1,) * (d - 2)
+    others = [p for p in profiles if p != simple]
+    m = len(profiles) - len(others)
+    if not others and m:
+        others, m = [simple], m - 1
+    if len(others) == 1:
+        _check_cover(f"target genus {h}", others[0], m)
     disconnected = cache(_disconnected)
 
     @cache
