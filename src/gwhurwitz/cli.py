@@ -43,6 +43,7 @@ Scalars are `int`s or `Fraction`s, printed by `str`.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -437,5 +438,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """`main` for a process about to exit with its code: the entry of
+    `python -m gwhurwitz.cli` and of the console script."""
+    code = main()
+    # the interpreter's exit collections would walk every live object (the
+    # loaded modules, the memos) only for the OS to take the memory back:
+    # frozen objects are skipped, which saves 5-7 ms of each process
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

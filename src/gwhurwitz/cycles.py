@@ -147,18 +147,21 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     """
     for k in ks:
         _check_request(k, d)
-    from .hurwitz import BranchData, _check_genus, branching_sums
+    from .hurwitz import BranchData, _check_genus, _cycle_weight, branching_sums
 
     BranchData(h, d)  # refuses h < 0 (and d < 1 with no ks)
-    _check_genus(h, d, len(ks), ks)
+    weights = {k: _cycle_weight(k, d) for k in set(ks)}
+    _check_genus(h, d, len(ks), [weights[k] for k in ks])
     # each distinct index is computed once, however often it is inserted
     cycles = {k: completed_cycle(k, d).value.terms.items() for k in set(ks)}
+    sums, scale = branching_sums(h, d, [cycles[k] for k in ks])
     by_genus: dict[int, Fraction] = {}
-    for b, value in sorted(branching_sums(h, d, [cycles[k] for k in ks]).items()):
+    for b, value in sorted(sums.items()):
         if not value:
             continue
         euler = d * (2 * h - 2) + b
         if euler % 2:
-            raise ArithmeticError(f"nonzero cover count {value} with odd total branching {b}")
-        by_genus[euler // 2 + 1] = value
-    return StationaryGW(sum(by_genus.values(), Fraction(0)), by_genus)
+            raise ArithmeticError(f"nonzero cover count {scale * value} with odd total "
+                                  f"branching {b}")
+        by_genus[euler // 2 + 1] = scale * value
+    return StationaryGW(scale * sum(sums.values()), by_genus)

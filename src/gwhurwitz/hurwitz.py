@@ -82,18 +82,15 @@ class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
 MAX_GENUS_COST = 20_000_000_000_000
 
 
-def _check_genus(h: int, d: int, n: int, ks=()) -> None:
+def _check_genus(h: int, d: int, n: int, weights=()) -> None:
     """Refuse, before any column is read, a degree above MAX_TABLE_DEGREE,
-    then a sum of n factors, insertions of the indices `ks` among them,
-    whose cost B ((p(d) + 10 S) B + 100 p(d) S^2) is above MAX_GENUS_COST
-    (see there for B and S)."""
+    then a sum of n factors whose cost B ((p(d) + 10 S) B + 100 p(d) S^2) is
+    above MAX_GENUS_COST (see there for B and S); `weights` holds the
+    (bits, span) of each weighed factor."""
     check_table_degree(d)
-    bits = (2 * h + n) * math.factorial(d).bit_length()
-    span = 0
-    for k, copies in Counter(ks).items():
-        bits += copies * math.factorial(k + 2).bit_length()
-        top = min(k, d - 1)
-        span += copies * max(top - (top - k) % 2 - k % 2, 0)
+    bits, span = (2 * h + n) * math.factorial(d).bit_length(), 0
+    for extra, width in weights:
+        bits, span = bits + extra, span + width
     rows = len(enumerate_partitions(d))
     if (cost := bits * ((rows + 10 * span) * bits + 100 * rows * span ** 2)) > MAX_GENUS_COST:
         raise ValueError(f"target genus {h} in degree {d} with n = {n} factors costs "
@@ -101,26 +98,46 @@ def _check_genus(h: int, d: int, n: int, ks=()) -> None:
                          f"bits and S = {span}, above MAX_GENUS_COST = {MAX_GENUS_COST}")
 
 
-def _dim_weighted(by_dim: dict, exponent: int):
-    """Sum of value * dim^exponent over a {dim: integer} map, in integers over
-    one denominator when the exponent is negative."""
+def _cycle_weight(k: int, d: int) -> tuple[int, int]:
+    """The (bits, span) of the completed cycle of index k in degree d, known
+    before it is computed: its denominators take about log2((k+2)!) bits,
+    and its branchings, of the parity of k, reach min(k, d - 1)."""
+    top = min(k, d - 1)
+    return math.factorial(k + 2).bit_length(), max(top - (top - k) % 2 - k % 2, 0)
+
+
+def _class_sum_weight(a: ClassSum) -> tuple[int, int]:
+    """The (bits, span) of a class sum: the bits of its coefficients' common
+    denominator, and the spread of its terms' branchings."""
+    branchings = [a.degree - len(mu) for mu in a.terms]
+    den = math.lcm(*(c.denominator for c in a.terms.values()))
+    return den.bit_length(), max(branchings, default=0) - min(branchings, default=0)
+
+
+def _dim_weights(dims, exponent: int) -> tuple[dict, int]:
+    """Integer weights w and one denominator L with dim^exponent = w[dim] / L
+    for every dim: L is lcm(dims)^-exponent when the exponent is negative,
+    else 1."""
     if exponent >= 0:
-        return sum(value * dim ** exponent for dim, value in by_dim.items())
+        return {dim: dim ** exponent for dim in dims}, 1
     k = -exponent
-    den = math.lcm(*by_dim) ** k
-    return Fraction(sum(value * (den // dim ** k) for dim, value in by_dim.items()), den)
+    den = math.lcm(*dims) ** k
+    return {dim: den // dim ** k for dim in dims}, den
 
 
-def branching_sums(h: int, d: int, factors) -> dict:
-    """Character sum of a product of class sums over a genus-h target.
+def branching_sums(h: int, d: int, factors) -> tuple[dict, Fraction]:
+    """Character sum of a product of class sums over a genus-h target, as
+    integer sums by grade and one rational scale: grade b is sums[b] * scale.
 
     Each factor is an iterable of (partition, coefficient) pairs of degree d;
     grade b keeps the monomials of total branching b = sum_j (d - len(mu_j)).
     A factor's coefficients times d!/z(mu) are brought to integer numerators
     over one denominator, so per lam the grades are integer sums of character
-    products.  Rows of equal dimension are added up first; the weight
-    dim^(2-2h-n) is applied once per (dimension, grade) and the constant
-    d!^(2h-2) / (product of the denominators) once per grade.
+    products.  Rows of equal dimension are added up first, and the weight
+    dim^(2-2h-n) is applied once per (dimension, grade) as an integer over
+    lcm(dims)^(2h+n-2).  So every grade shares one denominator, and the scale
+    d!^(2h-2) / (the factors' denominators times that lcm power) is one
+    Fraction: a caller reduces each grade, or a sum of grades, once.
     """
     from .characters import character_columns
 
@@ -152,9 +169,11 @@ def branching_sums(h: int, d: int, factors) -> dict:
         for b, value in grades.items():
             acc = by_grade.setdefault(b, {})
             acc[dim] = acc.get(dim, 0) + value
-    scale = Fraction(dfact) ** (2 * h - 2) / den
-    exponent = 2 - 2 * h - len(factor_terms)
-    return {b: scale * _dim_weighted(acc, exponent) for b, acc in by_grade.items()}
+    weights, dim_den = _dim_weights({dim for acc in by_grade.values() for dim in acc},
+                                    2 - 2 * h - len(factor_terms))
+    sums = {b: sum(value * weights[dim] for dim, value in acc.items())
+            for b, acc in by_grade.items()}
+    return sums, Fraction(dfact) ** (2 * h - 2) / (den * dim_den)
 
 
 def hurwitz_disconnected(branch: BranchData) -> Fraction:
@@ -181,20 +200,23 @@ def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
         dim = chis[-1]
         by_dim[dim] = by_dim.get(dim, 0) + math.prod(map(pow, chis, powers))
     n = len(profiles)
+    weights, dim_den = _dim_weights(by_dim, 2 - 2 * h - n)
     scale = (Fraction(math.factorial(d)) ** (2 * h - 2 + n)
-             / math.prod(z_factor(eta) ** m for eta, m in counts.items()))
-    return scale * _dim_weighted(by_dim, 2 - 2 * h - n)
+             / (math.prod(z_factor(eta) ** m for eta, m in counts.items()) * dim_den))
+    return scale * sum(value * weights[dim] for dim, value in by_dim.items())
 
 
 def hurwitz_classsum(h: int, d: int, args) -> Fraction:
     """Multilinear extension of the disconnected count to formal class sums;
-    a cost above MAX_GENUS_COST is refused first."""
+    a cost above MAX_GENUS_COST, each class sum weighed as a `gw` insertion
+    by its denominators and branchings, is refused first."""
     args = list(args)
     for a in args:
         if not isinstance(a, ClassSum) or a.degree != d:
             raise ValueError("arguments must be class sums of the stated degree")
-    _check_genus(h, d, len(args))
-    return sum(branching_sums(h, d, [a.terms.items() for a in args]).values(), Fraction(0))
+    _check_genus(h, d, len(args), [_class_sum_weight(a) for a in args])
+    sums, scale = branching_sums(h, d, [a.terms.items() for a in args])
+    return scale * sum(sums.values())
 
 
 # ------------------------------------------------------------- brute force

@@ -1,6 +1,7 @@
 """The command line as a process, the way the console script and the
 benchmark start it: `python -m gwhurwitz.cli` with `PYTHONPATH=src`."""
 
+import gc
 import json
 import os
 import pathlib
@@ -20,6 +21,10 @@ COMMANDS = {
                    "--connected", "--oracle"],
     "char": ["char", "--d", "6"],
     "ifun": ["ifun", "--g", "0", "--eta", "(1)", "--k", "2"],
+    "cycle": ["cycle", "--d", "4", "--k", "3"],
+    "gw": ["gw", "--target-genus", "1", "--d", "3", "--ks", "1,2"],
+    "elsv": ["elsv", "--mu", "(2,1)", "--g", "1"],
+    "verify": ["verify", "--d-max", "3", "--k-max", "3"],
 }
 
 
@@ -29,15 +34,48 @@ def _process_env(tmp_path):
                 COLUMNS="80")
 
 
+def _run_process(argv, tmp_path):
+    return subprocess.run([sys.executable, "-m", "gwhurwitz.cli", *argv],
+                          env=_process_env(tmp_path), capture_output=True, timeout=120)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_process_stdout_is_main_stdout(name, tmp_path, monkeypatch, capsys):
     argv = COMMANDS[name]
-    done = subprocess.run([sys.executable, "-m", "gwhurwitz.cli", *argv],
-                          env=_process_env(tmp_path), capture_output=True, timeout=120)
+    done = _run_process(argv, tmp_path)
     assert done.returncode == 0, done.stderr
     monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out.encode()
+
+
+def test_process_out_file_is_main_stdout(tmp_path, capsys):
+    # the process entry freezes the collector only after `main` has closed the file
+    target = tmp_path / "doc.json"
+    done = _run_process(["--out", str(target), *COMMANDS["char"]], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert main(COMMANDS["char"]) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_process_usage_error_exits_2(tmp_path, capsys):
+    argv = ["hur", "--d"]
+    done = _run_process(argv, tmp_path)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gwhurwitz: error: ")
+    assert done.stderr == err.encode()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the process entry `run`, which the console script names too, freezes it
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (COMMANDS["cycle"], COMMANDS["gw"], ["hur", "--d"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
+    assert 'gwhurwitz = "gwhurwitz.cli:run"' in (ROOT / "pyproject.toml").read_text()
 
 
 def test_char_writes_no_file(tmp_path):

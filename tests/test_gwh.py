@@ -773,7 +773,8 @@ class TestStationary:
         # for a single transposition over the sphere is an internal fault;
         # it must raise even under python -O
         import gwhurwitz.hurwitz as hurwitz_module
-        monkeypatch.setattr(hurwitz_module, "branching_sums", lambda h, d, factors: {1: F(1)})
+        monkeypatch.setattr(hurwitz_module, "branching_sums",
+                            lambda h, d, factors: ({1: 1}, F(1)))
         with pytest.raises(ArithmeticError, match="odd total branching"):
             stationary_gw(0, 2, [1])
 

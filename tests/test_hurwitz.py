@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.cycles import stationary_gw
+from gwhurwitz.cycles import completed_cycle, stationary_gw
 from gwhurwitz.hurwitz import (BranchData, _join, _orbits, branching_sums,
                                hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
                                monodromy_oracle)
@@ -229,7 +229,8 @@ def _class_sum_products(draw):
 @given(_class_sum_products())
 def test_branching_sums_match_the_monomial_expansion(case):
     h, d, factors = case
-    got = branching_sums(h, d, factors)
+    sums, scale = branching_sums(h, d, factors)
+    got = {b: scale * value for b, value in sums.items()}
     want = _reference_branching_sums(h, d, factors)
     for b in set(got) | set(want):
         assert got.get(b, 0) == want.get(b, 0), (b, got, want)
@@ -603,13 +604,15 @@ class TestGenusLimit:
         (hurwitz_disconnected, BranchData(1000, 24)),
         (hurwitz_connected, BranchData(10000, 12, (transposition_class(12),) * 2)),
         (hurwitz_classsum, 10000, 12, [ClassSum.single(transposition_class(12))]),
+        (hurwitz_classsum, 0, 3, [completed_cycle(80, 3).value] * 512),
         (stationary_gw, 20000, 12, [1]), (stationary_gw, 800, 24, []),
         (stationary_gw, 0, 3, [80] * 400)],
-        ids=["hur_12", "hur_24", "hur_connected", "classsum", "gw_12", "gw_24",
-             "gw_insertions"])
+        ids=["hur_12", "hur_24", "hur_connected", "classsum", "classsum_insertions",
+             "gw_12", "gw_24", "gw_insertions"])
     def test_huge_genus_raises_before_any_column(self, monkeypatch, request_):
         # h = 20000 at d = 12 ran 21 s as a process, then failed to print; 400
-        # insertions of k = 80 at d = 3 ran 44 s
+        # insertions of k = 80 at d = 3 ran 44 s, and the class sum of 512
+        # such cycles 42 s
         from gwhurwitz.hurwitz import MAX_GENUS_COST
 
         with pytest.raises(ValueError, match=f"MAX_GENUS_COST = {MAX_GENUS_COST}"):
@@ -620,10 +623,11 @@ class TestGenusLimit:
         (hurwitz_disconnected, BranchData(8000, 12, (transposition_class(12),) * 2)),
         (hurwitz_disconnected, BranchData(700, 24)),
         (hurwitz_connected, BranchData(2000, 16, (transposition_class(16),) * 2)),
+        (hurwitz_classsum, 0, 3, [completed_cycle(80, 3).value] * 150),
         (stationary_gw, 8000, 12, [1]), (stationary_gw, 2, 16, [1, 2, 3]),
         (stationary_gw, 0, 3, [80] * 172), (stationary_gw, 0, 24, [8] * 26)],
-        ids=["hur_12", "hur_24", "hur_connected", "gw_12", "gw_16", "gw_insertions",
-             "gw_insertions_24"])
+        ids=["hur_12", "hur_24", "hur_connected", "classsum_insertions", "gw_12", "gw_16",
+             "gw_insertions", "gw_insertions_24"])
     def test_genera_up_to_the_limit_are_read(self, monkeypatch, request_):
         with pytest.raises(_Started):
             self._run(monkeypatch, request_, _Started())
