@@ -39,6 +39,15 @@ modules each command loads, and whether it loads `fractions`:
     verify          all eight                                      yes
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
+
+A process enters through `run` (`python -m gwhurwitz.cli` and the console
+script), which calls `main` and then freezes the garbage collector.  The
+interpreter's collections at exit would walk every object the command left
+alive, the loaded modules and the memos, 5-7 ms of a light command, only for
+the OS to take the memory back; frozen objects are skipped.  Output is still
+flushed and atexit handlers still run.  `main` itself leaves the collector
+as it found it, so tests and library callers that run it in-process keep
+theirs.
 """
 
 from __future__ import annotations
@@ -442,9 +451,8 @@ def run() -> int:
     """`main` for a process about to exit with its code: the entry of
     `python -m gwhurwitz.cli` and of the console script."""
     code = main()
-    # the interpreter's exit collections would walk every live object (the
-    # loaded modules, the memos) only for the OS to take the memory back:
-    # frozen objects are skipped, which saves 5-7 ms of each process
+    # the exit collections would walk every live object for memory the OS
+    # takes back anyway; they skip frozen objects
     gc.freeze()
     return code
 

@@ -136,6 +136,15 @@ def completed_cycle(k: int, d: int) -> CompletedCycle:
 StationaryGW = namedtuple("StationaryGW", "total by_genus")
 
 
+def _cycle_weight(k: int, d: int) -> tuple[int, int]:
+    """The (bits, span) that `hurwitz.MAX_GENUS_COST` weighs the completed
+    cycle of index k in degree d by, before it is computed: its denominators
+    take about log2((k+2)!) bits, and its branchings, of the parity of k,
+    reach min(k, d - 1)."""
+    top = min(k, d - 1)
+    return math.factorial(k + 2).bit_length(), max(top - (top - k) % 2 - k % 2, 0)
+
+
 def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     """Stationary invariants of a genus-h target through completed cycles.
 
@@ -147,7 +156,7 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     """
     for k in ks:
         _check_request(k, d)
-    from .hurwitz import BranchData, _check_genus, _cycle_weight, branching_sums
+    from .hurwitz import BranchData, _check_genus, branching_sums
 
     BranchData(h, d)  # refuses h < 0 (and d < 1 with no ks)
     weights = {k: _cycle_weight(k, d) for k in set(ks)}

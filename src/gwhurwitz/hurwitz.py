@@ -70,15 +70,19 @@ class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
 # denominators add about log2((k+2)!) bits to B, and its branchings, of the
 # parity of k and at most min(k, d - 1), span up to d - 1 grades.  With S
 # the sum of the spans, each row folds in about S^2/8 grade products of
-# B-bit integers, and each of the S/2 grades closes with its own gcds:
-# the cost is B ((p(d) + 10 S) B + 100 p(d) S^2), which is p(d) B^2 with no
-# insertions, fitted to the times of k = 2..80 at d = 3..24 within a factor
-# of 2.  Near the limit, at genus 0, n insertions of one k: d = 3 with 172
-# of k = 80 3.1 s and 468 of k = 20 4.0 s, d = 4 with 603 of k = 10 6.3 s,
-# d = 8 with 76 of k = 80 5.4 s, d = 12 with 50 of k = 40 5.1 s, d = 16
-# with 162 of k = 2 4.1 s, d = 24 with 26 of k = 8 4.0 s and 8 of k = 80
-# 8.9 s.  Past it: d = 3 with 400 of k = 80 44 s.  A sum above
-# MAX_GENUS_COST is refused before any column is read or cycle computed.
+# B-bit integers, and each of the S/2 grades is reduced by one gcd over the
+# grades' shared denominator: the cost is B ((p(d) + 10 S) B + 100 p(d) S^2),
+# which is p(d) B^2 with no insertions, fitted to the times of k = 2..80 at
+# d = 3..24 within a factor of 2.  Near the limit, at genus 0, n insertions
+# of one k (CPU time): d = 3 with 172 of k = 80 1.9 s and 468 of k = 20
+# 2.4 s, d = 4 with 603 of k = 10 4.7 s, d = 8 with 76 of k = 80 5.1 s,
+# d = 12 with 50 of k = 40 6.1 s, d = 16 with 162 of k = 2 4.4 s, d = 24
+# with 26 of k = 8 4.0 s and 8 of k = 80 10.4 s.  Past it: d = 3 with 400
+# of k = 80 21 s.  A class sum of `hurwitz_classsum` weighs as an insertion
+# does, by the bits of its coefficients' common denominator and the spread
+# of its branchings: 512 copies of the completed cycle of k = 80 at d = 3
+# would count for 19 s.  A sum above MAX_GENUS_COST is refused before any
+# column is read or cycle computed.
 MAX_GENUS_COST = 20_000_000_000_000
 
 
@@ -98,14 +102,6 @@ def _check_genus(h: int, d: int, n: int, weights=()) -> None:
                          f"bits and S = {span}, above MAX_GENUS_COST = {MAX_GENUS_COST}")
 
 
-def _cycle_weight(k: int, d: int) -> tuple[int, int]:
-    """The (bits, span) of the completed cycle of index k in degree d, known
-    before it is computed: its denominators take about log2((k+2)!) bits,
-    and its branchings, of the parity of k, reach min(k, d - 1)."""
-    top = min(k, d - 1)
-    return math.factorial(k + 2).bit_length(), max(top - (top - k) % 2 - k % 2, 0)
-
-
 def _class_sum_weight(a: ClassSum) -> tuple[int, int]:
     """The (bits, span) of a class sum: the bits of its coefficients' common
     denominator, and the spread of its terms' branchings."""
@@ -118,11 +114,9 @@ def _dim_weights(dims, exponent: int) -> tuple[dict, int]:
     """Integer weights w and one denominator L with dim^exponent = w[dim] / L
     for every dim: L is lcm(dims)^-exponent when the exponent is negative,
     else 1."""
-    if exponent >= 0:
-        return {dim: dim ** exponent for dim in dims}, 1
-    k = -exponent
+    k = max(-exponent, 0)
     den = math.lcm(*dims) ** k
-    return {dim: den // dim ** k for dim in dims}, den
+    return {dim: den // dim ** k * dim ** max(exponent, 0) for dim in dims}, den
 
 
 def branching_sums(h: int, d: int, factors) -> tuple[dict, Fraction]:
