@@ -40,14 +40,9 @@ modules each command loads, and whether it loads `fractions`:
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
 
-A process enters through `run` (`python -m gwhurwitz.cli` and the console
-script), which calls `main` and then freezes the garbage collector.  The
-interpreter's collections at exit would walk every object the command left
-alive, the loaded modules and the memos, 5-7 ms of a light command, only for
-the OS to take the memory back; frozen objects are skipped.  Output is still
-flushed and atexit handlers still run.  `main` itself leaves the collector
-as it found it, so tests and library callers that run it in-process keep
-theirs.
+A process enters through `run`, which freezes the garbage collector after
+`main`, so the collections at exit skip the objects left alive: 5-7 ms of a
+light command.  `main` leaves it alone for its in-process callers.
 """
 
 from __future__ import annotations
@@ -448,8 +443,7 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """`main` for a process about to exit with its code: the entry of
-    `python -m gwhurwitz.cli` and of the console script."""
+    """The entry of `python -m gwhurwitz.cli` and the console script."""
     code = main()
     # the exit collections would walk every live object for memory the OS
     # takes back anyway; they skip frozen objects

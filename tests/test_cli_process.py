@@ -69,12 +69,15 @@ def test_process_usage_error_exits_2(tmp_path, capsys):
 
 
 def test_main_leaves_the_collector_as_it_found_it(capsys):
-    # only the process entry `run`, which the console script names too, freezes it
+    # only the process entry `run` freezes it
     before = gc.isenabled(), gc.get_freeze_count()
     for argv in (COMMANDS["cycle"], COMMANDS["gw"], ["hur", "--d"]):
         main(argv)
         assert (gc.isenabled(), gc.get_freeze_count()) == before
     capsys.readouterr()
+
+
+def test_console_script_is_the_process_entry():
     assert 'gwhurwitz = "gwhurwitz.cli:run"' in (ROOT / "pyproject.toml").read_text()
 
 
