@@ -16,28 +16,31 @@ import sys
 __version__ = "0.1.0"
 
 # the monodromy oracle's degree limits, here so the command-line parser can
-# read them without loading `hurwitz`, which binds them from here
+# read them without loading `oracle`, which binds them from here
 DEFAULT_ORACLE_BOUND = 5
 # at genus >= 2 the oracle sweeps all d! x d! pairs, 1.6e9 of them at d = 8
 ORACLE_CEILING = 8
 
 _EXPORTS = {
+    "branch": ("BranchData",),
     "characters": ("CharacterTable", "chi", "dim_hook", "f2_shifted", "f_eta",
                    "transposition_class"),
-    "cycles": ("CompletedCycle", "StationaryGW", "completed_cycle", "rho", "stationary_gw"),
-    "fock": ("Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "FockState", "apply_A",
-             "apply_Astar", "apply_alpha", "apply_calE", "apply_expUF2", "apply_exp_alpha",
-             "boson_state", "correlator", "inner_product"),
-    "gwh": ("CrosscheckReport", "ElsvReport", "IFunctionCoefficient", "elsv_check",
-            "gwh_crosscheck", "hodge_H_connected", "hodge_H_series", "i_function_empty",
-            "i_function_numeric", "i_function_unstable_connected", "tau_via_wallcrossing"),
-    "hurwitz": ("BranchData", "hurwitz_classsum", "hurwitz_connected",
-                "hurwitz_disconnected", "monodromy_oracle"),
-    "partitions": ("ClassSum", "as_partition", "enumerate_partitions", "format_partition",
+    "cycles": ("ClassSum", "CompletedCycle", "StationaryGW", "completed_cycle", "rho",
+               "stationary_gw"),
+    "fock": ("FockState", "apply_A", "apply_Astar", "apply_alpha", "apply_calE",
+             "apply_expUF2", "apply_exp_alpha", "boson_state", "inner_product"),
+    "gwh": ("CrosscheckReport", "ElsvReport", "elsv_check", "gwh_crosscheck",
+            "hodge_H_connected", "hodge_H_series", "i_function_empty",
+            "i_function_unstable_connected", "tau_via_wallcrossing"),
+    "hurwitz": ("hurwitz_classsum", "hurwitz_connected", "hurwitz_disconnected"),
+    "icoeff": ("IFunctionCoefficient", "i_function_numeric"),
+    "oracle": ("monodromy_oracle",),
+    "partitions": ("as_partition", "enumerate_partitions", "format_partition",
                    "parse_partition", "subpartitions_by_removing_ones", "z_factor"),
     "qseries": ("INF", "MultiSeries", "PrecisionError", "Rational", "SeriesError",
                 "VariableMismatchError", "format_rational", "pochhammer_series", "s_of",
                 "s_series", "sigma_of", "sigma_series"),
+    "words": ("Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "correlator"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -20,23 +20,23 @@ subcommand, `--flag VALUE` or `--flag=VALUE`, unique prefixes, the last
 value wins, negative integers as separate values, and exit code 2 with
 `gwhurwitz: error: ` on stderr for any usage error.
 
-Each process loads only the layers its subcommand runs.  Only `partitions`
-is imported at module level; `characters` is imported by `char`, `hurwitz`
-by `hur` and `verify`, the completed cycles `cycles` by `cycle`, `gw` and
-`verify`, and the wall-crossing layer `gwh` by the subcommands that use it.
-`fractions` is imported by the functions that build a rational, so `char`
-and `--help` load neither it nor the `decimal` it imports.  The package
-modules each command loads, and whether it loads `fractions`:
+Each process loads only the layers its subcommand runs: `partitions` at
+module level, and in each handler the route of its branch only.  No
+command loads the operator words `words`.  `fractions` is imported by the
+functions that build a rational, so `char` and `--help` load neither it
+nor the `decimal` it imports.  The package modules each command loads, and
+whether it loads `fractions`:
 
-    --help          cli, partitions, helptext                      no
-    char            cli, partitions, characters                    no
-    hur --oracle    cli, partitions, hurwitz                       yes
-    hur             cli, partitions, characters, hurwitz           yes
-    cycle           cli, partitions, cycles                        yes
-    ifun            cli, partitions, qseries, fock, gwh            yes
-    gw              cli, partitions, cycles, characters, hurwitz   yes
-    elsv            all but cycles                                 yes
-    verify          all eight                                      yes
+    --help        cli, partitions, helptext                            no
+    char          cli, partitions, characters                          no
+    hur --oracle  cli, partitions, branch, oracle                      yes
+    hur           cli, partitions, branch, characters, hurwitz         yes
+    cycle         cli, partitions, cycles                              yes
+    ifun          cli, partitions, qseries, fock, icoeff               yes
+    ifun --empty  cli, partitions, qseries, fock, icoeff, gwh          yes
+    gw            cli, partitions, cycles, branch, characters, hurwitz yes
+    elsv          all but cycles, oracle, helptext and words           yes
+    verify        all but helptext and words                           yes
 
 Scalars are `int`s or `Fraction`s, printed by `str`.
 
@@ -168,16 +168,22 @@ def _document(command: str, request: dict, result) -> dict:
 
 
 def _cmd_hur(args) -> int:
-    from .hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, monodromy_oracle
+    from .branch import BranchData
 
     profiles = _parse_profiles(args.profiles)
     branch = BranchData(args.target_genus, args.d, profiles)
     if args.oracle:
+        from .oracle import monodromy_oracle
+
         value = monodromy_oracle(branch, transitive_only=args.connected,
                                  degree_bound=args.oracle_bound)
     elif args.connected:
+        from .hurwitz import hurwitz_connected
+
         value = hurwitz_connected(branch)
     else:
+        from .hurwitz import hurwitz_disconnected
+
         value = hurwitz_disconnected(branch)
     request = {"target_genus": args.target_genus, "d": args.d,
                "profiles": [format_partition(p) for p in profiles],
@@ -223,16 +229,18 @@ def _cmd_gw(args) -> int:
 
 
 def _cmd_ifun(args) -> int:
-    from .gwh import i_function_empty, i_function_numeric
-
     if args.empty and args.k is not None:
         raise ValueError("--k is not read with --empty")
     if not args.empty and args.k is None:
         raise ValueError("--k is required unless --empty is given")
     eta = _parse_partition_flag("--eta", args.eta)
     if args.empty:
+        from .gwh import i_function_empty
+
         got = i_function_empty(args.g, eta)
     else:
+        from .icoeff import i_function_numeric
+
         got = i_function_numeric(args.g, eta, args.k)
     result = {"value": str(got.value), "z_degree": got.z_degree}
     request = {"g": args.g, "eta": format_partition(eta),
@@ -257,8 +265,10 @@ def _cmd_elsv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .branch import BranchData
     from .gwh import gwh_crosscheck
-    from .hurwitz import BranchData, hurwitz_disconnected, monodromy_oracle
+    from .hurwitz import hurwitz_disconnected
+    from .oracle import monodromy_oracle
 
     # the route builds a table for every degree up to d_max: refuse first
     check_table_degree(args.d_max)

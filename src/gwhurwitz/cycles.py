@@ -13,9 +13,13 @@ with f_j = l_j (w - 1 + p_2j(mu)), in integers scaled by one denominator per
 n; it needs no series arithmetic.  The wall-crossing route of `gwh` checks
 this closed formula termwise.
 
+`ClassSum`, a formal rational combination of partitions of one degree, is
+the value of both routes; it lives here, not in `partitions`, which every
+command loads, so a command that builds no class sum never compiles it.
+
 Only `partitions` is imported at module level; `stationary_gw` imports
-`hurwitz` for its character sum.  So the `cycle` and `gw` commands never load
-the series core, the wedge engine or `gwh`.
+`hurwitz` for its character sum and `branch` for its check.  So the `cycle`
+and `gw` commands never load the series core, the wedge engine or `gwh`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,77 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
-                         subpartitions_by_removing_ones)
+from .partitions import (check_partition, check_table_degree, enumerate_partitions,
+                         format_partition, subpartitions_by_removing_ones)
+
+
+class ClassSum:
+    """A formal rational combination of partitions of one fixed degree."""
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms=None):
+        if degree < 1:
+            raise ValueError("class sums live in degree >= 1")
+        self.degree = degree
+        clean = {}
+        for mu, c in (terms or {}).items():
+            mu = check_partition(mu)
+            if sum(mu) != degree:
+                raise ValueError(f"{mu} is not a partition of {degree}")
+            c = Fraction(c)
+            if c:
+                clean[mu] = c
+        self.terms = clean
+
+    @classmethod
+    def single(cls, mu, coefficient=1):
+        mu = check_partition(mu)
+        return cls(sum(mu), {mu: coefficient})
+
+    def coefficient(self, mu) -> Fraction:
+        return self.terms.get(check_partition(mu), Fraction(0))
+
+    def _check_degree(self, other):
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+
+    def __add__(self, other):
+        self._check_degree(other)
+        terms = dict(self.terms)
+        for mu, c in other.terms.items():
+            terms[mu] = terms.get(mu, Fraction(0)) + c
+        return ClassSum(self.degree, terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return ClassSum(self.degree, {mu: v * c for mu, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, ClassSum) and self.degree == other.degree
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.degree, tuple(sorted(self.terms.items()))))
+
+    def items_canonical(self):
+        """(partition, coefficient) pairs in reverse-lexicographic order."""
+        return [(mu, self.terms[mu]) for mu in enumerate_partitions(self.degree)
+                if mu in self.terms]
+
+    def to_dict(self) -> dict:
+        return {format_partition(mu): str(c) for mu, c in self.items_canonical()}
+
+    def __repr__(self):
+        if not self.terms:
+            return f"ClassSum({self.degree}, 0)"
+        body = " + ".join(f"{c}*{format_partition(mu)}"
+                          for mu, c in self.items_canonical())
+        return f"ClassSum({self.degree}, {body})"
+
 
 # `completed_cycle` takes about 0.17 s at (k, d) = (40, 24), 1.0 s at (80, 24)
 # and 3.5 s at (120, 24) in-process (2-core Xeon, CPython 3.11): the time
@@ -156,7 +229,8 @@ def stationary_gw(h: int, d: int, ks) -> StationaryGW:
     """
     for k in ks:
         _check_request(k, d)
-    from .hurwitz import BranchData, _check_genus, branching_sums
+    from .branch import BranchData
+    from .hurwitz import _check_genus, branching_sums
 
     BranchData(h, d)  # refuses h < 0 (and d < 1 with no ks)
     weights = {k: _cycle_weight(k, d) for k in set(ks)}

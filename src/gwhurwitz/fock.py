@@ -1,4 +1,4 @@
-"""Charge-zero infinite-wedge states and an exact operator-word evaluator.
+"""Charge-zero infinite-wedge states and the exact operators that act on them.
 
 Basis vectors are indexed by partitions lam via the half-integer set
 S(lam) = {lam_i - i + 1/2}, held as one integer per Maya diagram: over n
@@ -18,12 +18,13 @@ equal.
 
 The weights exp(c z) and 1/sigma(z) come only from the bounded memos
 `_exp_weight` and `_inv_sigma`, keyed by the series z and shared by every
-call.  In the package only `gwh` imports this module, for its bra and A*|0>.
+call.  In the package only `icoeff` imports this module, for its bra and
+A*|0>, and `words`, whose operator words and their correlator no command
+runs, so no command compiles them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -362,14 +363,7 @@ def apply_A(a: MultiSeries, b: MultiSeries, state: FockState,
     return _a_family(a, b, state, energy_cap, adjoint=False)
 
 
-# -------------------------------------------------------------- correlator
-
-
-Alpha = namedtuple("Alpha", "r")
-ExpAlpha = namedtuple("ExpAlpha", "r")  # r = +1 or -1
-ExpUF2 = namedtuple("ExpUF2", "scale u_var", defaults=(1, "u"))
-CalE = namedtuple("CalE", "r z")
-AStarOp = namedtuple("AStarOp", "a b")
+# --------------------------------------------------------- boundary states
 
 
 def boson_state(eta, vars) -> FockState:
@@ -382,56 +376,3 @@ def boson_state(eta, vars) -> FockState:
     for part in check_partition(eta):
         state = apply_alpha(-part, state)
     return state
-
-
-def default_energy_cap(word, left_energy: int, vars, order) -> int:
-    """Upper bound on intermediate energies that can reach the pairing.
-
-    A state of energy E contributes only if the remaining atoms can lower it
-    back to the boundary energy.  Plain alphas and single weighted moves
-    lower by at most |r| each; the hypergeometric operators pay one unit of
-    series valuation per unit of energy moved, so their total reach is
-    bounded by the truncation budget; exponential alphas only raise toward
-    the cap (their unlimited lowering never needs states above it).  Hence
-    boundary energy + series budget + sum |r| is a sound cap.  The
-    capped-versus-enlarged-cap property test exercises this bound.
-    """
-    budget = max((o for o in order if o != INF), default=0)
-    shift = sum(abs(atom.r) for atom in word if isinstance(atom, (Alpha, CalE)))
-    return int(left_energy + budget + shift)
-
-
-def correlator(word, mu_left, vars, order, energy_cap=None) -> MultiSeries:
-    """Vacuum expectation of an operator word against a boson boundary.
-
-    The word is given in operator order (leftmost first) and applied to the
-    vacuum right to left; the result is paired with the boson state of
-    mu_left (or with the vacuum when mu_left is None).  Exact to the
-    truncation contract carried by the returned series.
-    """
-    vars = tuple(vars)
-    order = tuple(order)
-    left_energy = sum(mu_left) if mu_left else 0
-    if energy_cap is None:
-        energy_cap = default_energy_cap(word, left_energy, vars, order)
-    state = FockState.vacuum(vars)
-    for atom in reversed(word):
-        if isinstance(atom, Alpha):
-            state = apply_alpha(atom.r, state, energy_cap)
-        elif isinstance(atom, ExpAlpha):
-            state = apply_exp_alpha(atom.r, state, energy_cap)
-        elif isinstance(atom, ExpUF2):
-            state = apply_expUF2(state, atom.u_var, atom.scale, order)
-        elif isinstance(atom, CalE):
-            state = apply_calE(atom.r, atom.z.truncated(order), state, energy_cap)
-        elif isinstance(atom, AStarOp):
-            state = apply_Astar(atom.a.truncated(order), atom.b.truncated(order),
-                                state, energy_cap)
-        else:
-            raise TypeError(f"unknown operator atom {atom!r}")
-    if mu_left:
-        bra = boson_state(mu_left, vars)
-        result = inner_product(bra, state)
-    else:
-        result = state.coefficient(())
-    return result.truncated(order)

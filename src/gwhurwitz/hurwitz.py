@@ -1,58 +1,29 @@
-"""Hurwitz numbers of target curves: character sums and brute-force counts.
+"""Hurwitz numbers of target curves by character sums.
 
 `hurwitz_disconnected` and the graded `branching_sums` evaluate the
 character-sum formula over only the character columns their classes need
 (`characters.character_columns`, row by row), in integers: one rational
-weight per dimension and one constant at the end.  The monodromy oracle
-counts permutation tuples directly (product of h commutators times one
-permutation per branch profile equals the identity), so every
-normalization in the package can be pinned against honest enumeration.
-Simultaneous conjugation keeps every condition on a tuple, so the oracle
-fixes one entry to a class representative weighted by the class size, and
-multiplies permutations as tuples in a sweep over (partial product, orbit
-labels) pairs; it builds no product table.  Transitivity is tracked through
-the join of the generators' orbit partitions, each a tuple of every point's
-least orbit-mate, and a count that does not ask for transitivity keeps
-every partition discrete.  Only the character sums import `characters`, so
-the oracle, their independent check, runs without it.  No count here builds
-a series, so the series core `qseries` is never loaded.  No memo outlives a
-call: the connected recursion keeps its sub-problems for one count, and the
-oracle its orbit joins.
+weight per dimension and one constant at the end.  `hurwitz_connected`
+removes the splittings by a marked-sheet recursion over those counts.  The
+brute-force count they are checked against, the monodromy oracle, lives in
+`oracle` and shares no code with them but `BranchData` (in `branch`), so
+`hur --oracle` compiles none of this module.  Only the character sums
+import `characters`.  No count here builds a series, so the series core
+`qseries` is never loaded.  No memo outlives a call: the connected
+recursion keeps its sub-problems for one count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
 
-from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
-from .partitions import (ClassSum, check_partition, check_table_degree, enumerate_partitions,
-                         format_partition, sub_multisets, z_factor)
-
-
-class BranchData(namedtuple("BranchData", "target_genus degree profiles")):
-    """A target genus, a degree, and an ordered list of branch profiles,
-    validated on construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, target_genus: int, degree: int, profiles: tuple = ()):
-        if target_genus < 0 or degree < 1:
-            raise ValueError("need target_genus >= 0 and degree >= 1")
-        profiles = tuple(check_partition(p) for p in profiles)
-        for p in profiles:
-            if sum(p) != degree:
-                raise ValueError(f"profile {p} is not a partition of {degree}")
-        return super().__new__(cls, target_genus, degree, profiles)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own `_make`, which `_replace` calls, skips `__new__`
-        return cls(*iterable)
+from .branch import BranchData
+from .partitions import (check_table_degree, enumerate_partitions, format_partition,
+                         sub_multisets, z_factor)
 
 
 # ----------------------------------------------------------- character side
@@ -204,6 +175,8 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
     """Multilinear extension of the disconnected count to formal class sums;
     a cost above MAX_GENUS_COST, each class sum weighed as a `gw` insertion
     by its denominators and branchings, is refused first."""
+    from .cycles import ClassSum
+
     args = list(args)
     for a in args:
         if not isinstance(a, ClassSum) or a.degree != d:
@@ -211,139 +184,6 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
     _check_genus(h, d, len(args), [_class_sum_weight(a) for a in args])
     sums, scale = branching_sums(h, d, [a.terms.items() for a in args])
     return scale * sum(sums.values())
-
-
-# ------------------------------------------------------------- brute force
-
-
-def _compose(p: tuple):
-    """The map x -> x o p on permutation tuples; a one-item `itemgetter` would
-    return a scalar, and the only permutation of one point is the identity."""
-    return itemgetter(*p) if len(p) > 1 else tuple
-
-
-def _orbits(p: tuple) -> tuple:
-    """The orbit labels of p, each point's least orbit-mate, and its cycle type."""
-    labels = [-1] * len(p)
-    lengths = []
-    for x in range(len(p)):
-        y, n = x, 0
-        while labels[y] < 0:
-            labels[y] = x
-            y, n = p[y], n + 1
-        if n:
-            lengths.append(n)
-    return tuple(labels), tuple(sorted(lengths, reverse=True))
-
-
-def _join(a: tuple, b: tuple) -> tuple:
-    """The orbit labels of the partition generated by two label tuples: a
-    union-find that starts from a's labels and keeps each block's least point
-    as its root."""
-    root = list(a)
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for x, y in enumerate(b):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            root[max(rx, ry)] = min(rx, ry)
-    return tuple(map(find, range(len(a))))
-
-
-def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
-                     degree_bound: int = DEFAULT_ORACLE_BOUND) -> Fraction:
-    """Count monodromy tuples by direct enumeration, divided by d!.
-
-    Tuples are (a_1, b_1, .., a_h, b_h, s_1, .., s_n) with the product of
-    commutators times the s_j equal to the identity and each s_j in the
-    conjugacy class of the j-th profile; with `transitive_only` the group
-    generated by all entries must act transitively.
-
-    Simultaneous conjugation keeps the product, every class and
-    transitivity, so one entry runs over class representatives only, each
-    weighted by its class size: at genus 0 the largest profile's entry is
-    fixed, and at genus >= 1 a_1 is, while b_1 runs over S_d.  Later pairs
-    sweep all d!^2 (a, b).  A sweep over (partial product, orbit labels of
-    the partial join) states multiplies the other entries in as tuples.  The
-    last entry must be the inverse of the partial product, which lies in the
-    closing class exactly when the partial product does, and adds no orbit.
-    The profiles are swept in ascending class size and the largest left
-    closes the sweep; the count does not depend on the order, since Hurwitz
-    moves swap neighbouring profiles and keep both the product and the
-    generated group.
-    """
-    d, h = branch.degree, branch.target_genus
-    if d >= ORACLE_CEILING:
-        raise ValueError(
-            f"degree {d} is at or above the oracle's ceiling {ORACLE_CEILING}: a genus >= 2 "
-            f"count would sweep all {d}!x{d}! pairs, about "
-            f"{math.factorial(d) ** 2:.1e} entries")
-    if d > degree_bound:
-        raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
-    classes = {}  # cycle type -> [(element, its orbit labels)]
-    for p in itertools.permutations(range(d)):
-        labels, shape = _orbits(p)
-        classes.setdefault(shape, []).append((p, labels))
-    discrete = identity = tuple(range(d))
-    target = (0,) * d if transitive_only else discrete
-    joins = {}  # one call's memo
-
-    def orbits(labels):
-        # only transitivity reads the joins, so other counts keep them discrete
-        return labels if transitive_only else discrete
-
-    def join(a, b):
-        if a == b:
-            return a
-        got = joins.get((a, b))
-        if got is None:
-            got = joins[a, b] = _join(a, b)
-        return got
-
-    def pairs(firsts):
-        """Weighted counts of ([a, b], orbits of <a, b>) over the (a, labels,
-        weight) of `firsts` and every b."""
-        seconds = [(_compose(b), _compose(tuple(map(b.index, identity))), orbits(lb))
-                   for members in classes.values() for b, lb in members]
-        dist = {}
-        for a, la, w in firsts:
-            a_inv, la = _compose(tuple(map(a.index, identity))), orbits(la)
-            for b, b_inv, lb in seconds:
-                key = (b_inv(a_inv(b(a))), join(la, lb))
-                dist[key] = dist.get(key, 0) + w
-        return dist
-
-    profiles = sorted(branch.profiles, key=lambda eta: len(classes[eta]))
-    steps = []
-    if h:
-        state = pairs([(*members[0], len(members)) for members in classes.values()])
-        if h > 1:
-            everything = [(b, lb, 1) for members in classes.values() for b, lb in members]
-            later = [(_compose(g), labels, w) for (g, labels), w in pairs(everything).items()]
-            steps = [later] * (h - 1)
-    elif profiles:
-        members = classes[profiles.pop()]
-        rep, labels = members[0]
-        state = {(rep, orbits(labels)): len(members)}
-    else:
-        state = {(identity, discrete): 1}
-    # an empty tuple is closed by the identity
-    closing = {p for p, _labels in classes[profiles.pop() if profiles else (1,) * d]}
-    steps += [[(_compose(p), orbits(labels), 1) for p, labels in classes[eta]]
-              for eta in profiles]
-    for step in steps:
-        new = {}
-        for (g, labels), c in state.items():
-            for compose, labels2, w in step:
-                key = (compose(g), join(labels, labels2))
-                new[key] = new.get(key, 0) + c * w
-        state = new
-    count = sum(c for (g, labels), c in state.items() if labels == target and g in closing)
-    return Fraction(count, math.factorial(d))
 
 
 # ------------------------------------------------- connected from splittings

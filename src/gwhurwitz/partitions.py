@@ -1,10 +1,12 @@
-"""Integer partitions and the class algebra of formal partition sums.
+"""Integer partitions: canonical tuples, enumeration, sub-multisets and
+centralizer orders.
 
 Partitions are canonical tuples of weakly decreasing positive integers;
-the empty partition () is a first-class degree-0 value.  `ClassSum` holds a
-formal rational linear combination of partitions of one fixed degree.  Its
-methods import `fractions` when they build a rational, so a process that
-builds none, such as `char`, never loads it or the `decimal` it imports.
+the empty partition () is a first-class degree-0 value.  Every command
+loads this module, so it holds only what the command line and every layer
+read.  It builds no rational, so a process that builds none, such as
+`char`, never loads `fractions` or the `decimal` it imports; the class sums
+of partitions live in `cycles`.
 """
 
 from __future__ import annotations
@@ -123,80 +125,3 @@ def parse_partition(text: str) -> tuple:
     if not text:
         return ()
     return as_partition(int(p) for p in text.split(","))
-
-
-class ClassSum:
-    """A formal rational combination of partitions of one fixed degree."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms=None):
-        from fractions import Fraction
-
-        if degree < 1:
-            raise ValueError("class sums live in degree >= 1")
-        self.degree = degree
-        clean = {}
-        for mu, c in (terms or {}).items():
-            mu = check_partition(mu)
-            if sum(mu) != degree:
-                raise ValueError(f"{mu} is not a partition of {degree}")
-            c = Fraction(c)
-            if c:
-                clean[mu] = c
-        self.terms = clean
-
-    @classmethod
-    def single(cls, mu, coefficient=1):
-        mu = check_partition(mu)
-        return cls(sum(mu), {mu: coefficient})
-
-    def coefficient(self, mu) -> Fraction:
-        from fractions import Fraction
-
-        return self.terms.get(check_partition(mu), Fraction(0))
-
-    def _check_degree(self, other):
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other):
-        from fractions import Fraction
-
-        self._check_degree(other)
-        terms = dict(self.terms)
-        for mu, c in other.terms.items():
-            terms[mu] = terms.get(mu, Fraction(0)) + c
-        return ClassSum(self.degree, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        from fractions import Fraction
-
-        c = Fraction(c)
-        return ClassSum(self.degree, {mu: v * c for mu, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassSum) and self.degree == other.degree
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.terms.items()))))
-
-    def items_canonical(self):
-        """(partition, coefficient) pairs in reverse-lexicographic order."""
-        return [(mu, self.terms[mu]) for mu in enumerate_partitions(self.degree)
-                if mu in self.terms]
-
-    def to_dict(self) -> dict:
-        return {format_partition(mu): str(c) for mu, c in self.items_canonical()}
-
-    def __repr__(self):
-        if not self.terms:
-            return f"ClassSum({self.degree}, 0)"
-        body = " + ".join(f"{c}*{format_partition(mu)}"
-                          for mu, c in self.items_canonical())
-        return f"ClassSum({self.degree}, {body})"
-

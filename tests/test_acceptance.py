@@ -12,13 +12,15 @@ from fractions import Fraction as F
 
 from gwhurwitz.characters import CharacterTable, f2_shifted, f_eta, transposition_class
 from gwhurwitz.cli import main
-from gwhurwitz.cycles import completed_cycle, stationary_gw
-from gwhurwitz.fock import CalE, FockState, apply_alpha, apply_calE, correlator
+from gwhurwitz.branch import BranchData
+from gwhurwitz.cycles import ClassSum, completed_cycle, stationary_gw
+from gwhurwitz.fock import FockState, apply_alpha, apply_calE
 from gwhurwitz.gwh import elsv_check, gwh_crosscheck, i_function_empty, tau_via_wallcrossing
-from gwhurwitz.hurwitz import BranchData, hurwitz_connected, hurwitz_disconnected, \
-    monodromy_oracle
-from gwhurwitz.partitions import ClassSum, enumerate_partitions, z_factor
+from gwhurwitz.hurwitz import hurwitz_connected, hurwitz_disconnected
+from gwhurwitz.oracle import monodromy_oracle
+from gwhurwitz.partitions import enumerate_partitions, z_factor
 from gwhurwitz.qseries import MultiSeries, sigma_of, sigma_series
+from gwhurwitz.words import CalE, correlator
 
 
 def report(name: str, ok: bool):

@@ -98,58 +98,75 @@ class TestDocuments:
         assert code == 2 and captured.out == ""
         assert "degree must be >= 0" in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["ifun", "--g", "1000", "--eta", "(2)", "--k", "3"],
-        ["ifun", "--g", "2000", "--eta", "(2)", "--empty"],
-        ["elsv", "--mu", "(2)", "--g", "1000"], ["elsv", "--mu", "(2)", "--g", "3000"]],
-        ids=["ifun", "ifun_empty", "elsv_1000", "elsv_3000"])
-    def test_huge_genus_exits_2_before_any_series(self, capsys, monkeypatch, argv):
+    @staticmethod
+    def _bomb_bras(monkeypatch, message):
+        """Make every boundary bra raise AssertionError(message): the one
+        `icoeff` pairs for `ifun --k` and the one `gwh` reads for the Hodge
+        series of `ifun --empty` and `elsv`."""
         import gwhurwitz.gwh as gwh_module
-        from gwhurwitz.gwh import MAX_SERIES_ORDER
+        import gwhurwitz.icoeff as icoeff_module
 
         def bomb(*_args):
-            raise AssertionError("series built past the order limit")
+            raise AssertionError(message)
 
-        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
-        code = main(argv)
+        for module in (icoeff_module, gwh_module):
+            monkeypatch.setattr(module, "_boundary_bra", bomb)
+
+    def _refused_then_admitted(self, capsys, monkeypatch, refused, admitted, message, limit):
+        """`refused` exits 2 naming `limit` before any bra is built, and the
+        same bomb fires on `admitted`, the same route inside the limit: so the
+        bomb sits where the route's call resolves."""
+        self._bomb_bras(monkeypatch, message)
+        code = main(refused)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}" in captured.err
+        assert limit in captured.err
+        with pytest.raises(AssertionError, match=message):
+            main(admitted)
+
+    @pytest.mark.parametrize("argv, admitted", [
+        (["ifun", "--g", "1000", "--eta", "(2)", "--k", "3"],
+         ["ifun", "--g", "1", "--eta", "(2)", "--k", "3"]),
+        (["ifun", "--g", "2000", "--eta", "(2)", "--empty"],
+         ["ifun", "--g", "1", "--eta", "(2)", "--empty"]),
+        (["elsv", "--mu", "(2)", "--g", "1000"], ["elsv", "--mu", "(2)", "--g", "1"]),
+        (["elsv", "--mu", "(2)", "--g", "3000"], ["elsv", "--mu", "(2)", "--g", "3"])],
+        ids=["ifun", "ifun_empty", "elsv_1000", "elsv_3000"])
+    def test_huge_genus_exits_2_before_any_series(self, capsys, monkeypatch, argv, admitted):
+        from gwhurwitz.icoeff import MAX_SERIES_ORDER
+
+        self._refused_then_admitted(capsys, monkeypatch, argv, admitted,
+                                    "series built past the order limit",
+                                    f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}")
 
     def test_huge_k_exits_2_before_any_series(self, capsys, monkeypatch):
         # inside the order and cost limits of the bra, this ran past 40 s
-        import gwhurwitz.gwh as gwh_module
-        from gwhurwitz.gwh import MAX_PAIRING_COST
+        from gwhurwitz.icoeff import MAX_PAIRING_COST
 
-        def bomb(*_args):
-            raise AssertionError("series built past the pairing limit")
+        self._refused_then_admitted(capsys, monkeypatch,
+                                    ["ifun", "--g", "0", "--eta", "(3,2)", "--k", "1500"],
+                                    ["ifun", "--g", "0", "--eta", "(3,2)", "--k", "150"],
+                                    "series built past the pairing limit",
+                                    f"MAX_PAIRING_COST = {MAX_PAIRING_COST}")
 
-        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
-        code = main(["ifun", "--g", "0", "--eta", "(3,2)", "--k", "1500"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"MAX_PAIRING_COST = {MAX_PAIRING_COST}" in captured.err
-
-    @pytest.mark.parametrize("argv", [
-        ["elsv", "--mu", "(4,3,2,1)", "--g", "140"],
-        ["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"],
-        ["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--k", "0"],
-        ["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--empty"]],
+    @pytest.mark.parametrize("argv, admitted", [
+        (["elsv", "--mu", "(4,3,2,1)", "--g", "140"], ["elsv", "--mu", "(4,3,2,1)", "--g", "14"]),
+        (["ifun", "--g", "300", "--eta", "(6,5,4)", "--k", "3"],
+         ["ifun", "--g", "30", "--eta", "(6,5,4)", "--k", "3"]),
+        (["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--k", "0"],
+         ["ifun", "--g", "-100", "--eta", "(" + "1," * 9 + "1)", "--k", "0"]),
+        (["ifun", "--g", "-100", "--eta", "(" + "1," * 29 + "1)", "--empty"],
+         ["ifun", "--g", "-100", "--eta", "(" + "1," * 9 + "1)", "--empty"])],
         ids=["elsv", "ifun", "ifun_negative_order", "ifun_empty_negative_order"])
-    def test_costly_profile_exits_2_before_any_series(self, capsys, monkeypatch, argv):
+    def test_costly_profile_exits_2_before_any_series(self, capsys, monkeypatch, argv,
+                                                      admitted):
         # all inside MAX_SERIES_ORDER; the ifun request at g = 300 ran past
         # 60 s, and thirty ones cost 2^30 however negative the order
-        import gwhurwitz.gwh as gwh_module
-        from gwhurwitz.gwh import MAX_SERIES_COST
+        from gwhurwitz.icoeff import MAX_SERIES_COST
 
-        def bomb(*_args):
-            raise AssertionError("series built past the cost limit")
-
-        monkeypatch.setattr(gwh_module, "_boundary_bra", bomb)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"MAX_SERIES_COST = {MAX_SERIES_COST}" in captured.err
+        self._refused_then_admitted(capsys, monkeypatch, argv, admitted,
+                                    "series built past the cost limit",
+                                    f"MAX_SERIES_COST = {MAX_SERIES_COST}")
 
     @pytest.mark.parametrize("argv", [
         ["ifun", "--g", "-3000", "--eta", "(1)", "--k", "0"],
@@ -166,16 +183,21 @@ class TestDocuments:
     def test_ifun_usage_errors_exit_2(self, capsys, monkeypatch, argv, message):
         # exit 1 is kept for a failed identity; nothing is computed
         import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
 
         def bomb(*_args):
             raise AssertionError("coefficient computed")
 
-        monkeypatch.setattr(gwh_module, "i_function_numeric", bomb)
+        monkeypatch.setattr(icoeff_module, "i_function_numeric", bomb)
         monkeypatch.setattr(gwh_module, "i_function_empty", bomb)
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"gwhurwitz: error: {message}\n"
+        # the same bombs fire on a well-formed request of either route
+        for admitted in (argv[:5] + ["--k", "2"], argv[:5] + ["--empty"]):
+            with pytest.raises(AssertionError, match="coefficient computed"):
+                main(admitted)
 
     def test_verify_refuses_above_the_crosscheck_ceiling_before_any_table(
             self, capsys, monkeypatch):
@@ -244,6 +266,9 @@ class TestDocuments:
         err = capsys.readouterr().err
         assert code == 2
         assert "8!x8!" in err and "1.6e+09 entries" in err
+        # the same bomb fires on an admitted oracle count
+        with pytest.raises(AssertionError, match="permutations enumerated"):
+            main(["hur", "--d", "3", "--oracle", "--target-genus", "0"])
 
     def test_gw_refuses_a_negative_target_genus(self, capsys):
         code = main(["gw", "--target-genus", "-2", "--d", "2", "--ks", "0,0,0,0,0,0"])
@@ -252,7 +277,7 @@ class TestDocuments:
         assert "need target_genus >= 0" in captured.err
 
     def test_oracle_bound_default_is_the_library_constant(self):
-        from gwhurwitz.hurwitz import DEFAULT_ORACLE_BOUND
+        from gwhurwitz.oracle import DEFAULT_ORACLE_BOUND
         args = parse_args(["hur", "--target-genus", "0", "--d", "3"])
         assert args.oracle_bound == DEFAULT_ORACLE_BOUND
 

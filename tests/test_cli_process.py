@@ -158,26 +158,32 @@ def test_wall_crossing_commands_never_load_dataclasses(tmp_path):
 
 
 # each subcommand with exactly the package modules its route runs
-ALL_LAYERS = ["characters", "cli", "cycles", "fock", "gwh", "hurwitz", "partitions", "qseries"]
 MODULE_SETS = {
     # the help text is laid out by a module that no other command compiles
     "help": (COMMANDS["help"], ["cli", "helptext", "partitions"]),
     "char": (COMMANDS["char"], ["characters", "cli", "partitions"]),
-    "hur": (COMMANDS["hur"], ["characters", "cli", "hurwitz", "partitions"]),
+    "hur": (COMMANDS["hur"], ["branch", "characters", "cli", "hurwitz", "partitions"]),
     "hur_connected": (COMMANDS["hur"] + ["--connected"],
-                      ["characters", "cli", "hurwitz", "partitions"]),
-    # the oracle, which checks the character sums, shares no code with them
-    "hur_oracle": (COMMANDS["hur_oracle"], ["cli", "hurwitz", "partitions"]),
+                      ["branch", "characters", "cli", "hurwitz", "partitions"]),
+    # the oracle, which checks the character sums, shares only their branch data
+    "hur_oracle": (["hur", "--target-genus", "1", "--d", "4", "--profiles", "(2,2)", "--oracle"],
+                   ["branch", "cli", "oracle", "partitions"]),
+    "hur_oracle_connected": (COMMANDS["hur_oracle"], ["branch", "cli", "oracle", "partitions"]),
     # the closed-formula route loads neither the series core nor the wedge engine
     "cycle": (["cycle", "--d", "3", "--k", "2"], ["cli", "cycles", "partitions"]),
-    "ifun": (COMMANDS["ifun"], ["cli", "fock", "gwh", "partitions", "qseries"]),
+    # one coefficient compiles neither the Hodge series nor the wall-crossing route
+    "ifun": (COMMANDS["ifun"], ["cli", "fock", "icoeff", "partitions", "qseries"]),
     "ifun_empty": (["ifun", "--g", "0", "--eta", "(2,1)", "--empty"],
-                   ["cli", "fock", "gwh", "partitions", "qseries"]),
+                   ["cli", "fock", "gwh", "icoeff", "partitions", "qseries"]),
     "gw": (["gw", "--target-genus", "1", "--d", "2", "--ks", "1,1"],
-           ["characters", "cli", "cycles", "hurwitz", "partitions"]),
+           ["branch", "characters", "cli", "cycles", "hurwitz", "partitions"]),
     "elsv": (["elsv", "--mu", "(2,1)", "--g", "0"],
-             ["characters", "cli", "fock", "gwh", "hurwitz", "partitions", "qseries"]),
-    "verify": (["verify", "--d-max", "2", "--k-max", "2"], ALL_LAYERS),
+             ["branch", "characters", "cli", "fock", "gwh", "hurwitz", "icoeff", "partitions",
+              "qseries"]),
+    # every layer but the operator words, which no command runs
+    "verify": (["verify", "--d-max", "2", "--k-max", "2"],
+               ["branch", "characters", "cli", "cycles", "fock", "gwh", "hurwitz", "icoeff",
+                "oracle", "partitions", "qseries"]),
 }
 
 
@@ -195,6 +201,24 @@ def test_each_command_loads_exactly_the_layers_it_runs(name, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"0 False {[f'gwhurwitz.{m}' for m in layers]}"
+
+
+def test_no_command_loads_the_operator_words(tmp_path):
+    # `words` and its correlator are library code: the routes build their
+    # states with the `fock` operators directly
+    script = ("import contextlib, io, sys\n"
+              "from gwhurwitz.cli import main\n"
+              f"for argv in {[argv for argv, _layers in MODULE_SETS.values()]!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.startswith('gwhurwitz.')))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_process_env(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # together they load every other module of the package
+    others = sorted(f"gwhurwitz.{path.stem}" for path in (ROOT / "src" / "gwhurwitz").glob("*.py")
+                    if path.stem not in ("__init__", "words"))
+    assert done.stdout.strip() == str(others)
 
 
 # the commands that build no rational: they load neither `fractions` nor the

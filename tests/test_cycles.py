@@ -7,8 +7,9 @@ import pytest
 
 import gwhurwitz.cycles as cycles_module
 from gwhurwitz.cli import main
-from gwhurwitz.cycles import MAX_CYCLE_INDEX, bernoulli_numbers, completed_cycle, rho
-from gwhurwitz.partitions import ClassSum, enumerate_partitions, subpartitions_by_removing_ones
+from gwhurwitz.cycles import (MAX_CYCLE_INDEX, ClassSum, bernoulli_numbers, completed_cycle,
+                              rho)
+from gwhurwitz.partitions import enumerate_partitions, subpartitions_by_removing_ones
 from gwhurwitz.qseries import MultiSeries, s_of, s_series
 
 
@@ -66,6 +67,12 @@ def no_enumeration(monkeypatch):
         raise AssertionError(f"partitions of {d} enumerated")
 
     monkeypatch.setattr(cycles_module, "enumerate_partitions", refuse)
+
+
+def test_the_enumeration_bomb_fires_on_an_admitted_request(no_enumeration):
+    # so the refusals below cannot pass with the bomb on a name nothing reads
+    with pytest.raises(AssertionError, match="partitions of 3 enumerated"):
+        completed_cycle(2, 3)
 
 
 def test_completed_cycle_refuses_above_the_ceiling_before_enumerating(no_enumeration):

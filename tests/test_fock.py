@@ -7,14 +7,13 @@ import pytest
 
 from gwhurwitz import fock
 from gwhurwitz.characters import chi
-from gwhurwitz.fock import (Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, FockState,
-                            apply_A, apply_Astar, apply_alpha,
-                            apply_calE, apply_expUF2, apply_exp_alpha, boson_state,
-                            correlator, e_diagonal_support, e_moves, f2_eigenvalue,
-                            inner_product)
+from gwhurwitz.fock import (FockState, apply_A, apply_Astar, apply_alpha, apply_calE,
+                            apply_expUF2, apply_exp_alpha, boson_state, e_diagonal_support,
+                            e_moves, f2_eigenvalue, inner_product)
 from gwhurwitz.partitions import enumerate_partitions
 from gwhurwitz.qseries import (MultiSeries, PrecisionError, VariableMismatchError,
                                pochhammer_series, s_of, sigma_of, sigma_series)
+from gwhurwitz.words import Alpha, AStarOp, CalE, ExpAlpha, ExpUF2, correlator
 
 UV = ("u",)
 
@@ -429,7 +428,7 @@ class TestCorrelator:
         a = MultiSeries.monomial(vars, (0, 1), 1, order)
         b = MultiSeries.monomial(vars, (1, 1), 1, order)
         zu = MultiSeries.monomial(vars, (1, 0), 1, order)
-        from gwhurwitz.fock import default_energy_cap
+        from gwhurwitz.words import default_energy_cap
         for _ in range(10):
             if rng.random() < 0.5:
                 word = []

@@ -5,16 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwhurwitz.cycles import CompletedCycle, completed_cycle, rho, stationary_gw
-from gwhurwitz.fock import AStarOp, ExpAlpha, ExpUF2, correlator
+from gwhurwitz.cli import main
+from gwhurwitz.cycles import ClassSum, CompletedCycle, completed_cycle, rho, stationary_gw
 from gwhurwitz.gwh import (UnsupportedUnstableCase, elsv_check, gwh_crosscheck,
                            hodge_H_connected, hodge_H_series, i_function_empty,
-                           i_function_numeric, i_function_unstable_connected,
-                           tau_via_wallcrossing)
+                           i_function_unstable_connected, tau_via_wallcrossing)
 from gwhurwitz.hurwitz import hurwitz_classsum
-from gwhurwitz.partitions import ClassSum, enumerate_partitions, \
-    subpartitions_by_removing_ones
+from gwhurwitz.icoeff import i_function_numeric
+from gwhurwitz.partitions import enumerate_partitions, subpartitions_by_removing_ones
 from gwhurwitz.qseries import MultiSeries, PrecisionError
+from gwhurwitz.words import AStarOp, ExpAlpha, ExpUF2, correlator
 
 
 class TestRho:
@@ -77,23 +77,23 @@ class TestIFunctionNumeric:
     def test_word_evaluation_has_exactly_the_requested_orders(self, orders):
         # the padding covers the word's loss exactly: no coefficient is
         # computed past the request, and none the request needs is missing
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
         for d in range(1, 5):
             etas = enumerate_partitions(d)
-            pairings = gwh_module._i_pairings(etas, *orders)
+            pairings = icoeff_module._i_pairings(etas, *orders)
             assert list(pairings) == list(etas)
             for eta in etas:
                 assert pairings[eta].order == orders, eta
-                assert gwh_module._i_pairings([eta], *orders)[eta].order == orders, eta
+                assert icoeff_module._i_pairings([eta], *orders)[eta].order == orders, eta
 
     def test_bra_first_pairing_equals_the_operator_word(self):
         # reference: the word <eta| e^(uF2) e^(alpha_-1) A* |0> applied to the
         # vacuum right to left, at the same padded orders and truncation
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
 
         def word_pairing(eta, u_order, w_order):
             vars = ("u", "w")
-            pad = gwh_module._I_WORD_LOSS
+            pad = icoeff_module._I_WORD_LOSS
             order = (u_order + pad, w_order + pad)
             a = MultiSeries.monomial(vars, (0, 1), 1, order)
             b = MultiSeries.monomial(vars, (1, 1), 1, order)
@@ -108,7 +108,7 @@ class TestIFunctionNumeric:
             etas = enumerate_partitions(d)
             # (12, 12): the orders a k = 10 crosscheck evaluates for every degree
             for orders in [(2, 2), (3, 2), (6, 6), (10, 4), (4, 10), (12, 12)]:
-                pairings = gwh_module._i_pairings(etas, *orders)
+                pairings = icoeff_module._i_pairings(etas, *orders)
                 for eta in etas:
                     assert form(pairings[eta]) == form(word_pairing(eta, *orders)), \
                         (eta, orders)
@@ -138,10 +138,11 @@ class TestPairings:
         return calls
 
     def test_crosscheck_builds_one_ket_per_degree(self, monkeypatch):
+        # the crosscheck's pairings build their bras in `icoeff`
         import gwhurwitz.fock as fock_module
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
         kets = self._spy(monkeypatch, fock_module, "apply_Astar")
-        bras = self._spy(monkeypatch, gwh_module, "_boundary_bra")
+        bras = self._spy(monkeypatch, icoeff_module, "_boundary_bra")
         assert gwh_crosscheck(4, 6).passed
         assert len(kets) == 4
         assert [cap for *_, cap in kets] == [1, 2, 3, 4]
@@ -152,8 +153,8 @@ class TestPairings:
     @pytest.mark.parametrize("g,eta,k", [(0, (1,), 0), (1, (2, 1), 3), (-3, (1, 1), 4),
                                          (2, (3,), 1)])
     def test_one_coefficient_evaluates_exactly_its_orders(self, monkeypatch, g, eta, k):
-        import gwhurwitz.gwh as gwh_module
-        evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
+        import gwhurwitz.icoeff as icoeff_module
+        evaluations = self._spy(monkeypatch, icoeff_module, "_i_pairings")
         i_function_numeric(g, eta, k)
         vd = 2 * g - 1 + sum(eta) + len(eta)
         assert evaluations == [([eta], max(vd + 1, 1), k + 2)]
@@ -163,14 +164,14 @@ class TestPairings:
         # every (g, k) a crosscheck reads from the per-degree evaluation
         # matches a fresh single-eta evaluation at exactly the orders it needs,
         # and the per-degree series still refuses coefficients past its orders
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
         for d in (1, 2, 3):
             etas = enumerate_partitions(d)
-            pairings = gwh_module._i_pairings(etas, k_max + 2, k_max + 2)
+            pairings = icoeff_module._i_pairings(etas, k_max + 2, k_max + 2)
             for eta in etas:
                 for k in range(k_max + 1):
                     for g in range(-len(eta), (k + 2 - d - len(eta)) // 2 + 1):
-                        got = pairings[eta].coefficient(gwh_module._i_monomial(g, eta, k))
+                        got = pairings[eta].coefficient(icoeff_module._i_monomial(g, eta, k))
                         assert got == i_function_numeric(g, eta, k).value, (g, eta, k)
                 with pytest.raises(PrecisionError):
                     pairings[eta].coefficient((k_max + 2, 0))
@@ -178,8 +179,8 @@ class TestPairings:
                     pairings[eta].coefficient((0, k_max + 2))
 
     def test_precision_beyond_request_still_raises(self):
-        import gwhurwitz.gwh as gwh_module
-        got = gwh_module._i_pairings([(2,)], 4, 3)[(2,)]
+        import gwhurwitz.icoeff as icoeff_module
+        got = icoeff_module._i_pairings([(2,)], 4, 3)[(2,)]
         with pytest.raises(PrecisionError):
             got.coefficient((4, 0))
         with pytest.raises(PrecisionError):
@@ -280,18 +281,37 @@ class TestPairings:
         with pytest.raises(ValueError, match=message):
             tau_via_wallcrossing(k, d)
 
+    @pytest.mark.parametrize("name", ["_crossing_table", "_i_pairings"])
+    def test_each_bomb_fires_on_an_admitted_request(self, monkeypatch, name):
+        # the refusals above patch both names in `gwh`; each alone is reached
+        # by an admitted request of either entry, so neither patch is stale
+        import gwhurwitz.gwh as gwh_module
+
+        def bomb(*_args):
+            raise AssertionError(f"{name} reached")
+
+        monkeypatch.setattr(gwh_module, name, bomb)
+        for request in (lambda: gwh_crosscheck(2, 2), lambda: tau_via_wallcrossing(2, 2)):
+            with pytest.raises(AssertionError, match=f"{name} reached"):
+                request()
+
 
 class TestCorrelatorStore:
     # the I-correlators a crosscheck holds: one `_i_pairings` evaluation per
     # degree, built inside the call and read once per (g, eta, k)
     _spy = TestPairings._spy
 
-    def test_one_i_coefficient_per_genus_and_profile(self, monkeypatch):
+    def test_one_i_coefficient_per_genus_and_profile(self, monkeypatch, capsys):
         # no I-coefficient goes through `i_function_numeric`, and none is read twice
         import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
         evaluations = self._spy(monkeypatch, gwh_module, "_i_pairings")
         reads = self._spy(monkeypatch, gwh_module, "_i_monomial")
-        numeric = self._spy(monkeypatch, gwh_module, "i_function_numeric")
+        numeric = self._spy(monkeypatch, icoeff_module, "i_function_numeric")
+        assert main(["ifun", "--g", "0", "--eta", "(1)", "--k", "2"]) == 0  # the spy sees `ifun`
+        capsys.readouterr()
+        assert numeric == [(0, (1,), 2)]
+        numeric.clear()
         assert gwh_crosscheck(4, 6).passed
         assert len(reads) == len(set(reads)) == 190
         assert sorted({eta for _, eta, _ in reads}) == \
@@ -499,17 +519,21 @@ class _Started(Exception):
 
 
 class TestSeriesOrderLimit:
-    # every series of these requests is built by one of these four
-    _BUILDERS = ("_boundary_bra", "_i_pairings", "hodge_H_series", "hodge_H_connected")
+    # every series of these requests is built by one of these builders, each
+    # patched in the module where its callers resolve it: the one-marking
+    # coefficients pair in `icoeff`, the Hodge series read the bra in `gwh`
+    _BUILDERS = {"icoeff": ("_boundary_bra", "_i_pairings"),
+                 "gwh": ("_boundary_bra", "hodge_H_series", "hodge_H_connected")}
 
     def _run(self, monkeypatch, request_, error):
-        import gwhurwitz.gwh as gwh_module
+        import importlib
 
         def stop(*_args):
             raise error
 
-        for name in self._BUILDERS:
-            monkeypatch.setattr(gwh_module, name, stop)
+        for module, names in self._BUILDERS.items():
+            for name in names:
+                monkeypatch.setattr(importlib.import_module(f"gwhurwitz.{module}"), name, stop)
         func, *args = request_
         func(*args)
 
@@ -519,7 +543,7 @@ class TestSeriesOrderLimit:
         (i_function_numeric, 309, (2,), 0), (i_function_empty, 309, (1, 1)),
         (elsv_check, (12,), 304)])
     def test_huge_genus_raises_before_any_series(self, monkeypatch, request_):
-        from gwhurwitz.gwh import MAX_SERIES_ORDER
+        from gwhurwitz.icoeff import MAX_SERIES_ORDER
 
         with pytest.raises(ValueError, match=f"MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"):
             self._run(monkeypatch, request_,
@@ -545,7 +569,7 @@ class TestSeriesOrderLimit:
     def test_costly_profile_raises_before_any_series(self, monkeypatch, request_):
         # inside MAX_SERIES_ORDER: ifun (6,5,4) at g = 300 ran past 60 s; a
         # negative order counts as 1, so thirty ones cost 2^30 at g = -100
-        from gwhurwitz.gwh import MAX_SERIES_COST
+        from gwhurwitz.icoeff import MAX_SERIES_COST
 
         with pytest.raises(ValueError, match=f"MAX_SERIES_COST = {MAX_SERIES_COST}"):
             self._run(monkeypatch, request_,
@@ -586,7 +610,7 @@ class TestSeriesOrderLimit:
     def test_costly_pairing_raises_before_any_series(self, monkeypatch, request_):
         # inside both limits above: k = 1500 ran past 40 s, g = 50 with
         # k = 160 took 90 s
-        from gwhurwitz.gwh import MAX_PAIRING_COST
+        from gwhurwitz.icoeff import MAX_PAIRING_COST
 
         with pytest.raises(ValueError, match=f"MAX_PAIRING_COST = {MAX_PAIRING_COST}"):
             self._run(monkeypatch, request_,
@@ -627,6 +651,18 @@ class TestSeriesOrderLimit:
         monkeypatch.setattr(gwh_module, "_boundary_bra", no_bra)
         with pytest.raises(ValueError, match=f"u-order {u_order} at .* {limit} = "):
             hodge_H_series(eta, u_order)
+
+    def test_the_bra_bomb_fires_on_admitted_series(self, monkeypatch):
+        # the two refusals above patch `gwh`'s bra, which both series read
+        import gwhurwitz.gwh as gwh_module
+
+        def no_bra(*_args):
+            raise AssertionError("boundary bra built")
+
+        monkeypatch.setattr(gwh_module, "_boundary_bra", no_bra)
+        for series in (hodge_H_series, hodge_H_connected):
+            with pytest.raises(AssertionError, match="boundary bra built"):
+                series((2, 1), 2)
 
 
 class TestNoMarkingShape:
@@ -759,14 +795,17 @@ class TestStationary:
         # point insertions factor through single-marking data only; the
         # stationary path is entirely independent of the correlator route
         import gwhurwitz.cycles as cycles_module
-        import gwhurwitz.gwh as gwh_module
+        import gwhurwitz.icoeff as icoeff_module
 
         def bomb(*_args, **_kwargs):
             raise AssertionError("multi-point route requested")
 
-        monkeypatch.setattr(gwh_module, "i_function_numeric", bomb)
+        monkeypatch.setattr(icoeff_module, "i_function_numeric", bomb)
         got = cycles_module.stationary_gw(1, 2, [1, 1])
         assert got.total == 2
+        # the bomb is where the `ifun` route resolves it
+        with pytest.raises(AssertionError, match="multi-point route requested"):
+            main(["ifun", "--g", "0", "--eta", "(1)", "--k", "2"])
 
     def test_odd_branching_with_nonzero_count_raises(self, monkeypatch):
         # Riemann-Hurwitz forces even total branching, so a nonzero count

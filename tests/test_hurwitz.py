@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from gwhurwitz.characters import (CharacterTable, dim_hook, f2_shifted, f_eta,
                                   transposition_class)
-from gwhurwitz.cycles import completed_cycle, stationary_gw
-from gwhurwitz.hurwitz import (BranchData, _join, _orbits, branching_sums,
-                               hurwitz_classsum, hurwitz_connected, hurwitz_disconnected,
-                               monodromy_oracle)
-from gwhurwitz.partitions import ClassSum, aut_size, enumerate_partitions, z_factor
+from gwhurwitz.branch import BranchData
+from gwhurwitz.cycles import ClassSum, completed_cycle, stationary_gw
+from gwhurwitz.hurwitz import (branching_sums, hurwitz_classsum, hurwitz_connected,
+                               hurwitz_disconnected)
+from gwhurwitz.oracle import _join, _orbits, monodromy_oracle
+from gwhurwitz.partitions import aut_size, enumerate_partitions, z_factor
 
 
 def profile_multisets(d, max_n):
@@ -107,6 +108,9 @@ class TestSpotValues:
         monkeypatch.setattr(itertools, "permutations", no_permutations)
         with pytest.raises(ValueError, match=r"8!x8! .* 1\.6e\+09 entries"):
             monodromy_oracle(BranchData(0, 8, ((2,) + (1,) * 6,)), degree_bound=8)
+        # the same bomb fires on an admitted count: the oracle enumerates through it
+        with pytest.raises(AssertionError, match="permutations enumerated"):
+            monodromy_oracle(BranchData(0, 3, ((2, 1),)))
 
 
 class TestOracleAgreement:
@@ -426,7 +430,7 @@ def _sweep_in(monkeypatch, order) -> list:
     returned list records each sweep that took the order."""
     import builtins
 
-    import gwhurwitz.hurwitz as hurwitz_module
+    import gwhurwitz.oracle as oracle_module
 
     used = []
 
@@ -436,7 +440,7 @@ def _sweep_in(monkeypatch, order) -> list:
         used.append(order)
         return list(order)
 
-    monkeypatch.setattr(hurwitz_module, "sorted", fixed, raising=False)
+    monkeypatch.setattr(oracle_module, "sorted", fixed, raising=False)
     return used
 
 
@@ -462,16 +466,16 @@ def test_profiles_are_swept_in_ascending_class_size(monkeypatch):
     # class sizes 144, 45 and 40: the largest, (5, 1), is fixed to one
     # representative, the next closes the sweep, and only the 40 elements of
     # (3, 3) are multiplied in; the given order would multiply in 144
-    import gwhurwitz.hurwitz as hurwitz_module
+    import gwhurwitz.oracle as oracle_module
 
     composed = []
-    inner = hurwitz_module._compose
+    inner = oracle_module._compose
 
     def spy(p):
         composed.append(_cycle_type(p))
         return inner(p)
 
-    monkeypatch.setattr(hurwitz_module, "_compose", spy)
+    monkeypatch.setattr(oracle_module, "_compose", spy)
     profiles = ((5, 1), (2, 2, 1, 1), (3, 3))
     branch = BranchData(0, 6, profiles)
     assert monodromy_oracle(branch, degree_bound=6) == 1
@@ -555,7 +559,7 @@ class TestDoubleHurwitzSeries:
         # the diagonal-exponential word on boson boundaries reproduces the
         # centralizer-scaled weights: one identity tying the wedge engine,
         # the character tables, and the cover counts together
-        from gwhurwitz.fock import Alpha, ExpUF2, correlator
+        from gwhurwitz.words import Alpha, ExpUF2, correlator
         for d in (1, 2, 3):
             for mu in enumerate_partitions(d):
                 for eta in enumerate_partitions(d):

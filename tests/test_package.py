@@ -15,29 +15,32 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # every public name with the module that defines it
 HOMES = {
+    "branch": ["BranchData"],
     "characters": ["CharacterTable", "chi", "dim_hook", "f2_shifted", "f_eta",
                    "transposition_class"],
-    "cycles": ["CompletedCycle", "StationaryGW", "completed_cycle", "rho", "stationary_gw"],
-    "fock": ["Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "FockState", "apply_A",
-             "apply_Astar", "apply_alpha", "apply_calE", "apply_expUF2", "apply_exp_alpha",
-             "boson_state", "correlator", "inner_product"],
-    "gwh": ["CrosscheckReport", "ElsvReport", "IFunctionCoefficient", "elsv_check",
-            "gwh_crosscheck", "hodge_H_connected", "hodge_H_series", "i_function_empty",
-            "i_function_numeric", "i_function_unstable_connected", "tau_via_wallcrossing"],
-    "hurwitz": ["BranchData", "hurwitz_classsum", "hurwitz_connected",
-                "hurwitz_disconnected", "monodromy_oracle"],
-    "partitions": ["ClassSum", "as_partition", "enumerate_partitions", "format_partition",
+    "cycles": ["ClassSum", "CompletedCycle", "StationaryGW", "completed_cycle", "rho",
+               "stationary_gw"],
+    "fock": ["FockState", "apply_A", "apply_Astar", "apply_alpha", "apply_calE",
+             "apply_expUF2", "apply_exp_alpha", "boson_state", "inner_product"],
+    "gwh": ["CrosscheckReport", "ElsvReport", "elsv_check", "gwh_crosscheck",
+            "hodge_H_connected", "hodge_H_series", "i_function_empty",
+            "i_function_unstable_connected", "tau_via_wallcrossing"],
+    "hurwitz": ["hurwitz_classsum", "hurwitz_connected", "hurwitz_disconnected"],
+    "icoeff": ["IFunctionCoefficient", "i_function_numeric"],
+    "oracle": ["monodromy_oracle"],
+    "partitions": ["as_partition", "enumerate_partitions", "format_partition",
                    "parse_partition", "subpartitions_by_removing_ones", "z_factor"],
     "qseries": ["INF", "MultiSeries", "PrecisionError", "Rational", "SeriesError",
                 "VariableMismatchError", "format_rational", "pochhammer_series", "s_of",
                 "s_series", "sigma_of", "sigma_series"],
+    "words": ["Alpha", "AStarOp", "CalE", "ExpAlpha", "ExpUF2", "correlator"],
 }
 NAMES = sorted([*HOMES, *(name for names in HOMES.values() for name in names),
                 "clear_caches"])
 
 
 def test_all_is_the_pinned_list():
-    assert len(NAMES) == 69
+    assert len(NAMES) == 73
     assert sorted(gwhurwitz.__all__) == NAMES
 
 
@@ -87,7 +90,10 @@ LAYERS = {
     "characters": ["gwhurwitz.characters", "gwhurwitz.partitions"],
     # completed cycles need neither the series core nor the wall-crossing route
     "cycles": ["gwhurwitz.cycles", "gwhurwitz.partitions"],
-    "hurwitz": ["gwhurwitz.hurwitz", "gwhurwitz.partitions"],
+    "branch": ["gwhurwitz.branch", "gwhurwitz.partitions"],
+    "hurwitz": ["gwhurwitz.branch", "gwhurwitz.hurwitz", "gwhurwitz.partitions"],
+    # the brute-force check of the character sums loads none of their code
+    "oracle": ["gwhurwitz.branch", "gwhurwitz.oracle", "gwhurwitz.partitions"],
 }
 
 
@@ -113,10 +119,10 @@ def _cache_sizes() -> dict:
 
 
 def test_clear_caches_empties_every_cache():
-    from gwhurwitz import gwh
+    from gwhurwitz import gwh, icoeff
 
     gwh.gwh_crosscheck(3, 2)
-    gwh.i_function_numeric(0, (1,), 2)
+    icoeff.i_function_numeric(0, (1,), 2)
     filled = _cache_sizes()
     assert all(filled.values()), filled
     gwhurwitz.clear_caches()

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from gwhurwitz.partitions import (ClassSum, as_partition, check_partition,
+from gwhurwitz.cycles import ClassSum
+from gwhurwitz.partitions import (as_partition, check_partition,
                                   enumerate_partitions, format_partition, parse_partition,
                                   sub_multisets, subpartitions_by_removing_ones, z_factor)
 
