@@ -1,16 +1,16 @@
 """Hurwitz numbers of target curves by character sums.
 
-`hurwitz_disconnected` and the graded `branching_sums` evaluate the
-character-sum formula over only the character columns their classes need
-(`characters.character_columns`, row by row), in integers: one rational
-weight per dimension and one constant at the end.  `hurwitz_connected`
-removes the splittings by a marked-sheet recursion over those counts.  The
-brute-force count they are checked against, the monodromy oracle, lives in
-`oracle` and shares no code with them but `BranchData` (in `branch`), so
-`hur --oracle` compiles none of this module.  Only the character sums
-import `characters`.  No count here builds a series, so the series core
-`qseries` is never loaded.  No memo outlives a call: the connected
-recursion keeps its sub-problems for one count.
+One kernel, `branching_sums`, evaluates the character-sum formula over only
+the character columns its classes need (`characters.character_columns`,
+row by row), in integers graded by branching: one rational weight per
+dimension and one constant at the end.  `hurwitz_disconnected`,
+`hurwitz_classsum` and `cycles.stationary_gw` read it, and
+`hurwitz_connected` removes the splittings by a marked-sheet recursion over
+its counts.  The brute-force count they are checked against, the monodromy
+oracle, lives in `oracle` and shares no code with them but `BranchData` (in
+`branch`), so `hur --oracle` compiles none of this module.  No count here
+builds a series, so `qseries` is never loaded.  No memo outlives a call:
+the connected recursion keeps its sub-problems for one count.
 """
 
 from __future__ import annotations
@@ -93,49 +93,57 @@ def _dim_weights(dims, exponent: int) -> tuple[dict, int]:
 def branching_sums(h: int, d: int, factors) -> tuple[dict, Fraction]:
     """Character sum of a product of class sums over a genus-h target, as
     integer sums by grade and one rational scale: grade b is sums[b] * scale.
+    It is the module's only reader of characters.
 
     Each factor is an iterable of (partition, coefficient) pairs of degree d;
     grade b keeps the monomials of total branching b = sum_j (d - len(mu_j)).
     A factor's coefficients times d!/z(mu) are brought to integer numerators
     over one denominator, so per lam the grades are integer sums of character
-    products.  Rows of equal dimension are added up first, and the weight
-    dim^(2-2h-n) is applied once per (dimension, grade) as an integer over
-    lcm(dims)^(2h+n-2).  So every grade shares one denominator, and the scale
-    d!^(2h-2) / (the factors' denominators times that lcm power) is one
-    Fraction: a caller reduces each grade, or a sum of grades, once.
+    products.  Equal factors are read once per row: one of a single branching
+    (a single class) is raised to its multiplicity by one power, any other is
+    multiplied in once per copy.  Rows of equal dimension are added up first,
+    and the weight dim^(2-2h-n) is applied once per (dimension, grade) as an
+    integer over lcm(dims)^(2h+n-2).  So every grade shares one denominator,
+    and the scale d!^(2h-2) / (the factors' denominators times that lcm power)
+    is one Fraction: a caller reduces each grade, or a sum of grades, once.
     """
     from .characters import character_columns
 
     dfact = math.factorial(d)
     columns = {}  # class -> its position among the columns read
-    factor_terms = []
-    den = 1
-    for factor in factors:
-        scaled = [(mu, c * Fraction(dfact, z_factor(mu))) for mu, c in factor]
+    factor_terms = []  # (copies, [(branching, column, integer numerator)])
+    den, n = 1, 0
+    for factor, copies in Counter(map(tuple, factors)).items():
+        scaled = [(mu, c * (dfact // z_factor(mu))) for mu, c in factor]
         fden = math.lcm(*(s.denominator for _mu, s in scaled))
-        den *= fden
-        factor_terms.append([(d - len(mu), columns.setdefault(mu, len(columns)),
-                              s.numerator * (fden // s.denominator)) for mu, s in scaled])
+        den, n = den * fden ** copies, n + copies
+        factor_terms.append((copies, [(d - len(mu), columns.setdefault(mu, len(columns)),
+                                       s.numerator * (fden // s.denominator))
+                                      for mu, s in scaled]))
     identity = columns.setdefault((1,) * d, len(columns))  # chi^lam(1^d) = dim lam
     by_grade = {}  # grade -> {dim: integer sum over the rows of that dim}
     for chis in character_columns(d, columns):
         dim = chis[identity]
         grades = {0: 1}
-        for terms in factor_terms:
+        for copies, terms in factor_terms:
             central = {}  # the factor's integer central character times dim, by branching
             for branching, col, num in terms:
                 central[branching] = central.get(branching, 0) + num * chis[col]
-            new = {}
-            for b, value in grades.items():
-                for branching, c in central.items():
-                    key = b + branching
-                    new[key] = new.get(key, 0) + value * c
-            grades = new
+            if len(central) == 1:  # one branching: its power is one product
+                [(branching, c)] = central.items()
+                central, copies = {branching * copies: c ** copies}, 1
+            for _ in range(copies):
+                new = {}
+                for b, value in grades.items():
+                    for branching, c in central.items():
+                        key = b + branching
+                        new[key] = new.get(key, 0) + value * c
+                grades = new
         for b, value in grades.items():
             acc = by_grade.setdefault(b, {})
             acc[dim] = acc.get(dim, 0) + value
     weights, dim_den = _dim_weights({dim for acc in by_grade.values() for dim in acc},
-                                    2 - 2 * h - len(factor_terms))
+                                    2 - 2 * h - n)
     sums = {b: sum(value * weights[dim] for dim, value in acc.items())
             for b, acc in by_grade.items()}
     return sums, Fraction(dfact) ** (2 * h - 2) / (den * dim_den)
@@ -145,30 +153,17 @@ def hurwitz_disconnected(branch: BranchData) -> Fraction:
     """Weighted count of possibly-disconnected covers via character sums.
 
     The count is d!^(2h-2+n) / prod z(eta) times
-    sum_lam dim^(2-2h-n) prod_eta chi^lam(eta), over the n profiles eta; a
-    repeated profile is one column raised to its multiplicity.  A cost above
-    MAX_GENUS_COST is refused first.
+    sum_lam dim^(2-2h-n) prod_eta chi^lam(eta), over the n profiles eta: the
+    sum of every grade of `branching_sums` with one factor per profile's
+    class.  A cost above MAX_GENUS_COST is refused first.
     """
     _check_genus(branch.target_genus, branch.degree, len(branch.profiles))
     return _disconnected(branch.target_genus, branch.degree, branch.profiles)
 
 
 def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
-    from .characters import character_columns
-
-    counts = Counter(profiles)
-    powers = list(counts.values())
-    by_dim = {}
-    # the last column is the identity class, chi^lam(1^d) = dim lam; `map`
-    # stops at the shorter `powers`, so it takes no part in the product
-    for chis in character_columns(d, [*counts, (1,) * d]):
-        dim = chis[-1]
-        by_dim[dim] = by_dim.get(dim, 0) + math.prod(map(pow, chis, powers))
-    n = len(profiles)
-    weights, dim_den = _dim_weights(by_dim, 2 - 2 * h - n)
-    scale = (Fraction(math.factorial(d)) ** (2 * h - 2 + n)
-             / (math.prod(z_factor(eta) ** m for eta, m in counts.items()) * dim_den))
-    return scale * sum(value * weights[dim] for dim, value in by_dim.items())
+    sums, scale = branching_sums(h, d, [((eta, 1),) for eta in profiles])
+    return scale * sum(sums.values())
 
 
 def hurwitz_classsum(h: int, d: int, args) -> Fraction:

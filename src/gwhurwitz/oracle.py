@@ -17,7 +17,7 @@ no code with them but `BranchData`: it imports neither `hurwitz` nor
 `characters`, so `hur --oracle` compiles no character sum.  Its degree
 limits `DEFAULT_ORACLE_BOUND` and `ORACLE_CEILING` are bound from the
 package, where the command-line parser reads them without loading this
-module.
+module; its genus limit `MAX_ORACLE_GENUS` is its own.
 """
 
 from __future__ import annotations
@@ -29,6 +29,15 @@ from operator import itemgetter
 
 from . import DEFAULT_ORACLE_BOUND, ORACLE_CEILING
 from .branch import BranchData
+
+
+# Each genus above 1 adds one sweep of the state by the later pairs'
+# distribution, so the time grows linearly in h.  In-process (2-core Xeon,
+# CPython 3.11), two simple points: d = 5 at h = 100 0.36 s plain and 3.2 s
+# transitive, d = 6 (past the default degree bound) at h = 10 1.0 s and 17 s.
+# As processes, d = 5 at h = 1000 ran 3.7 s and d = 2 at h = 10^6 89 s.
+# A genus above MAX_ORACLE_GENUS is refused before any permutation is built.
+MAX_ORACLE_GENUS = 100
 
 
 def _compose(p: tuple):
@@ -99,6 +108,9 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
             f"{math.factorial(d) ** 2:.1e} entries")
     if d > degree_bound:
         raise ValueError(f"degree {d} exceeds the brute-force bound {degree_bound}")
+    if h > MAX_ORACLE_GENUS:
+        raise ValueError(f"target genus {h} exceeds the oracle's bound MAX_ORACLE_GENUS = "
+                         f"{MAX_ORACLE_GENUS}")
     classes = {}  # cycle type -> [(element, its orbit labels)]
     for p in itertools.permutations(range(d)):
         labels, shape = _orbits(p)
@@ -133,13 +145,13 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
         return dist
 
     profiles = sorted(branch.profiles, key=lambda eta: len(classes[eta]))
-    steps = []
+    later = ()
     if h:
         state = pairs([(*members[0], len(members)) for members in classes.values()])
         if h > 1:
             everything = [(b, lb, 1) for members in classes.values() for b, lb in members]
-            later = [(_compose(g), labels, w) for (g, labels), w in pairs(everything).items()]
-            steps = [later] * (h - 1)
+            later = itertools.repeat([(_compose(g), labels, w)
+                                      for (g, labels), w in pairs(everything).items()], h - 1)
     elif profiles:
         members = classes[profiles.pop()]
         rep, labels = members[0]
@@ -148,9 +160,9 @@ def monodromy_oracle(branch: BranchData, transitive_only: bool = False,
         state = {(identity, discrete): 1}
     # an empty tuple is closed by the identity
     closing = {p for p, _labels in classes[profiles.pop() if profiles else (1,) * d]}
-    steps += [[(_compose(p), orbits(labels), 1) for p, labels in classes[eta]]
-              for eta in profiles]
-    for step in steps:
+    steps = [[(_compose(p), orbits(labels), 1) for p, labels in classes[eta]]
+             for eta in profiles]
+    for step in itertools.chain(later, steps):
         new = {}
         for (g, labels), c in state.items():
             for compose, labels2, w in step:

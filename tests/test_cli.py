@@ -270,6 +270,22 @@ class TestDocuments:
         with pytest.raises(AssertionError, match="permutations enumerated"):
             main(["hur", "--d", "3", "--oracle", "--target-genus", "0"])
 
+    def test_oracle_genus_bound_exits_2(self, capsys, monkeypatch):
+        from gwhurwitz.oracle import MAX_ORACLE_GENUS
+
+        def no_permutations(*args):
+            raise AssertionError(f"permutations enumerated: {args}")
+
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        code = main(["hur", "--d", "5", "--oracle", "--connected",
+                     "--target-genus", str(MAX_ORACLE_GENUS + 1)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"MAX_ORACLE_GENUS = {MAX_ORACLE_GENUS}" in captured.err
+        # the largest admitted genus reaches the enumeration
+        with pytest.raises(AssertionError, match="permutations enumerated"):
+            main(["hur", "--d", "5", "--oracle", "--target-genus", str(MAX_ORACLE_GENUS)])
+
     def test_gw_refuses_a_negative_target_genus(self, capsys):
         code = main(["gw", "--target-genus", "-2", "--d", "2", "--ks", "0,0,0,0,0,0"])
         captured = capsys.readouterr()

@@ -113,6 +113,32 @@ class TestSpotValues:
             monodromy_oracle(BranchData(0, 3, ((2, 1),)))
 
 
+    def test_oracle_genus_bound_comes_before_any_permutation(self, monkeypatch):
+        # d = 5 at h = 1000 ran 3.7 s as a process; at h = 10^8 the later
+        # pairs' steps would have been listed 10^8 times before the first sweep
+        from gwhurwitz.oracle import MAX_ORACLE_GENUS
+
+        def no_permutations(*args):
+            raise AssertionError(f"permutations enumerated: {args}")
+
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        for h in (MAX_ORACLE_GENUS + 1, 10 ** 8):
+            for transitive_only in (False, True):
+                with pytest.raises(ValueError, match=f"MAX_ORACLE_GENUS = {MAX_ORACLE_GENUS}"):
+                    monodromy_oracle(BranchData(h, 5), transitive_only)
+        # the largest admitted genus passes the bound and enumerates
+        with pytest.raises(AssertionError, match="permutations enumerated"):
+            monodromy_oracle(BranchData(MAX_ORACLE_GENUS, 5), transitive_only=True)
+
+    def test_oracle_counts_every_later_pair_up_to_the_genus_bound(self):
+        from gwhurwitz.oracle import MAX_ORACLE_GENUS
+
+        for h, d in [(3, 3), (4, 3), (MAX_ORACLE_GENUS, 2)]:
+            b = BranchData(h, d, (transposition_class(d),) * 2)
+            assert monodromy_oracle(b) == hurwitz_disconnected(b), (h, d)
+            assert monodromy_oracle(b, transitive_only=True) == hurwitz_connected(b), (h, d)
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_disconnected_matches_oracle(self, d):
@@ -225,8 +251,13 @@ def _class_sum_products(draw):
     h = draw(st.integers(min_value=0, max_value=2))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     factor = st.dictionaries(st.sampled_from(enumerate_partitions(d)), coeffs, max_size=3)
-    factors = draw(st.lists(factor, max_size=3))
-    return h, d, [list(f.items()) for f in factors]
+    # each drawn factor repeats 1-3 times, in any order, so both ways of
+    # taking copies of one factor are checked: the power of a factor of one
+    # branching and the per-copy products of any other
+    factors = draw(st.lists(st.tuples(factor, st.integers(min_value=1, max_value=3)),
+                            max_size=3))
+    return h, d, draw(st.permutations([list(f.items()) for f, copies in factors
+                                       for _ in range(copies)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,6 +269,32 @@ def test_branching_sums_match_the_monomial_expansion(case):
     want = _reference_branching_sums(h, d, factors)
     for b in set(got) | set(want):
         assert got.get(b, 0) == want.get(b, 0), (b, got, want)
+
+
+def test_only_branching_sums_reads_characters(monkeypatch):
+    # one kernel: every count and invariant reads its columns in `branching_sums`
+    import sys
+
+    import gwhurwitz.characters as characters_module
+
+    inner = characters_module.character_columns
+    callers = []
+
+    def spy(*args):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return inner(*args)
+
+    monkeypatch.setattr(characters_module, "character_columns", spy)
+    tau = transposition_class(4)
+    for func, *args in [
+            (hurwitz_disconnected, BranchData(1, 4, (tau, tau, (3, 1)))),
+            (hurwitz_connected, BranchData(0, 4, (tau,) * 6)),
+            (hurwitz_classsum, 0, 4, [completed_cycle(2, 4).value] * 2),
+            (stationary_gw, 1, 4, [1, 3, 3])]:
+        callers.clear()
+        func(*args)
+        assert callers and set(callers) == {("gwhurwitz.hurwitz", "branching_sums")}, func
 
 
 def _full_table_disconnected(h, d, profiles):
