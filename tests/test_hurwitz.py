@@ -112,7 +112,6 @@ class TestSpotValues:
         with pytest.raises(AssertionError, match="permutations enumerated"):
             monodromy_oracle(BranchData(0, 3, ((2, 1),)))
 
-
     def test_oracle_genus_bound_comes_before_any_permutation(self, monkeypatch):
         # d = 5 at h = 1000 ran 3.7 s as a process; at h = 10^8 the later
         # pairs' steps would have been listed 10^8 times before the first sweep
