@@ -6,16 +6,16 @@ row by row), in integers graded by branching: one rational weight per
 dimension and one constant at the end.  `hurwitz_disconnected`,
 `hurwitz_classsum` and `cycles.stationary_gw` read it, and
 `hurwitz_connected` removes the splittings by a marked-sheet recursion over
-its counts.  The brute-force count they are checked against, the monodromy
-oracle, lives in `oracle` and shares no code with them but `BranchData` (in
-`branch`), so `hur --oracle` compiles none of this module.  No count here
-builds a series, so `qseries` is never loaded.  No memo outlives a call:
-the connected recursion keeps its sub-problems for one count.
+its counts, keyed by (profile, copies) pairs whose copies it deals out to
+the shares by binomials.  The brute-force count they are checked against,
+the monodromy oracle, lives in `oracle` and shares no code with them but
+`BranchData` (in `branch`), so `hur --oracle` compiles none of this module.
+No count here builds a series, so `qseries` is never loaded, and no memo
+outlives a call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -157,12 +157,13 @@ def hurwitz_disconnected(branch: BranchData) -> Fraction:
     sum of every grade of `branching_sums` with one factor per profile's
     class.  A cost above MAX_GENUS_COST is refused first.
     """
-    _check_genus(branch.target_genus, branch.degree, len(branch.profiles))
-    return _disconnected(branch.target_genus, branch.degree, branch.profiles)
+    h, d = branch.target_genus, branch.degree
+    _check_genus(h, d, len(branch.profiles))
+    return _disconnected(h, d, tuple(Counter(branch.profiles).items()))
 
 
-def _disconnected(h: int, d: int, profiles: tuple) -> Fraction:
-    sums, scale = branching_sums(h, d, [((eta, 1),) for eta in profiles])
+def _disconnected(h: int, d: int, pairs: tuple) -> Fraction:
+    sums, scale = branching_sums(h, d, [((eta, 1),) for eta, m in pairs for _ in range(m)])
     return scale * sum(sums.values())
 
 
@@ -191,12 +192,14 @@ def hurwitz_classsum(h: int, d: int, args) -> Fraction:
 # sums over integers of about m log2(d!) bits, and the time per unit grows
 # like d^2, so a cost d^2 m^2 (1 + Q m) above MAX_COVER_COST is refused
 # before any count (by `elsv_check` after the series limits and before any
-# series).  The model is good to a factor of about 5 across profiles.
-# In-process (2-core Xeon, CPython 3.11), admitted counts took: (5,3,2) at
-# m = 167 17.3 s, (6,5,4) at m = 128 14.0 s, (4,2) at m = 430 12.7 s,
-# (3,2,1) at m = 287 (g = 140) 3.1 s, and the one-part (12), where Q = 0, at
-# m = 617 (g = 303) 1.4 s; refused: (3,2,1) at m = 607 (g = 300) 33 s and at
-# m = 311 5.3 s, (2,2,1,1) at m = 312 15.8 s.
+# series).  The model was fitted, within a factor of about 5, to the times
+# of an older fold, which sorted the m shares of every carving; the refused
+# times below are that fold's.  In-process (2-core Xeon, CPython 3.11, CPU
+# time, best of 3), admitted counts took: (5,3,2) at m = 167 1.45 s,
+# (6,5,4) at m = 128 1.47 s, (4,2) at m = 430 0.55 s, (3,2,1) at m = 287
+# (g = 140) 0.31 s, the one-part (12), where Q = 0, at m = 617 (g = 303)
+# 0.06 s; refused: (3,2,1) at m = 607 (g = 300) 33 s and at m = 311 5.3 s,
+# (2,2,1,1) at m = 312 15.8 s.
 MAX_COVER_COST = 6_000_000_000
 
 
@@ -211,9 +214,14 @@ def _check_cover(request: str, mu: tuple, m: int) -> None:
                          f"above MAX_COVER_COST = {MAX_COVER_COST}")
 
 
-def _branched(shares) -> tuple:
-    """The shares other than an unbranched (1^k), which multiplies every count by 1."""
-    return tuple(sorted(s for s in shares if s[0] > 1))
+def _put(pairs: tuple, share: tuple, k: int) -> tuple:
+    """The sorted (profile, copies) pairs with k more copies of `share`; an
+    unbranched share (1^j), which multiplies every count by 1, is dropped."""
+    if not k or share[0] == 1:
+        return pairs
+    counts = dict(pairs)
+    counts[share] = counts.get(share, 0) + k
+    return tuple(sorted(counts.items()))
 
 
 def hurwitz_connected(branch: BranchData) -> Fraction:
@@ -225,18 +233,19 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
     parts removes every disconnected configuration exactly once.  A
     profile's share of the marked component is one of its distinct
     sub-multisets of total d1 (`partitions.sub_multisets`), taken once, not
-    once per index set: the parts of a cycle type are unlabelled.  Its
-    sub-profiles are canonical by construction, and the recursion, the
-    disconnected counts and the carvings are memoized for this call only.
-    An unbranched profile or share (1^k) multiplies every count by 1 and is
-    dropped.  The whole recursion is validated against the transitive
-    oracle.  A cost above MAX_GENUS_COST is refused first, then, when the
-    profiles are m simple points and at most one other profile mu, a cover
-    count above MAX_COVER_COST (with mu = tau and m - 1 if all are simple).
+    once per index set: the parts of a cycle type are unlabelled.  A
+    sub-problem is a sorted tuple of (profile, copies) pairs, and copies are
+    dealt share by share: k of the f still free go to a share in C(f, k)
+    ways, the last share takes the rest.  Sub-problems and disconnected
+    counts are memoized for this call only; an unbranched profile or share
+    (1^k) multiplies every count by 1 and is dropped.  A cost above
+    MAX_GENUS_COST is refused first, then, when the profiles are m simple
+    points and at most one other profile mu (every copy counted), a cover
+    count above MAX_COVER_COST (mu = tau and m - 1 if all are simple).
     """
     h, d = branch.target_genus, branch.degree
     _check_genus(h, d, len(branch.profiles))
-    profiles = _branched(branch.profiles)
+    profiles = [p for p in branch.profiles if p[0] > 1]
     simple = (2,) + (1,) * (d - 2)
     others = [p for p in profiles if p != simple]
     m = len(profiles) - len(others)
@@ -247,40 +256,30 @@ def hurwitz_connected(branch: BranchData) -> Fraction:
     disconnected = cache(_disconnected)
 
     @cache
-    def carvings(eta: tuple, d1: int) -> list:
-        return [(sub, rest) for sub, rest, _ways in sub_multisets(eta) if sum(sub) == d1]
-
-    @cache
-    def connected(h: int, d: int, profiles: tuple) -> Fraction:
-        total = disconnected(h, d, profiles)
-        repeats = Counter(profiles)
+    def connected(d: int, pairs: tuple) -> Fraction:
+        total = disconnected(h, d, pairs)
         for d1 in range(1, d):
             weight = Fraction(d1, d)
-            # fold each distinct profile in once: m copies of it are carved by a
-            # multiset of m carvings, counted by its number of orderings, since
-            # distributions with the same sorted outcome contribute the same term
             folds = {((), ()): 1}
-            for eta, m in repeats.items():
-                choices = []
-                for combo in itertools.combinations_with_replacement(carvings(eta, d1), m):
-                    ways = math.factorial(m)
-                    for k in Counter(combo).values():
-                        ways //= math.factorial(k)
-                    carved, rest = zip(*combo)
-                    choices.append((_branched(carved), _branched(rest), ways))
-                new = {}
-                for (left, right), count in folds.items():
-                    for carved, rest, ways in choices:
-                        key = (tuple(sorted(left + carved)), tuple(sorted(right + rest)))
-                        new[key] = new.get(key, 0) + count * ways
-                folds = new
+            for eta, copies in pairs:
+                shares = [(sub, rest) for sub, rest, _ in sub_multisets(eta) if sum(sub) == d1]
+                dealt = {(left, right, copies): count for (left, right), count in folds.items()}
+                for i, (sub, rest) in enumerate(shares, 1):
+                    new = {}
+                    for (left, right, free), count in dealt.items():
+                        for k in range(free if i == len(shares) else 0, free + 1):
+                            key = (_put(left, sub, k), _put(right, rest, k), free - k)
+                            new[key] = new.get(key, 0) + count * math.comb(free, k)
+                    dealt = new
+                folds = {(left, right): count
+                         for (left, right, free), count in dealt.items() if not free}
             for (left, right), count in folds.items():
-                total -= (count * weight * connected(h, d1, left)
+                total -= (count * weight * connected(d1, left)
                           * disconnected(h, d - d1, right))
         return total
 
     try:
-        return connected(h, d, profiles)
+        return connected(d, tuple(sorted(Counter(profiles).items())))
     finally:
         # `connected` calls itself through this closure cell, a reference
         # cycle; emptying the cell lets reference counting free the memos

@@ -350,6 +350,50 @@ def test_counts_match_the_full_table_sums(d):
             assert hurwitz_connected(b) == _folded_connected(h, d, profiles, memo), b
 
 
+@pytest.mark.parametrize("h, d, profiles", [
+    (1, 8, ((3, 2, 1, 1, 1),) * 2 + ((2, 2, 1, 1, 1, 1),) * 2),
+    (0, 8, ((4, 2, 1, 1),) * 3 + ((3, 2, 1, 1, 1),) * 2)], ids=["h1_two_pairs", "h0_three_copies"])
+def test_copies_dealt_over_three_shares_match_the_fold(h, d, profiles):
+    # at d1 = 4, (4,2,1,1) has the shares (4), (2,1,1) and (1,1,1,1): the
+    # copies of each repeated profile are dealt over three or more shares
+    count = hurwitz_connected(BranchData(h, d, profiles))
+    assert count and count == _folded_connected(h, d, profiles, {})
+
+
+def test_one_part_counts_match_the_closed_form():
+    # H_{g,(d)} = r! d^(r-1) [t^2g] S(t)^(d-1) / d! with r = 2g + d - 1 simple
+    # points (Goulden-Jackson-Vakil), S(t) = sinh(t/2)/(t/2), whose
+    # coefficient of t^2n is 1 / (4^n (2n+1)!)
+    s = [F(1, 4 ** n * math.factorial(2 * n + 1)) for n in range(101)]
+    power = [F(1)] + [F(0)] * 100  # S(t)^(d-1), by powers of t^2
+    for d in range(2, 13):
+        power = [sum(power[i] * s[n - i] for i in range(n + 1)) for n in range(101)]
+        for g in (0, 1, 2, 5, 20, 100):
+            r = 2 * g + d - 1
+            want = F(math.factorial(r) * d ** (r - 1), math.factorial(d)) * power[g]
+            branch = BranchData(0, d, ((d,),) + (transposition_class(d),) * r)
+            assert hurwitz_connected(branch) == want, (d, g)
+
+
+def test_genus_one_counts_match_the_closed_form():
+    # Goulden-Jackson; Vakil: with n = |alpha|, m = len(alpha), r = n + m,
+    # H_{1,alpha} = r!/(24 |Aut alpha|) prod a^a/a! (n^m - n^(m-1)
+    #               - sum_{k=2}^m (k-2)! e_k(alpha) n^(m-k))
+    for n in range(2, 9):
+        for alpha in enumerate_partitions(n):
+            m, r = len(alpha), n + len(alpha)
+            e = [1] + [0] * m  # the elementary symmetric polynomials of alpha
+            for a in alpha:
+                e = [e[0]] + [e[k] + a * e[k - 1] for k in range(1, m + 1)]
+            bracket = n ** m - n ** (m - 1) - sum(math.factorial(k - 2) * e[k] * n ** (m - k)
+                                                  for k in range(2, m + 1))
+            want = F(math.factorial(r), 24 * aut_size(alpha)) * bracket
+            for a in alpha:
+                want *= F(a ** a, math.factorial(a))
+            branch = BranchData(0, n, (alpha,) + (transposition_class(n),) * r)
+            assert hurwitz_connected(branch) == want, alpha
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_unbranched_profiles_leave_connected_counts_unchanged(d):
     # a profile (1^d) is the identity's class: the recursion drops it, and
@@ -768,9 +812,11 @@ class TestCoverLimit:
     @pytest.mark.parametrize("profiles", [
         ((3, 2, 1),) + (transposition_class(6),) * 287,
         ((3, 2, 1), (2, 2, 2)) + (transposition_class(6),) * 400,
+        ((3, 2, 1), (3, 2, 1)) + (transposition_class(6),) * 400,
         (transposition_class(6),) * 230],
-        ids=["elsv_321_g140", "two_other_profiles", "all_simple"])
+        ids=["elsv_321_g140", "two_other_profiles", "one_profile_twice", "all_simple"])
     def test_cover_counts_up_to_the_limit_are_counted(self, monkeypatch, profiles):
-        # the limit reads m simple points and at most one other profile
+        # the limit reads m simple points and at most one other profile, and
+        # counts every copy of a repeated one
         with pytest.raises(_Started):
             self._run(monkeypatch, BranchData(0, 6, profiles), _Started())
