@@ -354,8 +354,9 @@ def test_counts_match_the_full_table_sums(d):
     (1, 8, ((3, 2, 1, 1, 1),) * 2 + ((2, 2, 1, 1, 1, 1),) * 2),
     (0, 8, ((4, 2, 1, 1),) * 3 + ((3, 2, 1, 1, 1),) * 2)], ids=["h1_two_pairs", "h0_three_copies"])
 def test_copies_dealt_over_three_shares_match_the_fold(h, d, profiles):
-    # at d1 = 4, (4,2,1,1) has the shares (4), (2,1,1) and (1,1,1,1): the
-    # copies of each repeated profile are dealt over three or more shares
+    # at d1 = 3, (3,2,1,1,1) has the shares (3), (2,1) and (1,1,1), and at
+    # d1 = 4 (2,2,1,1,1,1) has (2,2), (2,1,1) and (1,1,1,1): the copies of a
+    # repeated profile are dealt over three shares, one of them unbranched
     count = hurwitz_connected(BranchData(h, d, profiles))
     assert count and count == _folded_connected(h, d, profiles, {})
 
